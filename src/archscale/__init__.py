@@ -91,7 +91,6 @@ from .workload import (
     WorkloadSpec,
     generate_arrivals,
     rate_curve,
-    sample_email,
 )
 
 __version__ = "0.1.0"

@@ -324,7 +324,6 @@ class VMState:
     speed: Fraction  # current effective resource units per tick
     used_cores: int = 0
     used_memory: int = 0
-    ready_at: int = 0
     instances: list[str] = field(default_factory=list)
 
     @property

@@ -6,9 +6,10 @@ on queued requests (completions forward downstream in the same tick but
 become processable the next one), monitors fire on their period, and
 warming orchestrations come online when their startup elapses.
 
-Requests are bit-packed ints (email id, part kind, virus flag) and the tick
-loop is written flat on purpose: a two-hour reference run pushes ~30M
-requests through the pipeline.
+Requests are bit-packed ints (email id, part kind, virus flag). The kernel
+is ``process_tick``, called once per service per tick: it spends the budget
+of that service's started instances on its queue and returns the
+completions, which the loop then routes and settles.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .capacity import (
 from .model import PART_KINDS, SystemArchitecture, validate_architecture
 from .planner import (
     DeploymentRegistry,
+    Placement,
     TimedOrchestration,
     plan_placement,
     synthesize_orchestration,
@@ -54,9 +56,6 @@ class SimulationError(RuntimeError):
 
 # Part kind codes (indices into PART_KINDS).
 P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
-
-ENQUEUED = "enqueued"
-DROPPED = "dropped"
 
 # Emission modes for compiled routes.
 _M_ONE = 0
@@ -93,17 +92,6 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
 
 
-@dataclass(frozen=True)
-class RequestInstance:
-    """One in-flight message; the engine packs these into ints internally."""
-
-    email_id: int
-    part: str
-    payload_mb: float
-    born_at: int
-    cost_remaining: float
-
-
 @dataclass
 class Balancer:
     """Bounded FIFO in front of a service's instances.
@@ -116,32 +104,21 @@ class Balancer:
     ready: deque = field(default_factory=deque)
     pending: list = field(default_factory=list)
 
-    def dispatch(self, request: int) -> str:
-        if len(self.ready) + len(self.pending) >= self.capacity:
-            return DROPPED
-        self.pending.append(request)
-        return ENQUEUED
-
     def promote(self) -> None:
         if self.pending:
             self.ready.extend(self.pending)
             self.pending.clear()
 
-    def __len__(self) -> int:
-        return len(self.ready) + len(self.pending)
-
 
 class InstanceRuntime:
     """One deployed instance: current work item plus per-tick budget."""
 
-    __slots__ = ("iid", "service_idx", "vm_id", "ready_at", "draining",
+    __slots__ = ("iid", "service_idx", "ready_at", "draining",
                  "cur_req", "cur_cost", "budget", "unit_cost")
 
-    def __init__(self, iid: str, service_idx: int, vm_id: str,
-                 ready_at: int, budget: float, unit_cost: float):
+    def __init__(self, iid: str, service_idx: int, ready_at: int, budget: float, unit_cost: float):
         self.iid = iid
         self.service_idx = service_idx
-        self.vm_id = vm_id
         self.ready_at = ready_at
         self.draining = False
         self.cur_req = -1
@@ -150,34 +127,42 @@ class InstanceRuntime:
         self.unit_cost = unit_cost
 
 
-def process_tick(inst: InstanceRuntime, ready: deque) -> list[int]:
-    """Spend this tick's budget; returns requests completed this tick.
+def process_tick(insts: list[InstanceRuntime], ready: deque, tick: int) -> list[int]:
+    """Spend this tick's budget of every instance started by ``tick``, in list
+    order, on the shared ``ready`` queue; returns the completed requests in
+    completion order.
 
     Idle budget is not banked: when the queue runs dry the leftover is lost.
-    A request whose cost exceeds one budget carries its remainder over.
+    A request whose cost exceeds one budget carries its remainder over. A
+    draining instance finishes its current request and takes no new one.
     """
     completed: list[int] = []
-    budget = inst.budget
-    req = inst.cur_req
-    cost = inst.cur_cost
-    while True:
-        if req < 0:
-            if inst.draining or not ready:
+    done = completed.append
+    for inst in insts:
+        if tick < inst.ready_at:
+            continue
+        budget = inst.budget
+        req = inst.cur_req
+        cost = inst.cur_cost
+        draining = inst.draining
+        while True:
+            if req < 0:
+                if draining or not ready:
+                    break
+                req = ready.popleft()
+                cost = inst.unit_cost
+            if cost <= budget:
+                budget -= cost
+                done(req)
+                req = -1
+                cost = 0.0
+                if budget <= 0.0:
+                    break
+            else:
+                cost -= budget
                 break
-            req = ready.popleft()
-            cost = inst.unit_cost
-        if cost <= budget:
-            budget -= cost
-            completed.append(req)
-            req = -1
-            cost = 0.0
-            if budget <= 0.0:
-                break
-        else:
-            cost -= budget
-            break
-    inst.cur_req = req
-    inst.cur_cost = cost
+        inst.cur_req = req
+        inst.cur_cost = cost
     return completed
 
 
@@ -268,7 +253,7 @@ class MetricsTimeline:
 
 class _ServiceState:
     __slots__ = ("idx", "name", "cores", "balancer", "insts", "draining_count",
-                 "window_arrivals", "mcl", "mf", "base_n", "committed", "active_order")
+                 "window_arrivals", "mcl", "base_n", "committed", "active_order")
 
     def __init__(self, idx: int, name: str, cores: int, capacity: int):
         self.idx = idx
@@ -279,10 +264,23 @@ class _ServiceState:
         self.draining_count = 0
         self.window_arrivals = 0
         self.mcl = None  # Rational, set at build
-        self.mf = None
         self.base_n = 0
         self.committed = 0
         self.active_order: list[InstanceRuntime] = []
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """One enacted deployment: when it comes online, its orchestration and
+    the instances it created."""
+
+    ready_tick: int
+    orch: TimedOrchestration
+    insts: list[InstanceRuntime]
+
+
+def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, int]:
+    return {name: c for name, c in zip(names, counts) if c > 0}
 
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], int]:
@@ -369,7 +367,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     ]
     for st, entry, base_n in zip(svc_states, table.entries, ladder.base.counts):
         st.mcl = entry.mcl
-        st.mf = entry.mf
         st.base_n = base_n
 
     timeline = MetricsTimeline(
@@ -377,28 +374,12 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     unit_costs: dict[tuple[str, Fraction], float] = {}
 
-    def make_instances(orch: TimedOrchestration, ready_at: int) -> list[InstanceRuntime]:
-        out = []
-        for iid in orch.created_instance_ids():
-            rec = registry.instances[iid]
-            st = svc_states[arch.service_index(rec.service)]
-            vm = registry.vms[rec.vm_id]
-            spc = vm.vm_type.speed_per_core
-            key = (rec.service, spc)
-            if key not in unit_costs:
-                unit_costs[key] = float(request_cost(arch.service(rec.service), spc, tps, st.mcl))
-            inst = InstanceRuntime(
-                iid, st.idx, rec.vm_id, ready_at,
-                budget=float(spc * st.cores), unit_cost=unit_costs[key])
-            st.insts.append(inst)
-            st.active_order.append(inst)
-            out.append(inst)
-        return out
-
     # Ready-capacity tracking (for time-to-target and the capacity column).
     ready_counts = [0] * len(svc_states)
-    ready_events: dict[int, list[tuple[int, int]]] = {}  # tick -> [(svc_idx, delta)]
+    ready_events: dict[int, list[int]] = {}  # tick -> service index per instance
     capacity_now = Fraction(0)
+    tick = 0
+    ticks_to_target: Optional[int] = None
 
     def recompute_capacity() -> None:
         nonlocal capacity_now, ticks_to_target
@@ -412,80 +393,84 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             for inst in insts:
                 ready_counts[inst.service_idx] += 1
             recompute_capacity()
-            return
-        for inst in insts:
-            ready_events.setdefault(at, []).append((inst.service_idx, 1))
+        else:
+            ready_events.setdefault(at, []).extend(inst.service_idx for inst in insts)
+
+    def launch(placement: Placement, orch: TimedOrchestration, ready_at: int) -> list[InstanceRuntime]:
+        """Record an applied deployment and start its instances at ``ready_at``."""
+        timeline.orchestrations.append(orch)
+        timeline.total_vm_cost += placement.total_cost
+        insts = []
+        for iid in orch.created_instance_ids():
+            rec = registry.instances[iid]
+            st = svc_states[arch.service_index(rec.service)]
+            spc = registry.vms[rec.vm_id].vm_type.speed_per_core
+            key = (rec.service, spc)
+            if key not in unit_costs:
+                unit_costs[key] = float(request_cost(arch.service(rec.service), spc, tps, st.mcl))
+            inst = InstanceRuntime(iid, st.idx, ready_at, budget=float(spc * st.cores),
+                                   unit_cost=unit_costs[key])
+            st.insts.append(inst)
+            st.active_order.append(inst)
+            st.committed += 1
+            insts.append(inst)
+        schedule_ready(insts, ready_at)
+        return insts
 
     # Base deployment: must be placeable, live from tick 0.
-    base_delta = {s.name: n for s, n in zip(arch.services, ladder.base.counts) if n > 0}
     try:
-        base_placement = plan_placement(base_delta, arch, arch.vm_catalog)
+        base_placement = plan_placement(_delta_dict(names, ladder.base.counts), arch, arch.vm_catalog)
         base_orch = synthesize_orchestration(base_placement, arch, registry)
         registry.apply(base_orch)
     except Exception as exc:
         raise SimulationError(f"infeasible initial base deployment: {exc}") from exc
-    timeline.orchestrations.append(base_orch)
-    timeline.total_vm_cost += base_placement.total_cost
-    base_insts = make_instances(base_orch, ready_at=0)
-    for st in svc_states:
-        st.committed = sum(1 for i in base_insts if i.service_idx == st.idx)
-    tick = 0
-    ticks_to_target: Optional[int] = None
-    for inst in base_insts:
-        ready_counts[inst.service_idx] += 1
-    recompute_capacity()
+    launch(base_placement, base_orch, 0)
+
+    placements: dict[tuple[int, ...], Placement] = {}  # delta counts -> placement
+
+    def deploy(counts: tuple[int, ...], now: int) -> _Unit:
+        """Place (once per distinct delta), synthesize and apply a delta."""
+        placement = placements.get(counts)
+        if placement is None:
+            placement = placements[counts] = plan_placement(
+                _delta_dict(names, counts), arch, arch.vm_catalog)
+        orch = synthesize_orchestration(placement, arch, registry)
+        registry.apply(orch)
+        ready_at = now + orch.startup_ticks
+        return _Unit(ready_at, orch, launch(placement, orch, ready_at))
+
+    def retire(removal: TimedOrchestration, victims: list[InstanceRuntime], now: int) -> None:
+        """Apply ``removal`` and drain ``victims``: each finishes its current
+        request, then leaves the engine."""
+        registry.apply(removal)
+        timeline.orchestrations.append(removal)
+        for inst in victims:
+            st = svc_states[inst.service_idx]
+            inst.draining = True
+            st.draining_count += 1
+            st.committed -= 1
+            st.active_order.remove(inst)
+            if now >= inst.ready_at:
+                ready_counts[st.idx] -= 1
+        recompute_capacity()
+
+    def warming(units: list[_Unit], now: int) -> bool:
+        return any(u.ready_tick > now for u in units)
 
     # Policy state.
-    num_scales = ladder.num_scales
-    deployed_deltas = [0] * num_scales
+    window_s = Fraction(period, tps)
+    deployed_deltas = [0] * ladder.num_scales
     committed_mcl = system_mcl(ladder.base, table)
-    delta_units: list[list[dict]] = [[] for _ in range(num_scales)]  # stacks per index
-    delta_placements: dict[int, object] = {}
-    local_placements: dict[tuple[str, int], object] = {}
-    local_units: dict[str, list[dict]] = {name: [] for name in names}
+    delta_units: list[list[_Unit]] = [[] for _ in range(ladder.num_scales)]  # stacks per index
+    local_units: list[list[_Unit]] = [[] for _ in svc_states]
     window_generated = 0
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
 
     def fmt_deltas(vec) -> str:
         return "|".join(str(v) for v in vec)
 
-    def enact_deploy_delta(index: int, now: int) -> None:
-        nonlocal capacity_now
-        if index not in delta_placements:
-            delta = {s.name: c for s, c in zip(arch.services, ladder.deltas[index].counts) if c > 0}
-            delta_placements[index] = plan_placement(delta, arch, arch.vm_catalog)
-        placement = delta_placements[index]
-        orch = synthesize_orchestration(placement, arch, registry)
-        registry.apply(orch)
-        timeline.orchestrations.append(orch)
-        timeline.total_vm_cost += placement.total_cost
-        ready_at = now + orch.startup_ticks
-        insts = make_instances(orch, ready_at)
-        for inst in insts:
-            svc_states[inst.service_idx].committed += 1
-        delta_units[index].append({"ready_tick": ready_at, "orch": orch, "insts": insts})
-        schedule_ready(insts, ready_at)
-
-    def enact_undeploy_delta(index: int, now: int) -> None:
-        unit = delta_units[index].pop()
-        undeploy = synthesize_undeployment(unit["orch"])
-        registry.apply(undeploy)
-        timeline.orchestrations.append(undeploy)
-        for inst in unit["insts"]:
-            st = svc_states[inst.service_idx]
-            if not inst.draining:
-                inst.draining = True
-                st.draining_count += 1
-                st.committed -= 1
-                if now >= inst.ready_at:
-                    ready_counts[st.idx] -= 1
-            if inst in st.active_order:
-                st.active_order.remove(inst)
-        recompute_capacity()
-
     def global_monitor(now: int) -> None:
         nonlocal committed_mcl, window_generated
-        window_s = Fraction(period, tps)
         inbound = Fraction(window_generated) / window_s
         window_generated = 0
         trig = scaling_trigger(inbound, committed_mcl, config.params)
@@ -499,18 +484,18 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         enacted = 0
         deferred = 0
         for step in plan:
+            units = delta_units[step.delta_index]
             if step.deploy:
-                enact_deploy_delta(step.delta_index, now)
+                units.append(deploy(ladder.deltas[step.delta_index].counts, now))
                 deployed_deltas[step.delta_index] += 1
-                enacted += 1
+            elif warming(units, now):
+                deferred += 1
+                continue
             else:
-                warming = any(u["ready_tick"] > now for u in delta_units[step.delta_index])
-                if warming:
-                    deferred += 1
-                    continue
-                enact_undeploy_delta(step.delta_index, now)
+                unit = units.pop()
+                retire(synthesize_undeployment(unit.orch), unit.insts, now)
                 deployed_deltas[step.delta_index] -= 1
-                enacted += 1
+            enacted += 1
         committed_mcl = system_mcl(ladder.configuration_for(tuple(deployed_deltas)), table)
         if enacted:
             timeline.events.append(ScalingEvent(
@@ -521,41 +506,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 now, Policy.GLOBAL, "system", trig.value, "defer",
                 f"{deferred} undeploys while warming"))
 
-    def enact_local_deploy(st: _ServiceState, count: int, now: int) -> None:
-        key = (st.name, count)
-        if key not in local_placements:
-            local_placements[key] = plan_placement({st.name: count}, arch, arch.vm_catalog)
-        placement = local_placements[key]
-        orch = synthesize_orchestration(placement, arch, registry)
-        registry.apply(orch)
-        timeline.orchestrations.append(orch)
-        timeline.total_vm_cost += placement.total_cost
-        ready_at = now + orch.startup_ticks
-        insts = make_instances(orch, ready_at)
-        st.committed += count
-        local_units[st.name].append({"ready_tick": ready_at, "insts": insts})
-        schedule_ready(insts, ready_at)
-
-    def enact_local_undeploy(st: _ServiceState, count: int, now: int) -> None:
-        victims: list[InstanceRuntime] = []
-        for inst in reversed(st.active_order):
-            if len(victims) == count:
-                break
-            victims.append(inst)
-        removal = synthesize_removal([v.iid for v in victims], arch, registry)
-        registry.apply(removal)
-        timeline.orchestrations.append(removal)
-        for inst in victims:
-            inst.draining = True
-            st.draining_count += 1
-            st.committed -= 1
-            st.active_order.remove(inst)
-            if now >= inst.ready_at:
-                ready_counts[st.idx] -= 1
-        recompute_capacity()
-
     def local_monitor(now: int) -> None:
-        window_s = Fraction(period, tps)
         for st in finite_services:
             inbound = Fraction(st.window_arrivals) / window_s
             st.window_arrivals = 0
@@ -564,23 +515,25 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             if trig is Trigger.NONE:
                 continue
             target = local_target_instances(inbound, config.params, st.mcl, st.base_n, st.committed)
-            if target > st.committed:
-                add = target - st.committed
-                enact_local_deploy(st, add, now)
-                timeline.events.append(ScalingEvent(
-                    now, Policy.LOCAL, st.name, trig.value, "deploy",
-                    f"{st.committed - add}->{st.committed}"))
-            elif target < st.committed:
-                if any(u["ready_tick"] > now for u in local_units[st.name]):
+            old = st.committed
+            if target > old:
+                counts = [0] * len(svc_states)
+                counts[st.idx] = target - old
+                local_units[st.idx].append(deploy(tuple(counts), now))
+                action = "deploy"
+            elif target < old:
+                if warming(local_units[st.idx], now):
                     timeline.events.append(ScalingEvent(
                         now, Policy.LOCAL, st.name, trig.value, "defer",
-                        f"hold {st.committed} while warming"))
+                        f"hold {old} while warming"))
                     continue
-                drop_n = st.committed - target
-                enact_local_undeploy(st, drop_n, now)
-                timeline.events.append(ScalingEvent(
-                    now, Policy.LOCAL, st.name, trig.value, "undeploy",
-                    f"{target + drop_n}->{st.committed}"))
+                victims = st.active_order[::-1][:old - target]  # newest first
+                retire(synthesize_removal([v.iid for v in victims], arch, registry), victims, now)
+                action = "undeploy"
+            else:
+                continue
+            timeline.events.append(ScalingEvent(
+                now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{st.committed}"))
 
     # Email bookkeeping: id -> [outstanding, born_tick, lost_flag]
     emails: dict[int, list] = {}
@@ -602,8 +555,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         # Ready events from finished startups.
         due = ready_events.pop(tick, None)
         if due:
-            for svc_idx, delta in due:
-                ready_counts[svc_idx] += delta
+            for svc_idx in due:
+                ready_counts[svc_idx] += 1
             recompute_capacity()
 
         # 1. Workload arrivals.
@@ -636,89 +589,64 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             timeline.generated += n_arr
             window_generated += n_arr
 
-        # 2. Processing, in declaration order.
+        # 2. Processing, in declaration order: route each completion
+        # downstream and settle its email.
         for st in svc_states:
             insts = st.insts
             if not insts:
                 continue
-            ready_q = st.balancer.ready
             my_routes = routes[st.idx]
-            for inst in insts:
-                if tick < inst.ready_at:
-                    continue
-                budget = inst.budget
-                req = inst.cur_req
-                cost = inst.cur_cost
-                drn = inst.draining
-                while True:
-                    if req < 0:
-                        if drn or not ready_q:
-                            break
-                        req = ready_q.popleft()
-                        cost = inst.unit_cost
-                    if cost <= budget:
-                        budget -= cost
-                        # -- completion: route downstream, settle the email --
-                        eid = req >> 4
-                        part = (req >> 1) & 7
-                        flag = req & 1
-                        rec = emails[eid]
-                        emissions = my_routes[part]
-                        if emissions:
-                            for cond, dst, q, mode in emissions:
-                                if cond and ((cond == _C_CLEAN) == bool(flag)):
-                                    continue
-                                dst_state = svc_states[dst]
-                                bal = dst_state.balancer
-                                if mode == _M_ONE:
-                                    reqs = ((eid << 4) | (q << 1),)
-                                elif mode == _M_PASS:
-                                    reqs = ((eid << 4) | (q << 1) | flag,)
-                                elif mode == _M_BLOCKS:
-                                    reqs = ((eid << 4) | (q << 1),) * blocks_l[eid]
-                                else:  # _M_ATT_FANOUT
-                                    mask = masks_l[eid]
-                                    base_req = (eid << 4) | (q << 1)
-                                    reqs = tuple(base_req | ((mask >> j) & 1)
-                                                 for j in range(atts_l[eid]))
-                                room = bal.capacity - len(bal.ready) - len(bal.pending)
-                                dst_state.window_arrivals += len(reqs)
-                                if room >= len(reqs):
-                                    bal.pending.extend(reqs)
-                                    rec[0] += len(reqs)
-                                else:
-                                    accepted = max(0, room)
-                                    if accepted:
-                                        bal.pending.extend(reqs[:accepted])
-                                        rec[0] += accepted
-                                    n_drop = len(reqs) - accepted
-                                    iv_dropped += n_drop
-                                    timeline.dropped_requests += n_drop
-                                    if not rec[2]:
-                                        rec[2] = True
-                                        iv_lost += 1
-                                        timeline.lost += 1
-                                        active_emails -= 1
-                        rec[0] -= 1
-                        if rec[0] <= 0:
+            for req in process_tick(insts, st.balancer.ready, tick):
+                eid = req >> 4
+                part = (req >> 1) & 7
+                flag = req & 1
+                rec = emails[eid]
+                emissions = my_routes[part]
+                if emissions:
+                    for cond, dst, q, mode in emissions:
+                        if cond and ((cond == _C_CLEAN) == bool(flag)):
+                            continue
+                        dst_state = svc_states[dst]
+                        bal = dst_state.balancer
+                        if mode == _M_ONE:
+                            reqs = ((eid << 4) | (q << 1),)
+                        elif mode == _M_PASS:
+                            reqs = ((eid << 4) | (q << 1) | flag,)
+                        elif mode == _M_BLOCKS:
+                            reqs = ((eid << 4) | (q << 1),) * blocks_l[eid]
+                        else:  # _M_ATT_FANOUT
+                            mask = masks_l[eid]
+                            base_req = (eid << 4) | (q << 1)
+                            reqs = tuple(base_req | ((mask >> j) & 1)
+                                         for j in range(atts_l[eid]))
+                        room = bal.capacity - len(bal.ready) - len(bal.pending)
+                        dst_state.window_arrivals += len(reqs)
+                        if room >= len(reqs):
+                            bal.pending.extend(reqs)
+                            rec[0] += len(reqs)
+                        else:
+                            accepted = max(0, room)
+                            if accepted:
+                                bal.pending.extend(reqs[:accepted])
+                                rec[0] += accepted
+                            n_drop = len(reqs) - accepted
+                            iv_dropped += n_drop
+                            timeline.dropped_requests += n_drop
                             if not rec[2]:
-                                lat = tick - rec[1]
-                                iv_latency_ticks += lat
-                                timeline.latency_sum_ticks += lat
-                                iv_completed += 1
-                                timeline.completed += 1
+                                rec[2] = True
+                                iv_lost += 1
+                                timeline.lost += 1
                                 active_emails -= 1
-                            del emails[eid]
-                        # -- end completion --
-                        req = -1
-                        cost = 0.0
-                        if budget <= 0.0:
-                            break
-                    else:
-                        cost -= budget
-                        break
-                inst.cur_req = req
-                inst.cur_cost = cost
+                rec[0] -= 1
+                if rec[0] <= 0:
+                    if not rec[2]:
+                        lat = tick - rec[1]
+                        iv_latency_ticks += lat
+                        timeline.latency_sum_ticks += lat
+                        iv_completed += 1
+                        timeline.completed += 1
+                        active_emails -= 1
+                    del emails[eid]
 
         # 3. Monitors.
         if (tick + 1) % period == 0:
@@ -770,7 +698,3 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     timeline.ticks_to_target = ticks_to_target
     return timeline
 
-
-def dispatch(balancer: Balancer, request: int) -> str:
-    """Admit ``request`` to the balancer queue or drop it when full."""
-    return balancer.dispatch(request)

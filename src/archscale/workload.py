@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .model import EmailProfile
@@ -140,23 +140,6 @@ class EmailBatch:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-@dataclass
-class EmailStructure:
-    blocks: int
-    attachments: int
-    virus_flags: tuple[bool, ...] = field(default_factory=tuple)
-
-
-def sample_email(profile: EmailProfile, rng: np.random.Generator) -> EmailStructure:
-    """Draw one email's structure from the profile's supports."""
-    b_lo, b_hi = profile.block_count_support
-    a_lo, a_hi = profile.attachment_count_support
-    blocks = int(rng.integers(b_lo, b_hi + 1))
-    attachments = int(rng.integers(a_lo, a_hi + 1))
-    flags = tuple(bool(rng.random() < float(profile.p_virus)) for _ in range(attachments))
-    return EmailStructure(blocks, attachments, flags)
 
 
 def sample_email_batch(profile: EmailProfile, rng: np.random.Generator, count: int) -> EmailBatch:

@@ -17,8 +17,6 @@ from archscale import (
 )
 from archscale.document import parse_architecture_data
 from archscale.simulator import (
-    DROPPED,
-    ENQUEUED,
     Balancer,
     InstanceRuntime,
     Policy,
@@ -29,83 +27,104 @@ from archscale.workload import Diurnal
 
 # -- balancer ------------------------------------------------------------------
 
-def test_dispatch_enqueues_until_capacity():
-    bal = Balancer(capacity=10)
-    for i in range(10):
-        assert bal.dispatch(i) == ENQUEUED
-    assert bal.dispatch(99) == DROPPED
-    assert len(bal) == 10
-
-
-def test_dispatch_empty_queue_enqueues_front():
-    bal = Balancer(capacity=10)
-    assert bal.dispatch(5) == ENQUEUED
-    bal.promote()
-    assert bal.ready[0] == 5
-
-
 def test_promotion_preserves_fifo():
     bal = Balancer(capacity=10)
-    for i in range(4):
-        bal.dispatch(i)
+    bal.pending.extend(range(4))
     bal.promote()
     assert list(bal.ready) == [0, 1, 2, 3]
+    assert bal.pending == []
 
+
+def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
+    # 500 emails/s against the base deployment, no scaling: every queue fills.
+    for queue_capacity in (1, 40):
+        cfg = SimConfig(duration=20 * 30, workload=WorkloadSpec(Steps(((0, 500.0),))),
+                        seed=11, policy=Policy.GLOBAL, exact_arrivals=True,
+                        queue_capacity=queue_capacity,
+                        params=ScalerParams(monitoring_period=10 ** 9))
+        tl = run_simulation(reference_arch, reference_ladder, cfg)
+        assert tl.dropped_requests > 0
+        assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
+        # An email in flight holds a queue slot or an instance's current request.
+        instances = tl.rows[-1].total_instances
+        assert tl.in_flight_end <= queue_capacity * len(reference_arch.services) + instances
+
+
+# -- the processing kernel ----------------------------------------------------------
 
 def test_two_instances_split_four_requests():
     ready = deque([1, 2, 3, 4])
-    a = InstanceRuntime("a", 0, "vm-0", 0, budget=10.0, unit_cost=5.0)
-    b = InstanceRuntime("b", 0, "vm-0", 0, budget=10.0, unit_cost=5.0)
-    done_a = process_tick(a, ready)
-    done_b = process_tick(b, ready)
-    assert len(done_a) == 2 and len(done_b) == 2
+    a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
+    b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=5.0)
+    assert process_tick([a], ready, 0) == [1, 2]
+    assert process_tick([b], ready, 0) == [3, 4]
+
+
+def test_shared_queue_completions_come_back_in_list_order():
+    ready = deque(range(6))
+    a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
+    b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=4.0)
+    # a takes 0 and 1, b takes 2 and 3 and starts 4 with 2 of its 10 left.
+    assert process_tick([a, b], ready, 0) == [0, 1, 2, 3]
+    assert list(ready) == [5]
+    assert b.cur_req == 4 and b.cur_cost == 2.0
+    assert process_tick([b, a], ready, 1) == [4, 5]
+
+
+def test_instance_not_started_is_skipped():
+    ready = deque([1, 2, 3])
+    warm = InstanceRuntime("w", 0, 60, budget=10.0, unit_cost=5.0)
+    live = InstanceRuntime("l", 0, 0, budget=10.0, unit_cost=5.0)
+    assert process_tick([warm, live], ready, 59) == [1, 2]
+    assert warm.cur_req == -1
+    assert process_tick([warm, live], ready, 60) == [3]
 
 
 # -- per-tick budget accounting ---------------------------------------------------
 
 def test_request_spanning_ticks_completes_on_third():
-    inst = InstanceRuntime("i", 0, "vm-0", 0, budget=10.0, unit_cost=25.0)
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=25.0)
     ready = deque([7])
-    assert process_tick(inst, ready) == []
-    assert process_tick(inst, ready) == []
-    assert process_tick(inst, ready) == [7]
+    assert process_tick([inst], ready, 0) == []
+    assert process_tick([inst], ready, 1) == []
+    assert process_tick([inst], ready, 2) == [7]
 
 
 def test_budget_not_banked_when_idle():
-    inst = InstanceRuntime("i", 0, "vm-0", 0, budget=10.0, unit_cost=15.0)
-    assert process_tick(inst, deque()) == []
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=15.0)
+    assert process_tick([inst], deque(), 0) == []
     ready = deque([3])
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
-    assert process_tick(inst, ready) == []
-    assert process_tick(inst, ready) == [3]
+    assert process_tick([inst], ready, 1) == []
+    assert process_tick([inst], ready, 2) == [3]
 
 
 def test_image_recognizer_cost_rate():
     # budget 30/tick, cost 900/91: three requests most ticks, ~91/s sustained
     cost = float(Fraction(5 * 6 * 30, 91))
-    inst = InstanceRuntime("i", 0, "vm-0", 0, budget=30.0, unit_cost=cost)
+    inst = InstanceRuntime("i", 0, 0, budget=30.0, unit_cost=cost)
     ready = deque(range(10000))
     done = 0
-    for _ in range(30 * 60):
-        done += len(process_tick(inst, ready))
+    for tick in range(30 * 60):
+        done += len(process_tick([inst], ready, tick))
     assert abs(done - 91 * 60) <= 1
 
 
 def test_zero_cost_drains_entire_queue():
-    inst = InstanceRuntime("i", 0, "vm-0", 0, budget=10.0, unit_cost=0.0)
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=0.0)
     ready = deque(range(500))
-    assert len(process_tick(inst, ready)) == 500
+    assert len(process_tick([inst], ready, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
-    inst = InstanceRuntime("i", 0, "vm-0", 0, budget=10.0, unit_cost=8.0)
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
     ready = deque([1, 2])
     inst.cur_req = 0
     inst.cur_cost = 4.0
     inst.draining = True
-    assert process_tick(inst, ready) == [0]
+    assert process_tick([inst], ready, 0) == [0]
     assert list(ready) == [1, 2]
-    assert process_tick(inst, ready) == []
+    assert process_tick([inst], ready, 1) == []
 
 
 # -- whole-engine behavior ---------------------------------------------------------

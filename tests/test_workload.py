@@ -5,7 +5,7 @@ import pytest
 
 from archscale import Diurnal, Steps, Trace, WorkloadSpec, generate_arrivals, rate_curve
 from archscale.model import EmailProfile
-from archscale.workload import WorkloadError, sample_email, sample_email_batch
+from archscale.workload import WorkloadError, sample_email_batch
 
 
 def test_steps_exact_one_second_is_exact():
@@ -87,9 +87,9 @@ def test_jitter_bound_validated():
 def test_sample_email_zero_virus_probability():
     profile = EmailProfile(p_virus=0)
     rng = np.random.Generator(np.random.PCG64(0))
-    for _ in range(200):
-        email = sample_email(profile, rng)
-        assert not any(email.virus_flags)
+    batch = sample_email_batch(profile, rng, 200)
+    assert batch.attachments.sum() > 0
+    assert not batch.virus_masks.any()
 
 
 def test_sample_email_statistics():
