@@ -92,17 +92,34 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Balancer:
     """Bounded FIFO in front of a service's instances.
 
     Requests enqueued during a tick become available the next tick; the
-    capacity check covers both segments.
+    capacity check covers both segments. ``offered`` counts every request
+    dispatched to it, accepted or dropped, until the monitor resets it.
     """
 
     capacity: int
     ready: deque = field(default_factory=deque)
     pending: list = field(default_factory=list)
+    offered: int = 0
+
+    def dispatch(self, reqs) -> int:
+        """Enqueue as many of ``reqs``, in order, as there is room for;
+        returns how many were accepted. The rest are dropped."""
+        n = len(reqs)
+        self.offered += n
+        pending = self.pending
+        room = self.capacity - len(self.ready) - len(pending)
+        if room >= n:
+            pending.extend(reqs)
+            return n
+        if room <= 0:
+            return 0
+        pending.extend(reqs[:room])
+        return room
 
     def promote(self) -> None:
         if self.pending:
@@ -253,7 +270,7 @@ class MetricsTimeline:
 
 class _ServiceState:
     __slots__ = ("idx", "name", "cores", "balancer", "insts", "draining_count",
-                 "window_arrivals", "mcl", "base_n", "committed", "active_order")
+                 "mcl", "base_n", "committed", "active_order")
 
     def __init__(self, idx: int, name: str, cores: int, capacity: int):
         self.idx = idx
@@ -262,7 +279,6 @@ class _ServiceState:
         self.balancer = Balancer(capacity)
         self.insts: list[InstanceRuntime] = []
         self.draining_count = 0
-        self.window_arrivals = 0
         self.mcl = None  # Rational, set at build
         self.base_n = 0
         self.committed = 0
@@ -284,7 +300,8 @@ def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, in
 
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], int]:
-    """Per (service, inbound part): emission specs (cond, target, part, mode)."""
+    """Per (service, inbound part): emission specs (cond, target, part << 1, mode),
+    the part pre-shifted to its place in a request id."""
     index = {s.name: i for i, s in enumerate(arch.services)}
     entry = arch.entry_service()
     if entry is None and arch.services:
@@ -316,7 +333,7 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], 
                 mode = _M_BLOCKS
             else:
                 continue
-            routes[src_idx][p].append((cond, index[e.dst], q, mode))
+            routes[src_idx][p].append((cond, index[e.dst], q << 1, mode))
             fired = True
         if not fired:
             raise SimulationError(
@@ -508,8 +525,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     def local_monitor(now: int) -> None:
         for st in finite_services:
-            inbound = Fraction(st.window_arrivals) / window_s
-            st.window_arrivals = 0
+            inbound = Fraction(st.balancer.offered) / window_s
+            st.balancer.offered = 0
             total = Fraction(st.mcl) * st.committed
             trig = scaling_trigger(inbound, total, config.params)
             if trig is Trigger.NONE:
@@ -549,6 +566,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     interval_start_tick = 0
 
     entry_state = svc_states[entry_idx]
+    dispatch_to = [st.balancer.dispatch for st in svc_states]
     is_global = config.policy == Policy.GLOBAL
 
     for tick in range(duration):
@@ -562,29 +580,20 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         # 1. Workload arrivals.
         n_arr = arrivals_l[tick]
         if n_arr:
-            bal = entry_state.balancer
-            qroom = bal.capacity
-            ready_q = bal.ready
-            pend = bal.pending
-            for _ in range(n_arr):
-                eid = next_email
-                next_email += 1
+            first = next_email
+            next_email += n_arr
+            # Part EMAIL, flag 0; an email whose request is dropped is lost.
+            accepted = entry_state.balancer.dispatch(
+                [eid << 4 for eid in range(first, next_email)])
+            for eid in range(first, first + accepted):
                 emails[eid] = [1, tick, False]
-                active_emails += 1
-                entry_state.window_arrivals += 1
-                if len(ready_q) + len(pend) >= qroom:
-                    iv_dropped += 1
-                    timeline.dropped_requests += 1
-                    rec = emails[eid]
-                    rec[0] -= 1
-                    rec[2] = True
-                    iv_lost += 1
-                    timeline.lost += 1
-                    active_emails -= 1
-                    if rec[0] <= 0:
-                        del emails[eid]
-                else:
-                    pend.append(eid << 4)  # part EMAIL, flag 0
+            active_emails += accepted
+            n_drop = n_arr - accepted
+            if n_drop:
+                iv_dropped += n_drop
+                timeline.dropped_requests += n_drop
+                iv_lost += n_drop
+                timeline.lost += n_drop
             iv_generated += n_arr
             timeline.generated += n_arr
             window_generated += n_arr
@@ -603,32 +612,24 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 rec = emails[eid]
                 emissions = my_routes[part]
                 if emissions:
-                    for cond, dst, q, mode in emissions:
+                    email_bits = req & -16
+                    for cond, dst, part_bits, mode in emissions:
                         if cond and ((cond == _C_CLEAN) == bool(flag)):
                             continue
-                        dst_state = svc_states[dst]
-                        bal = dst_state.balancer
                         if mode == _M_ONE:
-                            reqs = ((eid << 4) | (q << 1),)
+                            reqs = (email_bits | part_bits,)
                         elif mode == _M_PASS:
-                            reqs = ((eid << 4) | (q << 1) | flag,)
+                            reqs = (email_bits | part_bits | flag,)
                         elif mode == _M_BLOCKS:
-                            reqs = ((eid << 4) | (q << 1),) * blocks_l[eid]
+                            reqs = (email_bits | part_bits,) * blocks_l[eid]
                         else:  # _M_ATT_FANOUT
                             mask = masks_l[eid]
-                            base_req = (eid << 4) | (q << 1)
+                            base_req = email_bits | part_bits
                             reqs = tuple(base_req | ((mask >> j) & 1)
                                          for j in range(atts_l[eid]))
-                        room = bal.capacity - len(bal.ready) - len(bal.pending)
-                        dst_state.window_arrivals += len(reqs)
-                        if room >= len(reqs):
-                            bal.pending.extend(reqs)
-                            rec[0] += len(reqs)
-                        else:
-                            accepted = max(0, room)
-                            if accepted:
-                                bal.pending.extend(reqs[:accepted])
-                                rec[0] += accepted
+                        accepted = dispatch_to[dst](reqs)
+                        rec[0] += accepted
+                        if accepted < len(reqs):
                             n_drop = len(reqs) - accepted
                             iv_dropped += n_drop
                             timeline.dropped_requests += n_drop

@@ -27,6 +27,26 @@ from archscale.workload import Diurnal
 
 # -- balancer ------------------------------------------------------------------
 
+def test_dispatch_enqueues_until_capacity():
+    bal = Balancer(capacity=10)
+    for i in range(9):
+        assert bal.dispatch((i,)) == 1
+    # One slot left: a fan-out of three keeps its first request only.
+    assert bal.dispatch((97, 98, 99)) == 1
+    assert bal.dispatch((100,)) == 0
+    assert bal.pending == list(range(9)) + [97]
+    bal.promote()
+    assert bal.dispatch((101,)) == 0
+
+
+def test_dispatch_empty_queue_enqueues_front():
+    bal = Balancer(capacity=10)
+    assert bal.dispatch((5,)) == 1
+    assert list(bal.ready) == []
+    bal.promote()
+    assert bal.ready[0] == 5
+
+
 def test_promotion_preserves_fifo():
     bal = Balancer(capacity=10)
     bal.pending.extend(range(4))
