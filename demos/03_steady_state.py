@@ -42,6 +42,7 @@ print(f"VM cost of the standing fleet: {float(timeline.total_vm_cost):g}")
 
 print("\nfirst five reporting intervals:")
 print("t_s  inbound  completed  latency_s")
+tps = timeline.ticks_per_second
 for row in timeline.rows[:5]:
-    lat = "-" if row.mean_latency_s is None else f"{row.mean_latency_s:.4f}"
+    lat = "-" if not row.completed else f"{row.latency_ticks / row.completed / tps:.4f}"
     print(f"{row.t_s:3d}  {row.inbound_eps:7.1f}  {row.completed:9d}  {lat}")

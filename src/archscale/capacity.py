@@ -152,9 +152,6 @@ class CapacityTable:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def entry(self, name: str) -> ServiceCapacity:
         for e in self.entries:
             if e.name == name:
@@ -207,9 +204,6 @@ class Configuration:
 
     def __sub__(self, other: "Configuration") -> "Configuration":
         return Configuration(tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def instances_for_target(sys_mcl: Rational, mf: Fraction, mcl: Rational) -> int:

@@ -110,9 +110,21 @@ def _parse_workload(block: dict) -> WorkloadSpec:
 
 
 _SPEC_KEYS = {"architecture", "policies", "output", "scenario"}
-_SCENARIO_KEYS = {"duration_s", "ticks_per_second", "seed", "queue_capacity",
-                  "exact_arrivals", "workload", "monitoring_period_s", "K", "k",
-                  "base_target_mcl", "scale_increments"}
+# Scenario key -> (ExperimentSpec field, converter). A key the file leaves
+# out keeps the field's default.
+_SCENARIO_FIELDS = {
+    "duration_s": ("duration_s", int),
+    "ticks_per_second": ("ticks_per_second", int),
+    "seed": ("seed", int),
+    "queue_capacity": ("queue_capacity", int),
+    "exact_arrivals": ("exact_arrivals", bool),
+    "workload": ("workload", _parse_workload),
+    "monitoring_period_s": ("monitoring_period_s", int),
+    "K": ("margin_K", float),
+    "k": ("hysteresis_k", float),
+    "base_target_mcl": ("base_target_mcl", float),
+    "scale_increments": ("scale_increments", lambda xs: tuple(float(x) for x in xs)),
+}
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
@@ -127,32 +139,20 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if unknown:
         raise ExperimentError(f"experiment spec: unknown keys {sorted(unknown)}")
     scenario = data.get("scenario", {})
-    unknown = set(scenario) - _SCENARIO_KEYS
+    unknown = set(scenario) - _SCENARIO_FIELDS.keys()
     if unknown:
         raise ExperimentError(f"experiment scenario: unknown keys {sorted(unknown)}")
     arch_path = data.get("architecture")
     if not arch_path:
         raise ExperimentError("experiment spec needs an 'architecture' path")
     arch_path = str((path.parent / arch_path).resolve()) if not os.path.isabs(arch_path) else arch_path
-    policies = tuple(data.get("policies", ["global", "local"]))
-    workload = _parse_workload(scenario["workload"]) if "workload" in scenario else \
-        WorkloadSpec(Diurnal(60, 380, 7200))
-    return ExperimentSpec(
-        architecture=arch_path,
-        policies=policies,
-        output=str(data.get("output", "out")),
-        duration_s=int(scenario.get("duration_s", 7200)),
-        ticks_per_second=int(scenario.get("ticks_per_second", 30)),
-        seed=int(scenario.get("seed", 42)),
-        queue_capacity=int(scenario.get("queue_capacity", 500)),
-        exact_arrivals=bool(scenario.get("exact_arrivals", False)),
-        workload=workload,
-        monitoring_period_s=int(scenario.get("monitoring_period_s", 10)),
-        margin_K=float(scenario.get("K", 20)),
-        hysteresis_k=float(scenario.get("k", 10)),
-        base_target_mcl=float(scenario.get("base_target_mcl", 60)),
-        scale_increments=tuple(float(x) for x in scenario.get("scale_increments", DEFAULT_INCREMENTS)),
-    )
+    fields = {name: convert(scenario[key])
+              for key, (name, convert) in _SCENARIO_FIELDS.items() if key in scenario}
+    if "policies" in data:
+        fields["policies"] = tuple(data["policies"])
+    if "output" in data:
+        fields["output"] = str(data["output"])
+    return ExperimentSpec(architecture=arch_path, **fields)
 
 
 @dataclass

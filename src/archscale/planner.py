@@ -371,9 +371,6 @@ class DeploymentRegistry:
         start = self._next_instance.get(service, 0)
         return [f"{service}-{start + i}" for i in range(count)]
 
-    def instances_of(self, service: str) -> list[InstanceState]:
-        return [inst for inst in self.instances.values() if inst.service == service]
-
     def counts(self) -> dict[str, int]:
         out = {s.name: 0 for s in self.arch.services}
         for inst in self.instances.values():

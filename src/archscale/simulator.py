@@ -83,7 +83,6 @@ class SimConfig:
     policy: str = Policy.GLOBAL
     params: ScalerParams = field(default_factory=ScalerParams)
     exact_arrivals: bool = False
-    report_interval_s: int = 1
 
     def __post_init__(self):
         if self.ticks_per_second < 1 or self.queue_capacity < 1:
@@ -195,13 +194,15 @@ class ScalingEvent:
 
 @dataclass
 class IntervalRow:
+    """One second of the run (the last row may be shorter)."""
+
     t_s: int  # interval start, seconds
     inbound_eps: float
     generated: int
     completed: int
     lost_emails: int
     dropped_requests: int
-    mean_latency_s: Optional[float]
+    latency_ticks: int  # summed end-to-end latency of the completed emails
     capacity_eps: float
     total_instances: int
     vm_cost_total: float
@@ -209,32 +210,53 @@ class IntervalRow:
     service_counts: tuple[int, ...]
 
 
+def _latency_s(latency_ticks: int, completed: int, tps: int) -> Optional[float]:
+    """Mean latency in seconds of ``completed`` emails whose latencies sum
+    to ``latency_ticks``; None when none completed."""
+    return latency_ticks / completed / tps if completed else None
+
+
 @dataclass
 class MetricsTimeline:
-    """Per-interval metrics plus run-level totals, events and orchestrations."""
+    """Per-second metrics rows, events and orchestrations of one run.
 
-    policy: str
-    seed: int
+    The rows are the one record of the email metrics: the run totals are
+    sums over them.
+    """
+
     ticks_per_second: int
     service_names: tuple[str, ...]
     rows: list[IntervalRow] = field(default_factory=list)
     events: list[ScalingEvent] = field(default_factory=list)
     orchestrations: list[TimedOrchestration] = field(default_factory=list)
-    generated: int = 0
-    completed: int = 0
-    lost: int = 0
-    dropped_requests: int = 0
     in_flight_end: int = 0
-    latency_sum_ticks: int = 0
     ticks_to_target: Optional[int] = None
-    peak_total_instances: int = 0
     total_vm_cost: Fraction = Fraction(0)
 
     @property
+    def generated(self) -> int:
+        return sum(r.generated for r in self.rows)
+
+    @property
+    def completed(self) -> int:
+        return sum(r.completed for r in self.rows)
+
+    @property
+    def lost(self) -> int:
+        return sum(r.lost_emails for r in self.rows)
+
+    @property
+    def dropped_requests(self) -> int:
+        return sum(r.dropped_requests for r in self.rows)
+
+    @property
+    def peak_total_instances(self) -> int:
+        return max((r.total_instances for r in self.rows), default=0)
+
+    @property
     def mean_latency_s(self) -> Optional[float]:
-        if not self.completed:
-            return None
-        return self.latency_sum_ticks / self.completed / self.ticks_per_second
+        return _latency_s(sum(r.latency_ticks for r in self.rows), self.completed,
+                          self.ticks_per_second)
 
     def to_csv(self) -> str:
         head = ["t_s", "inbound_eps", "generated", "completed", "lost_emails",
@@ -243,6 +265,7 @@ class MetricsTimeline:
         head += [f"n_{name}" for name in self.service_names]
         lines = [",".join(head)]
         for r in self.rows:
+            lat = _latency_s(r.latency_ticks, r.completed, self.ticks_per_second)
             cells = [
                 str(r.t_s),
                 f"{r.inbound_eps:.6f}",
@@ -250,7 +273,7 @@ class MetricsTimeline:
                 str(r.completed),
                 str(r.lost_emails),
                 str(r.dropped_requests),
-                "" if r.mean_latency_s is None else f"{r.mean_latency_s:.6f}",
+                "" if lat is None else f"{lat:.6f}",
                 f"{r.capacity_eps:.6f}",
                 str(r.total_instances),
                 f"{r.vm_cost_total:.6f}",
@@ -354,7 +377,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     table = build_capacity_table(arch)
     tps = config.ticks_per_second
     duration = config.duration
-    interval_ticks = config.report_interval_s * tps
     period = config.params.monitoring_period
     names = tuple(s.name for s in arch.services)
 
@@ -386,8 +408,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         st.mcl = entry.mcl
         st.base_n = base_n
 
-    timeline = MetricsTimeline(
-        policy=config.policy, seed=config.seed, ticks_per_second=tps, service_names=names)
+    timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
 
     unit_costs: dict[tuple[str, Fraction], float] = {}
 
@@ -554,7 +575,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     # Email bookkeeping: id -> [outstanding, born_tick, lost_flag]
     emails: dict[int, list] = {}
-    active_emails = 0
     next_email = 0
 
     # Interval accumulators.
@@ -587,15 +607,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 [eid << 4 for eid in range(first, next_email)])
             for eid in range(first, first + accepted):
                 emails[eid] = [1, tick, False]
-            active_emails += accepted
             n_drop = n_arr - accepted
             if n_drop:
                 iv_dropped += n_drop
-                timeline.dropped_requests += n_drop
                 iv_lost += n_drop
-                timeline.lost += n_drop
             iv_generated += n_arr
-            timeline.generated += n_arr
             window_generated += n_arr
 
         # 2. Processing, in declaration order: route each completion
@@ -632,21 +648,14 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                         if accepted < len(reqs):
                             n_drop = len(reqs) - accepted
                             iv_dropped += n_drop
-                            timeline.dropped_requests += n_drop
                             if not rec[2]:
                                 rec[2] = True
                                 iv_lost += 1
-                                timeline.lost += 1
-                                active_emails -= 1
                 rec[0] -= 1
                 if rec[0] <= 0:
                     if not rec[2]:
-                        lat = tick - rec[1]
-                        iv_latency_ticks += lat
-                        timeline.latency_sum_ticks += lat
+                        iv_latency_ticks += tick - rec[1]
                         iv_completed += 1
-                        timeline.completed += 1
-                        active_emails -= 1
                     del emails[eid]
 
         # 3. Monitors.
@@ -672,13 +681,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             st.balancer.promote()
 
         # 6. Interval rollup.
-        if (tick + 1) % interval_ticks == 0 or tick + 1 == duration:
+        if (tick + 1) % tps == 0 or tick + 1 == duration:
             start_s = interval_start_tick // tps
             span_s = (tick + 1 - interval_start_tick) / tps
             interval_start_tick = tick + 1
             counts = tuple(st.committed for st in svc_states)
-            total_inst = sum(counts)
-            timeline.peak_total_instances = max(timeline.peak_total_instances, total_inst)
             timeline.rows.append(IntervalRow(
                 t_s=start_s,
                 inbound_eps=iv_generated / span_s,
@@ -686,16 +693,16 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 completed=iv_completed,
                 lost_emails=iv_lost,
                 dropped_requests=iv_dropped,
-                mean_latency_s=(iv_latency_ticks / iv_completed / tps) if iv_completed else None,
+                latency_ticks=iv_latency_ticks,
                 capacity_eps=float(capacity_now),
-                total_instances=total_inst,
+                total_instances=sum(counts),
                 vm_cost_total=float(timeline.total_vm_cost),
                 deployed_deltas=fmt_deltas(deployed_deltas) if is_global else "",
                 service_counts=counts,
             ))
             iv_generated = iv_completed = iv_lost = iv_dropped = iv_latency_ticks = 0
 
-    timeline.in_flight_end = active_emails
+    timeline.in_flight_end = sum(not rec[2] for rec in emails.values())
     timeline.ticks_to_target = ticks_to_target
     return timeline
 

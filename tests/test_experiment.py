@@ -46,6 +46,22 @@ def test_report_recomputable_from_metrics_files(tmp_path):
         assert again == summary
 
 
+def test_report_matches_in_memory_totals(tmp_path):
+    # A 50 -> 200 emails/s step with Poisson arrivals: both policies drop,
+    # lose emails and reach the target capacity after the step.
+    spec = short_spec(tmp_path, duration_s=120, exact_arrivals=False,
+                      workload=WorkloadSpec(Steps(((0, 50.0), (20 * 30, 200.0)))))
+    result = run_experiment(spec)
+    for policy, tl in result.timelines.items():
+        summary = result.report.summaries[policy]
+        assert tl.lost > 0 and tl.ticks_to_target
+        assert (summary.generated, summary.completed, summary.lost_emails,
+                summary.dropped_requests, summary.peak_total_instances) == (
+            tl.generated, tl.completed, tl.lost, tl.dropped_requests, tl.peak_total_instances)
+        assert abs(summary.mean_latency_s - tl.mean_latency_s) <= 1e-6
+        assert summary.ticks_to_target == tl.ticks_to_target // 30 * 30
+
+
 def test_experiment_byte_identical_reruns(tmp_path):
     spec_a = short_spec(tmp_path, output=str(tmp_path / "a"))
     spec_b = short_spec(tmp_path, output=str(tmp_path / "b"))
@@ -85,6 +101,13 @@ def test_spec_file_round_trip(tmp_path):
     assert spec.policies == ("global",)
     result = run_experiment(spec)
     assert result.timelines["global"].generated == 40 * 30
+
+
+def test_spec_file_defaults_are_the_spec_defaults(tmp_path):
+    spec_file = tmp_path / "exp.json"
+    spec_file.write_text(json.dumps({"architecture": "arch.json"}), encoding="utf-8")
+    assert load_experiment_spec(spec_file) == ExperimentSpec(
+        architecture=str((tmp_path / "arch.json").resolve()))
 
 
 def test_spec_unknown_keys_rejected(tmp_path):

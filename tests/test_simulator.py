@@ -289,10 +289,8 @@ def test_latency_floor_one_tick_per_hop(reference_arch, reference_ladder):
     # Shortest full path is four hops (receiver, parser, analyser, aggregator);
     # no email may finish faster.
     assert tl.completed > 0
-    min_plausible = 4 / 30
     for row in tl.rows:
-        if row.mean_latency_s is not None:
-            assert row.mean_latency_s >= min_plausible - 1e-9
+        assert row.latency_ticks >= 4 * row.completed
 
 
 def test_global_scaling_reaches_plateau(reference_arch, reference_ladder):
