@@ -1,10 +1,12 @@
 """Golden outputs: the SHA-256 of every metrics and event CSV and of the
-`report.json` of three runs.
+`report.json` of four runs.
 
 A refactor of the engine must leave these files byte for byte unchanged.
 The first two runs are the compressed diurnal demo and part 1 of the step
 surge demo; the third is the step surge with Poisson arrivals, 20 % rate
-jitter and a 5-s monitor, at seed 1.
+jitter and a 5-s monitor, at seed 1. The fourth is the step surge of the
+second with 40-request queues, so that within one tick the fan-outs of
+several completions meet a full queue and are cut part way.
 """
 
 import hashlib
@@ -50,6 +52,17 @@ RUNS = {
             "report.json": "3599ee0b7fd0b0b8ed1b30a4a376fe87b8ed2d2bce41f194e8187a211a84c4f9",
         },
     ),
+    "surge_exact_queue40_seed7": (
+        dict(duration_s=600, seed=7, exact_arrivals=True, queue_capacity=40,
+             workload=WorkloadSpec(SURGE_STEPS)),
+        {
+            "metrics_global.csv": "cd10ec478b5f9a623740c08cebfdb620a59ff2a1715448f29bba3b59c3a0e335",
+            "events_global.csv": "e3876e45110420a24bc8ce0129b51d65b3244498a5dd26b8e31946cf41ebb0d6",
+            "metrics_local.csv": "ec0af050eb11eecae00dac3bbffa55e10449bd8e2c5e3645753b5c7bb5e7c668",
+            "events_local.csv": "7d087b0321aecbb10e6c56af01fb17d66e3ce83571a8cdd5c759b7caa1e752bd",
+            "report.json": "9c32847e8b39410549e7851e3c8affd10bd0d1bfeee808ee5a5c1657307a0693",
+        },
+    ),
 }
 
 
@@ -58,7 +71,7 @@ def test_csv_digests_unchanged(name, tmp_path):
     scenario, expected = RUNS[name]
     spec = ExperimentSpec(
         architecture=str(reference_architecture_path()), policies=("global", "local"),
-        output=str(tmp_path), queue_capacity=500, **scenario)
+        output=str(tmp_path), **{"queue_capacity": 500, **scenario})
     run_experiment(spec)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert digests == expected
