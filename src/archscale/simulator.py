@@ -9,7 +9,13 @@ warming orchestrations come online when their startup elapses.
 Requests are bit-packed ints (email id, part kind, virus flag). The kernel
 is ``process_tick``, called once per service per tick: it spends the budget
 of that service's started instances on its queue and returns the
-completions, which the loop then routes and settles.
+completions. The loop appends each completion's emissions, in completion
+order, to one batch per destination service, then admits each batch with a
+single ``Balancer.dispatch``: the destination's queue does not change
+during the walk, so the batch keeps exactly the requests that one call per
+completion would have kept. Per-email state is three flat arrays indexed by
+email id (outstanding requests, birth tick, lost flag); an email settles
+when its outstanding count reaches zero.
 """
 
 from __future__ import annotations
@@ -62,10 +68,10 @@ _M_ONE = 0
 _M_PASS = 1
 _M_BLOCKS = 2
 _M_ATT_FANOUT = 3
-# Conditions.
-_C_ALWAYS = 0
-_C_CLEAN = 1
-_C_INFECTED = 2
+# Edge conditions, as the virus flag for which the edge does not fire.
+_SKIP_NEVER = 2
+_SKIP_INFECTED = 1  # a "clean" edge
+_SKIP_CLEAN = 0  # an "infected" edge
 
 
 class Policy:
@@ -154,31 +160,35 @@ def process_tick(insts: list[InstanceRuntime], ready: deque, tick: int) -> list[
     """
     completed: list[int] = []
     done = completed.append
+    popleft = ready.popleft
     for inst in insts:
         if tick < inst.ready_at:
             continue
         budget = inst.budget
-        req = inst.cur_req
-        cost = inst.cur_cost
-        draining = inst.draining
-        while True:
-            if req < 0:
-                if draining or not ready:
-                    break
-                req = ready.popleft()
-                cost = inst.unit_cost
-            if cost <= budget:
-                budget -= cost
-                done(req)
-                req = -1
-                cost = 0.0
-                if budget <= 0.0:
-                    break
-            else:
-                cost -= budget
+        if inst.cur_req >= 0:
+            cost = inst.cur_cost
+            if cost > budget:
+                inst.cur_cost = cost - budget
+                continue
+            budget -= cost
+            done(inst.cur_req)
+            inst.cur_req = -1
+            inst.cur_cost = 0.0
+            if budget <= 0.0:
+                continue
+        if inst.draining:
+            continue
+        unit = inst.unit_cost
+        while ready:
+            req = popleft()
+            if unit > budget:
+                inst.cur_req = req
+                inst.cur_cost = unit - budget
                 break
-        inst.cur_req = req
-        inst.cur_cost = cost
+            budget -= unit
+            done(req)
+            if budget <= 0.0:
+                break
     return completed
 
 
@@ -323,8 +333,9 @@ def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, in
 
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], int]:
-    """Per (service, inbound part): emission specs (cond, target, part << 1, mode),
-    the part pre-shifted to its place in a request id."""
+    """Per (service, inbound part): emission specs (skip, target, part << 1, mode),
+    with ``skip`` the virus flag for which the edge does not fire and the
+    part pre-shifted to its place in a request id."""
     index = {s.name: i for i, s in enumerate(arch.services)}
     entry = arch.entry_service()
     if entry is None and arch.services:
@@ -341,7 +352,8 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], 
     for e in arch.pipeline:
         src_idx = index[e.src]
         q = PART_KINDS.index(e.part)
-        cond = _C_CLEAN if e.when == "clean" else _C_INFECTED if e.when == "infected" else _C_ALWAYS
+        skip = (_SKIP_INFECTED if e.when == "clean" else _SKIP_CLEAN if e.when == "infected"
+                else _SKIP_NEVER)
         fired = False
         for p in sorted(inbound[e.src]):
             if q == P_REPORT:
@@ -356,7 +368,7 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], 
                 mode = _M_BLOCKS
             else:
                 continue
-            routes[src_idx][p].append((cond, index[e.dst], q << 1, mode))
+            routes[src_idx][p].append((skip, index[e.dst], q << 1, mode))
             fired = True
         if not fired:
             raise SimulationError(
@@ -573,8 +585,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             timeline.events.append(ScalingEvent(
                 now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{st.committed}"))
 
-    # Email bookkeeping: id -> [outstanding, born_tick, lost_flag]
-    emails: dict[int, list] = {}
+    # Email bookkeeping, by email id: requests in flight, arrival tick, lost.
+    outstanding = [0] * total_emails
+    born = [0] * total_emails
+    lost = bytearray(total_emails)
     next_email = 0
 
     # Interval accumulators.
@@ -588,6 +602,15 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     entry_state = svc_states[entry_idx]
     dispatch_to = [st.balancer.dispatch for st in svc_states]
     is_global = config.policy == Policy.GLOBAL
+    # One emission batch per destination service; the routes append to it
+    # directly, and each service's outlets are the (batch, dispatch) pairs
+    # of the destinations its routes reach.
+    batches: list[list[int]] = [[] for _ in svc_states]
+    outlets = [[(batches[dst], dispatch_to[dst])
+                for dst in sorted({spec[1] for specs in by_part for spec in specs})]
+               for by_part in routes]
+    routes = [[[(skip, batches[dst], part_bits, mode) for skip, dst, part_bits, mode in specs]
+               for specs in by_part] for by_part in routes]
 
     for tick in range(duration):
         # Ready events from finished startups.
@@ -605,8 +628,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             # Part EMAIL, flag 0; an email whose request is dropped is lost.
             accepted = entry_state.balancer.dispatch(
                 [eid << 4 for eid in range(first, next_email)])
-            for eid in range(first, first + accepted):
-                emails[eid] = [1, tick, False]
+            outstanding[first:first + accepted] = [1] * accepted
+            born[first:first + accepted] = [tick] * accepted
             n_drop = n_arr - accepted
             if n_drop:
                 iv_dropped += n_drop
@@ -614,8 +637,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             iv_generated += n_arr
             window_generated += n_arr
 
-        # 2. Processing, in declaration order: route each completion
-        # downstream and settle its email.
+        # 2. Processing, in declaration order. Each completion's emissions
+        # go to their destinations' batches and its email settles when
+        # nothing of it is left in flight; then each batch is admitted in
+        # one call, and the emails of the dropped tail are marked lost.
         for st in svc_states:
             insts = st.insts
             if not insts:
@@ -623,40 +648,46 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             my_routes = routes[st.idx]
             for req in process_tick(insts, st.balancer.ready, tick):
                 eid = req >> 4
-                part = (req >> 1) & 7
-                flag = req & 1
-                rec = emails[eid]
-                emissions = my_routes[part]
+                left = outstanding[eid] - 1
+                emissions = my_routes[(req >> 1) & 7]
                 if emissions:
                     email_bits = req & -16
-                    for cond, dst, part_bits, mode in emissions:
-                        if cond and ((cond == _C_CLEAN) == bool(flag)):
+                    flag = req & 1
+                    for skip, out, part_bits, mode in emissions:
+                        if flag == skip:
                             continue
                         if mode == _M_ONE:
-                            reqs = (email_bits | part_bits,)
+                            out.append(email_bits | part_bits)
+                            left += 1
                         elif mode == _M_PASS:
-                            reqs = (email_bits | part_bits | flag,)
+                            out.append(email_bits | part_bits | flag)
+                            left += 1
                         elif mode == _M_BLOCKS:
-                            reqs = (email_bits | part_bits,) * blocks_l[eid]
+                            n = blocks_l[eid]
+                            out += (email_bits | part_bits,) * n
+                            left += n
                         else:  # _M_ATT_FANOUT
                             mask = masks_l[eid]
                             base_req = email_bits | part_bits
-                            reqs = tuple(base_req | ((mask >> j) & 1)
-                                         for j in range(atts_l[eid]))
-                        accepted = dispatch_to[dst](reqs)
-                        rec[0] += accepted
-                        if accepted < len(reqs):
-                            n_drop = len(reqs) - accepted
-                            iv_dropped += n_drop
-                            if not rec[2]:
-                                rec[2] = True
+                            n = atts_l[eid]
+                            out += [base_req | ((mask >> j) & 1) for j in range(n)]
+                            left += n
+                outstanding[eid] = left
+                if not left and not lost[eid]:
+                    iv_latency_ticks += tick - born[eid]
+                    iv_completed += 1
+            for out, dispatch in outlets[st.idx]:
+                if out:
+                    accepted = dispatch(out)
+                    if accepted < len(out):
+                        iv_dropped += len(out) - accepted
+                        for req in out[accepted:]:
+                            eid = req >> 4
+                            outstanding[eid] -= 1
+                            if not lost[eid]:
+                                lost[eid] = 1
                                 iv_lost += 1
-                rec[0] -= 1
-                if rec[0] <= 0:
-                    if not rec[2]:
-                        iv_latency_ticks += tick - rec[1]
-                        iv_completed += 1
-                    del emails[eid]
+                    out.clear()
 
         # 3. Monitors.
         if (tick + 1) % period == 0:
@@ -702,7 +733,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             ))
             iv_generated = iv_completed = iv_lost = iv_dropped = iv_latency_ticks = 0
 
-    timeline.in_flight_end = sum(not rec[2] for rec in emails.values())
+    timeline.in_flight_end = sum(1 for n, gone in zip(outstanding, lost) if n and not gone)
     timeline.ticks_to_target = ticks_to_target
     return timeline
 

@@ -4,6 +4,8 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from archscale import (
     ScalerParams,
@@ -45,6 +47,24 @@ def test_dispatch_empty_queue_enqueues_front():
     assert list(bal.ready) == []
     bal.promote()
     assert bal.ready[0] == 5
+
+
+@given(capacity=st.integers(1, 20), n_ready=st.integers(0, 25), n_pending=st.integers(0, 25),
+       batches=st.lists(st.lists(st.integers(0, 999), max_size=6).map(tuple), max_size=10))
+def test_one_dispatch_of_a_concatenation_equals_one_per_request_tuple(
+        capacity, n_ready, n_pending, batches):
+    # The engine admits a service's emissions to each destination in one call.
+    def prefilled():
+        bal = Balancer(capacity=capacity)
+        bal.ready.extend(range(-n_ready, 0))
+        bal.pending.extend(range(-n_ready - n_pending, -n_ready))
+        return bal
+
+    whole, each = prefilled(), prefilled()
+    accepted = whole.dispatch([r for reqs in batches for r in reqs])
+    assert accepted == sum(each.dispatch(reqs) for reqs in batches)
+    assert whole.pending == each.pending
+    assert whole.offered == each.offered
 
 
 def test_promotion_preserves_fifo():
@@ -145,6 +165,38 @@ def test_draining_instance_finishes_current_only():
     assert process_tick([inst], ready, 0) == [0]
     assert list(ready) == [1, 2]
     assert process_tick([inst], ready, 1) == []
+
+
+def test_carried_request_costing_the_whole_budget_pops_nothing():
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
+    inst.cur_req = 0
+    inst.cur_cost = 10.0
+    ready = deque([1, 2])
+    assert process_tick([inst], ready, 0) == [0]
+    assert list(ready) == [1, 2]
+    assert inst.cur_req == -1
+
+
+def test_draining_instance_carries_remainder_over_budget():
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
+    inst.cur_req = 0
+    inst.cur_cost = 25.0
+    inst.draining = True
+    ready = deque([1])
+    assert process_tick([inst], ready, 0) == []
+    assert (inst.cur_req, inst.cur_cost) == (0, 15.0)
+    assert process_tick([inst], ready, 1) == []
+    assert (inst.cur_req, inst.cur_cost) == (0, 5.0)
+    assert process_tick([inst], ready, 2) == [0]
+    assert list(ready) == [1]
+
+
+def test_fresh_request_spending_budget_to_zero_starts_no_other():
+    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=5.0)
+    ready = deque([1, 2, 3])
+    assert process_tick([inst], ready, 0) == [1, 2]
+    assert list(ready) == [3]
+    assert (inst.cur_req, inst.cur_cost) == (-1, 0.0)
 
 
 # -- whole-engine behavior ---------------------------------------------------------
