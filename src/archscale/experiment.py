@@ -109,21 +109,47 @@ def _parse_workload(block: dict) -> WorkloadSpec:
     raise ExperimentError(f"unknown workload kind {kind!r}")
 
 
+# Scenario value checks: each returns the value or raises TypeError saying
+# what it expected. JSON true/false parse as bool, a subclass of int.
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _numbers(values) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError("expected a list of numbers")
+    return tuple(_number(v) for v in values)
+
+
 _SPEC_KEYS = {"architecture", "policies", "output", "scenario"}
 # Scenario key -> (ExperimentSpec field, converter). A key the file leaves
 # out keeps the field's default.
 _SCENARIO_FIELDS = {
-    "duration_s": ("duration_s", int),
-    "ticks_per_second": ("ticks_per_second", int),
-    "seed": ("seed", int),
-    "queue_capacity": ("queue_capacity", int),
-    "exact_arrivals": ("exact_arrivals", bool),
+    "duration_s": ("duration_s", _integer),
+    "ticks_per_second": ("ticks_per_second", _integer),
+    "seed": ("seed", _integer),
+    "queue_capacity": ("queue_capacity", _integer),
+    "exact_arrivals": ("exact_arrivals", _boolean),
     "workload": ("workload", _parse_workload),
-    "monitoring_period_s": ("monitoring_period_s", int),
-    "K": ("margin_K", float),
-    "k": ("hysteresis_k", float),
-    "base_target_mcl": ("base_target_mcl", float),
-    "scale_increments": ("scale_increments", lambda xs: tuple(float(x) for x in xs)),
+    "monitoring_period_s": ("monitoring_period_s", _integer),
+    "K": ("margin_K", _number),
+    "k": ("hysteresis_k", _number),
+    "base_target_mcl": ("base_target_mcl", _number),
+    "scale_increments": ("scale_increments", _numbers),
 }
 
 
@@ -146,8 +172,14 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if not arch_path:
         raise ExperimentError("experiment spec needs an 'architecture' path")
     arch_path = str((path.parent / arch_path).resolve()) if not os.path.isabs(arch_path) else arch_path
-    fields = {name: convert(scenario[key])
-              for key, (name, convert) in _SCENARIO_FIELDS.items() if key in scenario}
+    fields = {}
+    for key, (name, convert) in _SCENARIO_FIELDS.items():
+        if key in scenario:
+            try:
+                fields[name] = convert(scenario[key])
+            except TypeError as exc:
+                raise ExperimentError(
+                    f"experiment scenario {key!r}: {exc}, got {scenario[key]!r}") from None
     if "policies" in data:
         fields["policies"] = tuple(data["policies"])
     if "output" in data:

@@ -1,6 +1,7 @@
 """Experiment runner: artifacts, report recomputability, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -108,6 +109,42 @@ def test_spec_file_defaults_are_the_spec_defaults(tmp_path):
     spec_file.write_text(json.dumps({"architecture": "arch.json"}), encoding="utf-8")
     assert load_experiment_spec(spec_file) == ExperimentSpec(
         architecture=str((tmp_path / "arch.json").resolve()))
+
+
+def write_scenario(tmp_path, **scenario):
+    spec_file = tmp_path / "exp.json"
+    spec_file.write_text(json.dumps({"architecture": "arch.json", "scenario": scenario}),
+                         encoding="utf-8")
+    return spec_file
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_spec_boolean_must_be_json_true_or_false(tmp_path, value):
+    spec_file = write_scenario(tmp_path, exact_arrivals=value)
+    with pytest.raises(ExperimentError, match=r"'exact_arrivals': expected true or false, got"):
+        load_experiment_spec(spec_file)
+    assert load_experiment_spec(write_scenario(tmp_path, exact_arrivals=False)).exact_arrivals is False
+
+
+@pytest.mark.parametrize("value", ["abc", "60", 60.0, 60.5, True, None])
+def test_spec_integer_must_be_json_integer(tmp_path, value):
+    spec_file = write_scenario(tmp_path, duration_s=value)
+    with pytest.raises(ExperimentError, match=r"'duration_s': expected an integer, got"):
+        load_experiment_spec(spec_file)
+    assert load_experiment_spec(write_scenario(tmp_path, duration_s=60)).duration_s == 60
+
+
+@pytest.mark.parametrize("key,value", [("K", "20"), ("k", True), ("base_target_mcl", None),
+                                       ("scale_increments", [60, "150"]),
+                                       ("scale_increments", 60)])
+def test_spec_number_must_be_json_number(tmp_path, key, value):
+    spec_file = write_scenario(tmp_path, **{key: value})
+    with pytest.raises(ExperimentError,
+                       match=rf"'{key}': expected .*number.*, got {re.escape(repr(value))}"):
+        load_experiment_spec(spec_file)
+    spec = load_experiment_spec(write_scenario(tmp_path, K=20, base_target_mcl=60.5,
+                                               scale_increments=[60, 150.5]))
+    assert (spec.margin_K, spec.base_target_mcl, spec.scale_increments) == (20.0, 60.5, (60.0, 150.5))
 
 
 def test_spec_unknown_keys_rejected(tmp_path):
