@@ -14,7 +14,7 @@ order, to one batch per destination service, then admits each batch with a
 single ``Balancer.dispatch``: the destination's queue does not change
 during the walk, so the batch keeps exactly the requests that one call per
 completion would have kept. Per-email state is three flat arrays indexed by
-email id (outstanding requests, birth tick, lost flag); an email settles
+email id (outstanding requests, arrival tick, lost flag); an email settles
 when its outstanding count reaches zero.
 """
 
@@ -639,8 +639,9 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
         # 2. Processing, in declaration order. Each completion's emissions
         # go to their destinations' batches and its email settles when
-        # nothing of it is left in flight; then each batch is admitted in
-        # one call, and the emails of the dropped tail are marked lost.
+        # nothing of it is left in flight. Each batch is then admitted in
+        # one call, before the next service pops its queue and so changes
+        # its room, and the emails of the dropped tail are marked lost.
         for st in svc_states:
             insts = st.insts
             if not insts:
