@@ -600,13 +600,12 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     interval_start_tick = 0
 
     entry_state = svc_states[entry_idx]
-    dispatch_to = [st.balancer.dispatch for st in svc_states]
     is_global = config.policy == Policy.GLOBAL
     # One emission batch per destination service; the routes append to it
     # directly, and each service's outlets are the (batch, dispatch) pairs
     # of the destinations its routes reach.
     batches: list[list[int]] = [[] for _ in svc_states]
-    outlets = [[(batches[dst], dispatch_to[dst])
+    outlets = [[(batches[dst], svc_states[dst].balancer.dispatch)
                 for dst in sorted({spec[1] for specs in by_part for spec in specs})]
                for by_part in routes]
     routes = [[[(skip, batches[dst], part_bits, mode) for skip, dst, part_bits, mode in specs]
