@@ -1,15 +1,17 @@
 """Golden outputs: the SHA-256 of every metrics and event CSV and of the
-`report.json` of four runs.
+`report.json` of five runs.
 
 A refactor of the engine must leave these files byte for byte unchanged.
 The first two runs are the compressed diurnal demo and part 1 of the step
 surge demo; the third is the step surge with Poisson arrivals, 20 % rate
 jitter and a 5-s monitor, at seed 1. The fourth is the step surge of the
 second with 40-request queues, so that within one tick the fan-outs of
-several completions meet a full queue and are cut part way.
+several completions meet a full queue and are cut part way. The fifth runs
+a small architecture with the route shapes the reference lacks.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -75,3 +77,67 @@ def test_csv_digests_unchanged(name, tmp_path):
     run_experiment(spec)
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert digests == expected
+
+
+def _service(name, mcl, mf_rule="unit"):
+    return {"name": name, "cost": {"Cores": 2, "Memory": 100},
+            "mcl": {"explicit_mcl": mcl}, "mf_rule": mf_rule}
+
+
+# Mixer receives two part kinds (headers and attachments); Header and Mixer
+# each have two edges into Analyser; Scanner's "infected" edge has no
+# "clean" complement, so a clean attachment ends there; Text feeds
+# Sentiment a block fan-out and a fixed report, and Parser feeds Mixer a
+# fixed header and an attachment fan-out.
+ROUTE_SHAPES_ARCH = {
+    "services": [
+        _service("Receiver", 120), _service("Parser", 120), _service("Header", 90),
+        _service("Text", 90), _service("Sentiment", 150, {"custom": "n_blocks + 1"}),
+        _service("Scanner", 100, "per_attachment"),
+        _service("Mixer", 150, {"custom": "1 + n_attachments"}),
+        _service("Analyser", 200, {"custom": "3 + 2 * n_attachments"}),
+    ],
+    "vm_catalog": [{"name": "box", "cores": 4, "memory": 4000, "speed_per_core": 5,
+                    "startup_time": 90, "cost": 1.0}],
+    "profile": {"n_blocks": 2.5, "n_attachments": 2, "attachment_size": 7, "p_virus": 0.25,
+                "block_count_support": [1, 4], "attachment_count_support": [0, 4]},
+    "pipeline": [
+        {"from": "Receiver", "to": "Parser", "part": "email"},
+        {"from": "Parser", "to": "Header", "part": "header"},
+        {"from": "Parser", "to": "Text", "part": "text"},
+        {"from": "Parser", "to": "Scanner", "part": "attachment"},
+        {"from": "Parser", "to": "Mixer", "part": "header"},
+        {"from": "Parser", "to": "Mixer", "part": "attachment"},
+        {"from": "Header", "to": "Analyser", "part": "report"},
+        {"from": "Header", "to": "Analyser", "part": "header"},
+        {"from": "Text", "to": "Sentiment", "part": "block"},
+        {"from": "Text", "to": "Sentiment", "part": "report"},
+        {"from": "Scanner", "to": "Analyser", "part": "report", "when": "infected"},
+        {"from": "Mixer", "to": "Analyser", "part": "report"},
+        {"from": "Mixer", "to": "Analyser", "part": "attachment", "when": "clean"},
+    ],
+}
+
+ROUTE_SHAPES_DIGESTS = {
+    "metrics_global.csv": "cd5c30f0a512ed159e3f9ec17236fc90f2cb2e9b39b99d31b96a1071fa1929b9",
+    "events_global.csv": "d50f094f0dff10d5f81b635652f74f5a28e88dd06250401e31f70b9ee13f33e7",
+    "metrics_local.csv": "da0429291e430ca0f701c403efa4b2a9d423e63bdf402f911ce025ad0e507399",
+    "events_local.csv": "163d8ba955d56cd2e651ff8eb0a66b3f21115c544a0ee77be676ea31ac490b81",
+    "report.json": "2d5970c68b1078e89f57a908d448f58de712db2aec5ebf5b4fff795c969c4b1b",
+}
+
+
+def test_route_shapes_digests_unchanged(tmp_path):
+    # Poisson arrivals, 50 -> 200 -> 80 emails/s, 40-request queues: both
+    # policies drop requests out of batches that are cut part way.
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps(ROUTE_SHAPES_ARCH), encoding="utf-8")
+    spec = ExperimentSpec(
+        architecture=str(arch_path), policies=("global", "local"), output=str(tmp_path / "out"),
+        duration_s=90, seed=3, queue_capacity=40, exact_arrivals=False,
+        workload=WorkloadSpec(Steps(((0, 50.0), (20 * 30, 200.0), (60 * 30, 80.0)))))
+    result = run_experiment(spec)
+    assert all(tl.dropped_requests and tl.completed for tl in result.timelines.values())
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+               for f in ROUTE_SHAPES_DIGESTS}
+    assert digests == ROUTE_SHAPES_DIGESTS
