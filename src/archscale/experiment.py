@@ -87,25 +87,35 @@ class ExperimentSpec:
 def _parse_workload(block: dict) -> WorkloadSpec:
     if not isinstance(block, dict):
         raise ExperimentError("workload: expected an object")
+
+    def value(key, convert, default):
+        if key not in block:
+            return default
+        try:
+            return convert(block[key])
+        except TypeError as exc:
+            raise ExperimentError(
+                f"experiment workload {key!r}: {exc}, got {block[key]!r}") from None
+
     kind = block.get("kind")
-    jitter = float(block.get("jitter", 0.0))
+    jitter = value("jitter", _number, 0.0)
     if kind == "diurnal":
         return WorkloadSpec(Diurnal(
-            base=float(block.get("base", 60)),
-            peak=float(block.get("peak", 380)),
-            period_s=float(block.get("period_s", 7200)),
-            phase_s=float(block.get("phase_s", 0)),
+            base=value("base", _number, 60.0),
+            peak=value("peak", _number, 380.0),
+            period_s=value("period_s", _number, 7200.0),
+            phase_s=value("phase_s", _number, 0.0),
         ), jitter=jitter)
     if kind == "steps":
-        points = block.get("points")
-        if not isinstance(points, list) or not points:
+        points = value("points", _points, None)
+        if not points:
             raise ExperimentError("steps workload needs a non-empty 'points' list")
-        return WorkloadSpec(Steps(tuple((int(t), float(r)) for t, r in points)), jitter=jitter)
+        return WorkloadSpec(Steps(points), jitter=jitter)
     if kind == "trace":
-        path = block.get("path")
+        path = value("path", _string, "")
         if not path:
             raise ExperimentError("trace workload needs a 'path'")
-        return WorkloadSpec(Trace(str(path)), jitter=jitter)
+        return WorkloadSpec(Trace(path), jitter=jitter)
     raise ExperimentError(f"unknown workload kind {kind!r}")
 
 
@@ -133,6 +143,19 @@ def _numbers(values) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError("expected a list of numbers")
     return tuple(_number(v) for v in values)
+
+
+def _points(values) -> tuple[tuple[int, float], ...]:
+    if not isinstance(values, list) or not all(
+            isinstance(v, list) and len(v) == 2 for v in values):
+        raise TypeError("expected a list of [tick, rate] pairs")
+    return tuple((_integer(t), _number(r)) for t, r in values)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
 
 _SPEC_KEYS = {"architecture", "policies", "output", "scenario"}

@@ -8,7 +8,7 @@ import pytest
 from archscale import ExperimentError, ExperimentSpec, load_experiment_spec, run_experiment
 from archscale.cli import reference_architecture_path
 from archscale.experiment import read_metrics_csv, summarize_metrics_rows
-from archscale.workload import Steps, WorkloadSpec
+from archscale.workload import Diurnal, Steps, WorkloadSpec
 
 
 def short_spec(tmp_path, **overrides) -> ExperimentSpec:
@@ -145,6 +145,35 @@ def test_spec_number_must_be_json_number(tmp_path, key, value):
     spec = load_experiment_spec(write_scenario(tmp_path, K=20, base_target_mcl=60.5,
                                                scale_increments=[60, 150.5]))
     assert (spec.margin_K, spec.base_target_mcl, spec.scale_increments) == (20.0, 60.5, (60.0, 150.5))
+
+
+@pytest.mark.parametrize("workload,key,value", [
+    ({"kind": "steps", "points": [[0, 60]], "jitter": "0.2"}, "jitter", "0.2"),
+    ({"kind": "steps", "points": [[0, "60"]]}, "points", [[0, "60"]]),
+    ({"kind": "steps", "points": [[1.9, 60]]}, "points", [[1.9, 60]]),
+    ({"kind": "steps", "points": [[0, 60, 1]]}, "points", [[0, 60, 1]]),
+    ({"kind": "steps", "points": {"0": 60}}, "points", {"0": 60}),
+    ({"kind": "diurnal", "peak": "abc"}, "peak", "abc"),
+    ({"kind": "diurnal", "base": True}, "base", True),
+    ({"kind": "diurnal", "period_s": None}, "period_s", None),
+    ({"kind": "trace", "path": 7}, "path", 7),
+])
+def test_spec_workload_values_checked(tmp_path, workload, key, value):
+    spec_file = write_scenario(tmp_path, workload=workload)
+    with pytest.raises(ExperimentError,
+                       match=rf"workload '{key}': expected .*, got {re.escape(repr(value))}$"):
+        load_experiment_spec(spec_file)
+
+
+def test_spec_workload_values_loaded(tmp_path):
+    spec = load_experiment_spec(write_scenario(tmp_path, workload={
+        "kind": "steps", "points": [[0, 60], [90, 120.5]], "jitter": 0.2}))
+    assert spec.workload == WorkloadSpec(Steps(((0, 60.0), (90, 120.5))), jitter=0.2)
+    spec = load_experiment_spec(write_scenario(tmp_path, workload={
+        "kind": "diurnal", "base": 20, "peak": 90.5, "period_s": 15}))
+    assert spec.workload == WorkloadSpec(Diurnal(20.0, 90.5, 15.0, 0.0))
+    with pytest.raises(ExperimentError, match="non-empty 'points'"):
+        load_experiment_spec(write_scenario(tmp_path, workload={"kind": "steps", "points": []}))
 
 
 def test_spec_unknown_keys_rejected(tmp_path):
