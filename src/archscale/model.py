@@ -248,4 +248,44 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
         elif Fraction(lo + hi, 2) != mean:
             report.add("profile", fieldname,
                        f"support mean {Fraction(lo + hi, 2)} differs from declared mean {mean}")
+
+    cycle = _pipeline_cycle(arch.pipeline)
+    if cycle:
+        edge = cycle[-1]
+        path = " -> ".join([e.src for e in cycle] + [edge.dst])
+        report.add(f"pipeline[{edge.src} -> {edge.dst}]", "to",
+                   f"closes the cycle {path}: requests would circle without end")
     return report
+
+
+def _pipeline_cycle(pipeline: tuple[PipelineEdge, ...]) -> list[PipelineEdge]:
+    """The edges of one cycle of the message flow, in flow order; empty if
+    the flow is acyclic."""
+    indegree: dict[str, int] = {}
+    for e in pipeline:
+        indegree.setdefault(e.src, 0)
+        indegree[e.dst] = indegree.get(e.dst, 0) + 1
+    # Peel off the services with no inbound edge left; what remains holds a cycle.
+    roots = [name for name, n in indegree.items() if n == 0]
+    while roots:
+        name = roots.pop()
+        for e in pipeline:
+            if e.src == name:
+                indegree[e.dst] -= 1
+                if indegree[e.dst] == 0:
+                    roots.append(e.dst)
+    left = {name for name, n in indegree.items() if n}
+    if not left:
+        return []
+    # Each service left has an inbound edge from another one left: walk
+    # those edges backwards until a service repeats.
+    into: dict[str, PipelineEdge] = {}
+    for e in pipeline:
+        if e.src in left and e.dst in left:
+            into.setdefault(e.dst, e)
+    node = next(e.dst for e in pipeline if e.dst in into)
+    seen: list[str] = []
+    while node not in seen:
+        seen.append(node)
+        node = into[node].src
+    return [into[name] for name in reversed(seen[seen.index(node):])]

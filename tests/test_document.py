@@ -1,9 +1,12 @@
 """Architecture document parsing, validation and round-tripping."""
 
+import dataclasses
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from archscale import (
     CycleError,
@@ -13,6 +16,7 @@ from archscale import (
     validate_architecture,
 )
 from archscale.document import architecture_to_data, parse_architecture_data
+from archscale.model import PipelineEdge
 
 
 def minimal_doc(**overrides):
@@ -183,6 +187,29 @@ def test_validation_flags_duplicate_strong_requirement():
     doc["services"][1]["sig"] = ["A", "A"]
     report = validate_architecture(parse_architecture_data(doc))
     assert [v.field for v in report] == ["strong_requires"]
+
+
+def test_validation_flags_cyclic_pipeline(reference_arch):
+    # AttachmentManager hands clean attachments back to VirusScanner.
+    arch = dataclasses.replace(reference_arch, pipeline=reference_arch.pipeline + (
+        PipelineEdge("AttachmentManager", "VirusScanner", "attachment"),))
+    report = validate_architecture(arch)
+    assert [(v.owner, v.field) for v in report] == [
+        ("pipeline[AttachmentManager -> VirusScanner]", "to")]
+    assert "cycle VirusScanner -> AttachmentManager -> VirusScanner" in report.violations[0].message
+
+
+@given(st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")), max_size=10))
+def test_validation_names_an_edge_on_a_cycle_iff_the_pipeline_has_one(pairs):
+    edges = tuple(PipelineEdge(a, b, "email") for a, b in pairs)
+    arch = parse_architecture_data(minimal_doc(pipeline=[]))
+    report = validate_architecture(dataclasses.replace(arch, pipeline=edges))
+    graph = nx.MultiDiGraph(list(pairs))
+    flagged = [v for v in report if v.owner.startswith("pipeline")]
+    assert len(flagged) == (0 if nx.is_directed_acyclic_graph(graph) else 1)
+    for v in flagged:
+        src, dst = v.owner[len("pipeline["):-1].split(" -> ")
+        assert graph.has_edge(src, dst) and nx.has_path(graph, dst, src)
 
 
 def test_every_violation_names_one_field_and_invariant():
