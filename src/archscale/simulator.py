@@ -6,21 +6,26 @@ on queued requests (completions forward downstream in the same tick but
 become processable the next one), monitors fire on their period, and
 warming orchestrations come online when their startup elapses.
 
-Requests are bit-packed ints (email id, part kind, virus flag). The kernel
-is ``process_tick``, called once per service per tick: it spends the budget
-of that service's started instances on its queue and returns the
-completions. The loop appends each completion's emissions, in completion
-order, to one batch per destination service, then admits each batch with a
-single ``Balancer.dispatch``: the destination's queue does not change
-during the walk, so the batch keeps exactly the requests that one call per
-completion would have kept. Per-email state is three flat arrays indexed by
-email id (outstanding requests, arrival tick, lost flag); an email settles
-when its outstanding count reaches zero.
+Requests are bit-packed ints: email id, then part kind and virus flag in
+the low nibble. The kernel is ``process_tick``, called once per service per
+tick: per started instance it counts the fresh requests the budget
+completes, with the same float subtractions as taking one request at a
+time, and takes them as one slice of the queue. The routes are compiled
+into templates indexed by the low nibble, so the requests a service's
+completions emit to a destination are one comprehension over them, in
+completion order, then spec order; only block and attachment fan-outs, and
+the destinations they share, are walked per completion. Each destination's
+batch is then admitted with a single ``Balancer.dispatch``: the
+destination's queue does not change during the walk, so the batch keeps
+exactly the requests that one call per completion would have kept.
+Per-email state is three flat arrays indexed by email id (outstanding
+requests, arrival tick, lost flag); an email settles when its outstanding
+count reaches zero, and a service whose completions cannot change a count
+(a relay) skips the per-email walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -63,15 +68,21 @@ class SimulationError(RuntimeError):
 # Part kind codes (indices into PART_KINDS).
 P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
 
-# Emission modes for compiled routes.
-_M_ONE = 0
-_M_PASS = 1
+# Emission modes for compiled routes. A fixed emission is the completed
+# request masked and or-ed with the emitted part, so its mode is the mask:
+# _M_ONE clears the part and the virus flag, _M_PASS the part only. The
+# fan-outs emit a number of requests read from the email's sample.
+_M_ONE = -16
+_M_PASS = -15
 _M_BLOCKS = 2
 _M_ATT_FANOUT = 3
 # Edge conditions, as the virus flag for which the edge does not fire.
 _SKIP_NEVER = 2
 _SKIP_INFECTED = 1  # a "clean" edge
 _SKIP_CLEAN = 0  # an "infected" edge
+# How a service's completions change their emails' outstanding counts: not
+# at all, by -1 each, by a per-nibble delta, or by the delta plus fan-outs.
+_K_RELAY, _K_SINK, _K_DELTA, _K_FANOUT = range(4)
 
 
 class Policy:
@@ -107,7 +118,7 @@ class Balancer:
     """
 
     capacity: int
-    ready: deque = field(default_factory=deque)
+    ready: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     offered: int = 0
 
@@ -127,9 +138,10 @@ class Balancer:
         return room
 
     def promote(self) -> None:
-        if self.pending:
-            self.ready.extend(self.pending)
-            self.pending.clear()
+        """Make the requests enqueued this tick available (the engine's tick
+        loop does this inline)."""
+        self.ready += self.pending
+        self.pending.clear()
 
 
 class InstanceRuntime:
@@ -149,18 +161,18 @@ class InstanceRuntime:
         self.unit_cost = unit_cost
 
 
-def process_tick(insts: list[InstanceRuntime], ready: deque, tick: int) -> list[int]:
+def process_tick(insts: list[InstanceRuntime], ready: list, tick: int) -> list[int]:
     """Spend this tick's budget of every instance started by ``tick``, in list
     order, on the shared ``ready`` queue; returns the completed requests in
-    completion order.
+    completion order and deletes the requests taken from the queue's front.
 
     Idle budget is not banked: when the queue runs dry the leftover is lost.
     A request whose cost exceeds one budget carries its remainder over. A
     draining instance finishes its current request and takes no new one.
     """
     completed: list[int] = []
-    done = completed.append
-    popleft = ready.popleft
+    head = 0  # requests taken so far
+    n = len(ready)
     for inst in insts:
         if tick < inst.ready_at:
             continue
@@ -171,24 +183,31 @@ def process_tick(insts: list[InstanceRuntime], ready: deque, tick: int) -> list[
                 inst.cur_cost = cost - budget
                 continue
             budget -= cost
-            done(inst.cur_req)
+            completed.append(inst.cur_req)
             inst.cur_req = -1
             inst.cur_cost = 0.0
             if budget <= 0.0:
                 continue
-        if inst.draining:
+        if inst.draining or head == n:
             continue
+        # Count the fresh requests the budget completes, with the float
+        # subtractions of one request at a time, and take them as a slice.
         unit = inst.unit_cost
-        while ready:
-            req = popleft()
-            if unit > budget:
-                inst.cur_req = req
-                inst.cur_cost = unit - budget
-                break
+        start = head
+        while head < n and unit <= budget:
             budget -= unit
-            done(req)
+            head += 1
             if budget <= 0.0:
+                completed += ready[start:head]
                 break
+        else:
+            completed += ready[start:head]
+            if head < n:  # the next request costs more than is left: start it
+                inst.cur_req = ready[head]
+                inst.cur_cost = unit - budget
+                head += 1
+    if head:
+        del ready[:head]
     return completed
 
 
@@ -332,10 +351,34 @@ def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, in
     return {name: c for name, c in zip(names, counts) if c > 0}
 
 
-def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], int]:
-    """Per (service, inbound part): emission specs (skip, target, part << 1, mode),
-    with ``skip`` the virus flag for which the edge does not fire and the
-    part pre-shifted to its place in a request id."""
+def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], nibbles: list[int]):
+    """The function from a service's completions to what they emit to one
+    destination, in completion order, then spec order: per completion, one
+    ``req & mask | bits`` for each ``(mask, bits)`` of ``templates`` at its
+    nibble. When every nibble in ``nibbles`` (those that can arrive) has the
+    same single template, the lookup is skipped; when that template passes
+    the request on unchanged, the completions are the emissions."""
+    used = {templates[nib] for nib in nibbles}
+    if len(used) == 1 and len(next(iter(used))) == 1:
+        ((mask, bits),) = used.pop()
+        if mask == _M_PASS and all(nib & 14 == bits for nib in nibbles):
+            return lambda done: done
+        return lambda done: [r & mask | bits for r in done]
+    return lambda done: [r & m | b for r in done for m, b in templates[r & 15]]
+
+
+def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
+    """Per service, its routes as templates indexed by a request's low nibble
+    ``(part << 1) | flag``: ``(kind, fixed, fanout, deltas, dsts)``.
+
+    ``fixed`` pairs each destination that only fixed edges of the service
+    feed with its emitter (see ``_emitter``). ``fanout`` holds,
+    per nibble and in spec order, the ``(dst, mode, bits)`` of each edge into
+    a destination that a fan-out of the service feeds, so that destination
+    still gets its requests in completion order, then spec order. ``deltas``
+    is, per nibble, the fixed emissions less the completed request; ``dsts``
+    lists every destination; ``kind`` is one of the ``_K_*`` codes.
+    """
     index = {s.name: i for i, s in enumerate(arch.services)}
     entry = arch.entry_service()
     if entry is None and arch.services:
@@ -346,11 +389,9 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], 
     for e in arch.pipeline:
         inbound[e.dst].add(PART_KINDS.index(e.part))
 
-    routes: list[list[list[tuple]]] = [
-        [[] for _ in PART_KINDS] for _ in arch.services
-    ]
+    # Per (service, inbound part): (skip, dst, part << 1, mode) in spec order.
+    specs: list[list[list[tuple]]] = [[[] for _ in PART_KINDS] for _ in arch.services]
     for e in arch.pipeline:
-        src_idx = index[e.src]
         q = PART_KINDS.index(e.part)
         skip = (_SKIP_INFECTED if e.when == "clean" else _SKIP_CLEAN if e.when == "infected"
                 else _SKIP_NEVER)
@@ -368,12 +409,30 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[list[list[tuple]]], 
                 mode = _M_BLOCKS
             else:
                 continue
-            routes[src_idx][p].append((skip, index[e.dst], q << 1, mode))
+            specs[index[e.src]][p].append((skip, index[e.dst], q << 1, mode))
             fired = True
         if not fired:
             raise SimulationError(
                 f"pipeline edge {e.src} -> {e.dst} ({e.part}) matches no part "
                 f"arriving at {e.src}")
+
+    routes = []
+    for svc, by_part in zip(arch.services, specs):
+        # The edges that fire for each nibble; parts past the last kind never occur.
+        fires = [[(dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1] if skip != nib & 1]
+                 if nib >> 1 < len(PART_KINDS) else [] for nib in range(16)]
+        dsts = sorted({spec[1] for part_specs in by_part for spec in part_specs})
+        fanned = {spec[1] for part_specs in by_part for spec in part_specs if spec[3] >= 0}
+        nibbles = [p << 1 | flag for p in inbound[svc.name] for flag in (0, 1)]
+        fixed = [(d, _emitter(tuple(tuple((mode, bits) for dst, mode, bits in f if dst == d)
+                                    for f in fires), nibbles))
+                 for d in dsts if d not in fanned]
+        fanout = tuple(tuple(spec for spec in f if spec[0] in fanned) for f in fires)
+        deltas = tuple(sum(mode < 0 for _, mode, _ in f) - 1 if nib >> 1 in inbound[svc.name] else 0
+                       for nib, f in enumerate(fires))
+        kind = (_K_FANOUT if fanned else _K_SINK if not dsts else _K_DELTA if any(deltas)
+                else _K_RELAY)
+        routes.append((kind, fixed, fanout, deltas, dsts))
     return routes, (index[entry] if entry is not None else -1)
 
 
@@ -605,11 +664,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     # directly, and each service's outlets are the (batch, dispatch) pairs
     # of the destinations its routes reach.
     batches: list[list[int]] = [[] for _ in svc_states]
-    outlets = [[(batches[dst], svc_states[dst].balancer.dispatch)
-                for dst in sorted({spec[1] for specs in by_part for spec in specs})]
-               for by_part in routes]
-    routes = [[[(skip, batches[dst], part_bits, mode) for skip, dst, part_bits, mode in specs]
-               for specs in by_part] for by_part in routes]
+    routes = [(kind, [(batches[d], emit) for d, emit in fixed],
+               tuple(tuple((batches[d], mode, bits) for d, mode, bits in f) for f in fanout),
+               deltas, [(batches[d], svc_states[d].balancer.dispatch) for d in dsts])
+              for kind, fixed, fanout, deltas, dsts in routes]
+    balancers = [st.balancer for st in svc_states]
 
     for tick in range(duration):
         # Ready events from finished startups.
@@ -636,54 +695,71 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             iv_generated += n_arr
             window_generated += n_arr
 
-        # 2. Processing, in declaration order. Each completion's emissions
-        # go to their destinations' batches and its email settles when
-        # nothing of it is left in flight. Each batch is then admitted in
-        # one call, before the next service pops its queue and so changes
-        # its room, and the emails of the dropped tail are marked lost.
+        # 2. Processing, in declaration order. The emissions of a service's
+        # completions go to their destinations' batches, and an email
+        # settles when nothing of it is left in flight. Each batch is then
+        # admitted in one call, before the next service pops its queue and
+        # so changes its room, and the emails of the dropped tail are lost.
         for st in svc_states:
             insts = st.insts
             if not insts:
                 continue
-            my_routes = routes[st.idx]
-            for req in process_tick(insts, st.balancer.ready, tick):
-                eid = req >> 4
-                left = outstanding[eid] - 1
-                emissions = my_routes[(req >> 1) & 7]
-                if emissions:
-                    email_bits = req & -16
-                    flag = req & 1
-                    for skip, out, part_bits, mode in emissions:
-                        if flag == skip:
-                            continue
-                        if mode == _M_ONE:
-                            out.append(email_bits | part_bits)
-                            left += 1
-                        elif mode == _M_PASS:
-                            out.append(email_bits | part_bits | flag)
-                            left += 1
+            done = process_tick(insts, st.balancer.ready, tick)
+            if not done:
+                continue
+            kind, fixed, fanout, deltas, outlets = routes[st.idx]
+            for out, emit in fixed:
+                out += emit(done)
+            if kind == _K_SINK:
+                for r in done:
+                    eid = r >> 4
+                    left = outstanding[eid] - 1
+                    outstanding[eid] = left
+                    if not left and not lost[eid]:
+                        iv_latency_ticks += tick - born[eid]
+                        iv_completed += 1
+            elif kind == _K_DELTA:
+                for r in done:
+                    delta = deltas[r & 15]
+                    if delta:
+                        eid = r >> 4
+                        left = outstanding[eid] + delta
+                        outstanding[eid] = left
+                        if not left and not lost[eid]:
+                            iv_latency_ticks += tick - born[eid]
+                            iv_completed += 1
+            elif kind == _K_FANOUT:
+                for r in done:
+                    eid = r >> 4
+                    nib = r & 15
+                    left = outstanding[eid] + deltas[nib]
+                    for out, mode, bits in fanout[nib]:
+                        if mode < 0:
+                            out.append(r & mode | bits)
                         elif mode == _M_BLOCKS:
                             n = blocks_l[eid]
-                            out += (email_bits | part_bits,) * n
+                            out += (r & -16 | bits,) * n
                             left += n
                         else:  # _M_ATT_FANOUT
                             mask = masks_l[eid]
-                            base_req = email_bits | part_bits
+                            base_req = r & -16 | bits
                             n = atts_l[eid]
                             out += [base_req | ((mask >> j) & 1) for j in range(n)]
                             left += n
-                outstanding[eid] = left
-                if not left and not lost[eid]:
-                    iv_latency_ticks += tick - born[eid]
-                    iv_completed += 1
-            for out, dispatch in outlets[st.idx]:
+                    outstanding[eid] = left
+                    if not left and not lost[eid]:
+                        iv_latency_ticks += tick - born[eid]
+                        iv_completed += 1
+            for out, dispatch in outlets:
                 if out:
                     accepted = dispatch(out)
                     if accepted < len(out):
                         iv_dropped += len(out) - accepted
-                        for req in out[accepted:]:
-                            eid = req >> 4
-                            outstanding[eid] -= 1
+                        # A lost email's outstanding count is never read
+                        # again (it cannot settle and is not in flight at
+                        # the end), so a dropped request leaves it as is.
+                        for r in out[accepted:]:
+                            eid = r >> 4
                             if not lost[eid]:
                                 lost[eid] = 1
                                 iv_lost += 1
@@ -708,8 +784,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 st.insts = keep
 
         # 5. Promote queues.
-        for st in svc_states:
-            st.balancer.promote()
+        for bal in balancers:
+            if bal.pending:
+                bal.ready += bal.pending
+                bal.pending.clear()
 
         # 6. Interval rollup.
         if (tick + 1) % tps == 0 or tick + 1 == duration:

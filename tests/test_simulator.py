@@ -1,5 +1,6 @@
 """Engine semantics: queues, budgets, gating, conservation, determinism."""
 
+import dataclasses
 from collections import deque
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from archscale import (
     synthesize_scale_ladder,
 )
 from archscale.document import parse_architecture_data
+from archscale.model import PipelineEdge
 from archscale.simulator import (
     Balancer,
     InstanceRuntime,
@@ -93,7 +95,7 @@ def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
 # -- the processing kernel ----------------------------------------------------------
 
 def test_two_instances_split_four_requests():
-    ready = deque([1, 2, 3, 4])
+    ready = [1, 2, 3, 4]
     a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
     b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=5.0)
     assert process_tick([a], ready, 0) == [1, 2]
@@ -101,7 +103,7 @@ def test_two_instances_split_four_requests():
 
 
 def test_shared_queue_completions_come_back_in_list_order():
-    ready = deque(range(6))
+    ready = list(range(6))
     a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
     b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=4.0)
     # a takes 0 and 1, b takes 2 and 3 and starts 4 with 2 of its 10 left.
@@ -112,7 +114,7 @@ def test_shared_queue_completions_come_back_in_list_order():
 
 
 def test_instance_not_started_is_skipped():
-    ready = deque([1, 2, 3])
+    ready = [1, 2, 3]
     warm = InstanceRuntime("w", 0, 60, budget=10.0, unit_cost=5.0)
     live = InstanceRuntime("l", 0, 0, budget=10.0, unit_cost=5.0)
     assert process_tick([warm, live], ready, 59) == [1, 2]
@@ -124,7 +126,7 @@ def test_instance_not_started_is_skipped():
 
 def test_request_spanning_ticks_completes_on_third():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=25.0)
-    ready = deque([7])
+    ready = [7]
     assert process_tick([inst], ready, 0) == []
     assert process_tick([inst], ready, 1) == []
     assert process_tick([inst], ready, 2) == [7]
@@ -132,8 +134,8 @@ def test_request_spanning_ticks_completes_on_third():
 
 def test_budget_not_banked_when_idle():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=15.0)
-    assert process_tick([inst], deque(), 0) == []
-    ready = deque([3])
+    assert process_tick([inst], [], 0) == []
+    ready = [3]
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
     assert process_tick([inst], ready, 1) == []
     assert process_tick([inst], ready, 2) == [3]
@@ -143,7 +145,7 @@ def test_image_recognizer_cost_rate():
     # budget 30/tick, cost 900/91: three requests most ticks, ~91/s sustained
     cost = float(Fraction(5 * 6 * 30, 91))
     inst = InstanceRuntime("i", 0, 0, budget=30.0, unit_cost=cost)
-    ready = deque(range(10000))
+    ready = list(range(10000))
     done = 0
     for tick in range(30 * 60):
         done += len(process_tick([inst], ready, tick))
@@ -152,13 +154,13 @@ def test_image_recognizer_cost_rate():
 
 def test_zero_cost_drains_entire_queue():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=0.0)
-    ready = deque(range(500))
+    ready = list(range(500))
     assert len(process_tick([inst], ready, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
-    ready = deque([1, 2])
+    ready = [1, 2]
     inst.cur_req = 0
     inst.cur_cost = 4.0
     inst.draining = True
@@ -171,7 +173,7 @@ def test_carried_request_costing_the_whole_budget_pops_nothing():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
     inst.cur_req = 0
     inst.cur_cost = 10.0
-    ready = deque([1, 2])
+    ready = [1, 2]
     assert process_tick([inst], ready, 0) == [0]
     assert list(ready) == [1, 2]
     assert inst.cur_req == -1
@@ -182,7 +184,7 @@ def test_draining_instance_carries_remainder_over_budget():
     inst.cur_req = 0
     inst.cur_cost = 25.0
     inst.draining = True
-    ready = deque([1])
+    ready = [1]
     assert process_tick([inst], ready, 0) == []
     assert (inst.cur_req, inst.cur_cost) == (0, 15.0)
     assert process_tick([inst], ready, 1) == []
@@ -193,10 +195,76 @@ def test_draining_instance_carries_remainder_over_budget():
 
 def test_fresh_request_spending_budget_to_zero_starts_no_other():
     inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=5.0)
-    ready = deque([1, 2, 3])
+    ready = [1, 2, 3]
     assert process_tick([inst], ready, 0) == [1, 2]
     assert list(ready) == [3]
     assert (inst.cur_req, inst.cur_cost) == (-1, 0.0)
+
+
+def reference_tick(insts, ready: deque, tick):
+    """The kernel one request at a time: pop, then spend or carry."""
+    completed = []
+    for inst in insts:
+        if tick < inst.ready_at:
+            continue
+        budget = inst.budget
+        if inst.cur_req >= 0:
+            if inst.cur_cost > budget:
+                inst.cur_cost -= budget
+                continue
+            budget -= inst.cur_cost
+            completed.append(inst.cur_req)
+            inst.cur_req, inst.cur_cost = -1, 0.0
+            if budget <= 0.0:
+                continue
+        if inst.draining:
+            continue
+        while ready:
+            req = ready.popleft()
+            if inst.unit_cost > budget:
+                inst.cur_req, inst.cur_cost = req, inst.unit_cost - budget
+                break
+            budget -= inst.unit_cost
+            completed.append(req)
+            if budget <= 0.0:
+                break
+    return completed
+
+
+BUDGETS = st.sampled_from([10.0, 30.0, 2.5, 0.1]) | st.floats(0.05, 40.0)
+UNIT_COSTS = (st.sampled_from([0.0, 5.0, 2.5, 1.5, 10 / 3, float(Fraction(900, 91)), 0.1])
+              | st.floats(0.0, 50.0))
+
+
+@st.composite
+def instances(draw):
+    budget = draw(BUDGETS)
+    inst = InstanceRuntime("i", 0, draw(st.integers(0, 2)), budget=budget,
+                           unit_cost=draw(UNIT_COSTS))
+    inst.draining = draw(st.booleans())
+    if draw(st.booleans()):
+        inst.cur_req = 1000
+        # A carried cost above, at or below the budget.
+        inst.cur_cost = draw(st.sampled_from([budget, 2 * budget, budget / 3])
+                             | st.floats(0.01, 3 * budget))
+    return inst
+
+
+@given(insts=st.lists(instances(), max_size=6), n_ready=st.integers(0, 60),
+       ticks=st.integers(1, 3))
+def test_kernel_matches_one_request_at_a_time(insts, n_ready, ticks):
+    copies = []
+    for inst in insts:
+        copy = InstanceRuntime(inst.iid, inst.service_idx, inst.ready_at, inst.budget,
+                               inst.unit_cost)
+        copy.draining, copy.cur_req, copy.cur_cost = inst.draining, inst.cur_req, inst.cur_cost
+        copies.append(copy)
+    ready, expected_ready = list(range(n_ready)), deque(range(n_ready))
+    for tick in range(ticks):
+        assert process_tick(insts, ready, tick) == reference_tick(copies, expected_ready, tick)
+        assert ready == list(expected_ready)
+        assert [(i.cur_req, i.cur_cost) for i in insts] == [
+            (c.cur_req, c.cur_cost) for c in copies]
 
 
 # -- whole-engine behavior ---------------------------------------------------------
@@ -332,6 +400,15 @@ def test_invalid_architecture_rejected(reference_ladder):
     cfg = SimConfig(duration=30, workload=WorkloadSpec(Steps(((0, 1.0),))), seed=1)
     with pytest.raises(SimulationError, match="validation"):
         run_simulation(doc, reference_ladder, cfg)
+
+
+def test_cyclic_pipeline_rejected(reference_arch, reference_ladder):
+    # Clean attachments sent back to VirusScanner would circle until dropped.
+    arch = dataclasses.replace(reference_arch, pipeline=reference_arch.pipeline + (
+        PipelineEdge("AttachmentManager", "VirusScanner", "attachment"),))
+    cfg = SimConfig(duration=30 * 30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=1)
+    with pytest.raises(SimulationError, match=r"AttachmentManager -> VirusScanner\]\.to: closes"):
+        run_simulation(arch, reference_ladder, cfg)
 
 
 def test_latency_floor_one_tick_per_hop(reference_arch, reference_ladder):
