@@ -138,10 +138,9 @@ class Balancer:
         return room
 
     def promote(self) -> None:
-        """Make the requests enqueued this tick available (the engine's tick
-        loop does this inline)."""
-        self.ready += self.pending
-        self.pending.clear()
+        if self.pending:
+            self.ready.extend(self.pending)
+            self.pending.clear()
 
 
 class InstanceRuntime:
@@ -351,17 +350,17 @@ def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, in
     return {name: c for name, c in zip(names, counts) if c > 0}
 
 
-def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], nibbles: list[int]):
+def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], arriving: list[int]):
     """The function from a service's completions to what they emit to one
     destination, in completion order, then spec order: per completion, one
     ``req & mask | bits`` for each ``(mask, bits)`` of ``templates`` at its
-    nibble. When every nibble in ``nibbles`` (those that can arrive) has the
-    same single template, the lookup is skipped; when that template passes
-    the request on unchanged, the completions are the emissions."""
-    used = {templates[nib] for nib in nibbles}
+    nibble. When every nibble in ``arriving`` has the same single template,
+    the lookup is skipped; when that template passes the request on
+    unchanged, the completions are the emissions."""
+    used = {templates[nib] for nib in arriving}
     if len(used) == 1 and len(next(iter(used))) == 1:
         ((mask, bits),) = used.pop()
-        if mask == _M_PASS and all(nib & 14 == bits for nib in nibbles):
+        if mask == _M_PASS and all(nib & 14 == bits for nib in arriving):
             return lambda done: done
         return lambda done: [r & mask | bits for r in done]
     return lambda done: [r & m | b for r in done for m, b in templates[r & 15]]
@@ -369,7 +368,8 @@ def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], nibbles: list[i
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     """Per service, its routes as templates indexed by a request's low nibble
-    ``(part << 1) | flag``: ``(kind, fixed, fanout, deltas, dsts)``.
+    ``(part << 1) | flag``: ``(kind, fixed, fanout, deltas, dsts)``, and the
+    entry service's index.
 
     ``fixed`` pairs each destination that only fixed edges of the service
     feed with its emitter (see ``_emitter``). ``fanout`` holds,
@@ -418,21 +418,23 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
 
     routes = []
     for svc, by_part in zip(arch.services, specs):
-        # The edges that fire for each nibble; parts past the last kind never occur.
-        fires = [[(dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1] if skip != nib & 1]
-                 if nib >> 1 < len(PART_KINDS) else [] for nib in range(16)]
-        dsts = sorted({spec[1] for part_specs in by_part for spec in part_specs})
-        fanned = {spec[1] for part_specs in by_part for spec in part_specs if spec[3] >= 0}
-        nibbles = [p << 1 | flag for p in inbound[svc.name] for flag in (0, 1)]
+        edges = [spec for part_specs in by_part for spec in part_specs]
+        dsts = sorted({dst for _, dst, _, _ in edges})
+        fanned = {dst for _, dst, _, mode in edges if mode >= 0}
+        # Per nibble, the (dst, mode, bits) of the edges that fire, in spec order.
+        fires = [[(dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1]
+                  if skip != nib & 1] for nib in range(2 * len(PART_KINDS))]
+        arriving = [p << 1 | flag for p in inbound[svc.name] for flag in (0, 1)]
         fixed = [(d, _emitter(tuple(tuple((mode, bits) for dst, mode, bits in f if dst == d)
-                                    for f in fires), nibbles))
+                                    for f in fires), arriving))
                  for d in dsts if d not in fanned]
         fanout = tuple(tuple(spec for spec in f if spec[0] in fanned) for f in fires)
-        deltas = tuple(sum(mode < 0 for _, mode, _ in f) - 1 if nib >> 1 in inbound[svc.name] else 0
-                       for nib, f in enumerate(fires))
+        deltas = [0] * len(fires)
+        for nib in arriving:
+            deltas[nib] = sum(mode < 0 for _, mode, _ in fires[nib]) - 1
         kind = (_K_FANOUT if fanned else _K_SINK if not dsts else _K_DELTA if any(deltas)
                 else _K_RELAY)
-        routes.append((kind, fixed, fanout, deltas, dsts))
+        routes.append((kind, fixed, fanout, tuple(deltas), dsts))
     return routes, (index[entry] if entry is not None else -1)
 
 
@@ -668,7 +670,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                tuple(tuple((batches[d], mode, bits) for d, mode, bits in f) for f in fanout),
                deltas, [(batches[d], svc_states[d].balancer.dispatch) for d in dsts])
               for kind, fixed, fanout, deltas, dsts in routes]
-    balancers = [st.balancer for st in svc_states]
 
     for tick in range(duration):
         # Ready events from finished startups.
@@ -784,10 +785,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 st.insts = keep
 
         # 5. Promote queues.
-        for bal in balancers:
-            if bal.pending:
-                bal.ready += bal.pending
-                bal.pending.clear()
+        for st in svc_states:
+            st.balancer.promote()
 
         # 6. Interval rollup.
         if (tick + 1) % tps == 0 or tick + 1 == duration:
