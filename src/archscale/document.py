@@ -28,6 +28,7 @@ from .model import (
     ServiceType,
     SystemArchitecture,
     VMType,
+    find_cycle,
 )
 
 
@@ -193,37 +194,6 @@ def _parse_edge(block: dict) -> PipelineEdge:
     )
 
 
-def _find_strong_cycle(services: tuple[ServiceType, ...]) -> list[str] | None:
-    """Iterative DFS over strong-requirement edges; returns one cycle if any."""
-    deps = {s.name: [d for d in s.strong_requires] for s in services}
-    color: dict[str, int] = {}  # 0 absent, 1 on stack, 2 done
-    for root in deps:
-        if color.get(root):
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path: list[str] = []
-        while stack:
-            node, idx = stack.pop()
-            if idx == 0:
-                color[node] = 1
-                path.append(node)
-            children = deps.get(node, [])
-            advanced = False
-            for j in range(idx, len(children)):
-                child = children[j]
-                if color.get(child) == 1:
-                    return path[path.index(child):]
-                if color.get(child, 0) == 0:
-                    stack.append((node, j + 1))
-                    stack.append((child, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
-    return None
-
-
 def parse_architecture_data(data: Any) -> SystemArchitecture:
     """Build a fully resolved architecture from already-decoded JSON data."""
     _check_keys(data, {"services", "vm_catalog", "profile", "pipeline"}, "document")
@@ -244,7 +214,7 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
                 if dep not in declared:
                     raise ParseError(f"services[{svc.name}].{kind}: unknown service {dep!r}")
 
-    cycle = _find_strong_cycle(services)
+    cycle = find_cycle({s.name: s.strong_requires for s in services})
     if cycle is not None:
         raise CycleError(cycle)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 #: Sentinel for an unbounded per-instance throughput limit.
 INFINITE: float = math.inf
@@ -249,43 +249,44 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
             report.add("profile", fieldname,
                        f"support mean {Fraction(lo + hi, 2)} differs from declared mean {mean}")
 
-    cycle = _pipeline_cycle(arch.pipeline)
+    flow: dict[str, list[str]] = {}
+    for e in arch.pipeline:
+        flow.setdefault(e.src, []).append(e.dst)
+    cycle = find_cycle(flow)
     if cycle:
-        edge = cycle[-1]
-        path = " -> ".join([e.src for e in cycle] + [edge.dst])
-        report.add(f"pipeline[{edge.src} -> {edge.dst}]", "to",
+        path = " -> ".join(cycle + cycle[:1])
+        report.add(f"pipeline[{cycle[-1]} -> {cycle[0]}]", "to",
                    f"closes the cycle {path}: requests would circle without end")
     return report
 
 
-def _pipeline_cycle(pipeline: tuple[PipelineEdge, ...]) -> list[PipelineEdge]:
-    """The edges of one cycle of the message flow, in flow order; empty if
-    the flow is acyclic."""
-    indegree: dict[str, int] = {}
-    for e in pipeline:
-        indegree.setdefault(e.src, 0)
-        indegree[e.dst] = indegree.get(e.dst, 0) + 1
-    # Peel off the services with no inbound edge left; what remains holds a cycle.
-    roots = [name for name, n in indegree.items() if n == 0]
-    while roots:
-        name = roots.pop()
-        for e in pipeline:
-            if e.src == name:
-                indegree[e.dst] -= 1
-                if indegree[e.dst] == 0:
-                    roots.append(e.dst)
-    left = {name for name, n in indegree.items() if n}
-    if not left:
-        return []
-    # Each service left has an inbound edge from another one left: walk
-    # those edges backwards until a service repeats.
-    into: dict[str, PipelineEdge] = {}
-    for e in pipeline:
-        if e.src in left and e.dst in left:
-            into.setdefault(e.dst, e)
-    node = next(e.dst for e in pipeline if e.dst in into)
-    seen: list[str] = []
-    while node not in seen:
-        seen.append(node)
-        node = into[node].src
-    return [into[name] for name in reversed(seen[seen.index(node):])]
+def find_cycle(deps: dict[str, Sequence[str]]) -> list[str] | None:
+    """One cycle of the directed graph ``deps`` (node -> successors), as the
+    nodes along it, the last one leading back to the first; None if the
+    graph is acyclic. Iterative DFS in the order of ``deps``."""
+    color: dict[str, int] = {}  # 0 absent, 1 on stack, 2 done
+    for root in deps:
+        if color.get(root):
+            continue
+        stack: list[tuple[str, int]] = [(root, 0)]
+        path: list[str] = []
+        while stack:
+            node, idx = stack.pop()
+            if idx == 0:
+                color[node] = 1
+                path.append(node)
+            children = deps.get(node, [])
+            advanced = False
+            for j in range(idx, len(children)):
+                child = children[j]
+                if color.get(child) == 1:
+                    return path[path.index(child):]
+                if color.get(child, 0) == 0:
+                    stack.append((node, j + 1))
+                    stack.append((child, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                path.pop()
+    return None
