@@ -1,5 +1,5 @@
 """Golden outputs: the SHA-256 of every metrics and event CSV and of the
-`report.json` of five runs.
+`report.json` of six runs, and the conservation of emails in each.
 
 A refactor of the engine must leave these files byte for byte unchanged.
 The first two runs are the compressed diurnal demo and part 1 of the step
@@ -7,7 +7,9 @@ surge demo; the third is the step surge with Poisson arrivals, 20 % rate
 jitter and a 5-s monitor, at seed 1. The fourth is the step surge of the
 second with 40-request queues, so that within one tick the fan-outs of
 several completions meet a full queue and are cut part way. The fifth runs
-a small architecture with the route shapes the reference lacks.
+a small architecture with the route shapes the reference lacks. The sixth
+runs an architecture where an email can end at a fan-out that emits
+nothing, with queues so short that emails are dropped at the entry.
 """
 
 import hashlib
@@ -74,9 +76,14 @@ def test_csv_digests_unchanged(name, tmp_path):
     spec = ExperimentSpec(
         architecture=str(reference_architecture_path()), policies=("global", "local"),
         output=str(tmp_path), **{"queue_capacity": 500, **scenario})
-    run_experiment(spec)
+    assert_conserved(run_experiment(spec))
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert digests == expected
+
+
+def assert_conserved(result):
+    for tl in result.timelines.values():
+        assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
 
 
 def _service(name, mcl, mf_rule="unit"):
@@ -138,6 +145,57 @@ def test_route_shapes_digests_unchanged(tmp_path):
         workload=WorkloadSpec(Steps(((0, 50.0), (20 * 30, 200.0), (60 * 30, 80.0)))))
     result = run_experiment(spec)
     assert all(tl.dropped_requests and tl.completed for tl in result.timelines.values())
+    assert_conserved(result)
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
                for f in ROUTE_SHAPES_DIGESTS}
     assert digests == ROUTE_SHAPES_DIGESTS
+
+
+# Splitter's only edge is an attachment fan-out and Text's only edge a block
+# fan-out, so an email without attachments ends at Splitter and one without
+# blocks at Text; a clean attachment ends at Scanner.
+FANOUT_LEAVES_ARCH = {
+    "services": [
+        _service("Receiver", 100), _service("Splitter", 150), _service("Header", 150),
+        _service("Text", 150), _service("Sentiment", 200, {"custom": "n_blocks"}),
+        _service("Scanner", 150, "per_attachment"), _service("Sink", 300),
+    ],
+    "vm_catalog": ROUTE_SHAPES_ARCH["vm_catalog"],
+    "profile": {"n_blocks": 1.5, "n_attachments": 1.5, "attachment_size": 7, "p_virus": 0.25,
+                "block_count_support": [0, 3], "attachment_count_support": [0, 3]},
+    "pipeline": [
+        {"from": "Receiver", "to": "Splitter", "part": "email"},
+        {"from": "Receiver", "to": "Header", "part": "header"},
+        {"from": "Receiver", "to": "Text", "part": "text"},
+        {"from": "Splitter", "to": "Scanner", "part": "attachment"},
+        {"from": "Text", "to": "Sentiment", "part": "block"},
+        {"from": "Header", "to": "Sink", "part": "report"},
+        {"from": "Scanner", "to": "Sink", "part": "report", "when": "infected"},
+    ],
+}
+
+FANOUT_LEAVES_DIGESTS = {
+    "metrics_global.csv": "ed2caa1a4a767189153842790520652ef82af364db4c6937c2b2df6ac843713e",
+    "events_global.csv": "de5dbad1dc1b5b8f45eba392525b16ef918ff6aeca18d349e43180aadebb0f71",
+    "metrics_local.csv": "0eb71fd145d4f61b631b65f44d2b7a26df1b37409a11e7ac1a51d7a858ea70e1",
+    "events_local.csv": "52b26d473f09fe324c015bb1c2a869f90a32260244eb0bd4dd33a5e034d2ff4c",
+    "report.json": "8d9d3d841007a221ec909e43e3137edee6487262685a871f755d1cf2a26afa97",
+}
+
+
+def test_fanout_leaves_digests_unchanged(tmp_path):
+    # Poisson arrivals, 60 -> 220 -> 90 emails/s, 12-request queues: the
+    # entry queue overflows after the step, so emails are dropped at entry.
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps(FANOUT_LEAVES_ARCH), encoding="utf-8")
+    spec = ExperimentSpec(
+        architecture=str(arch_path), policies=("global", "local"), output=str(tmp_path / "out"),
+        duration_s=90, seed=5, queue_capacity=12, exact_arrivals=False,
+        base_target_mcl=60, scale_increments=(60, 300),
+        workload=WorkloadSpec(Steps(((0, 60.0), (20 * 30, 220.0), (60 * 30, 90.0)))))
+    result = run_experiment(spec)
+    assert all(tl.lost and tl.completed for tl in result.timelines.values())
+    assert_conserved(result)
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+               for f in FANOUT_LEAVES_DIGESTS}
+    assert digests == FANOUT_LEAVES_DIGESTS
