@@ -11,19 +11,23 @@ the low nibble. The kernel is ``process_tick``, called once per service per
 tick: per started instance it counts the fresh requests the budget
 completes, with the same float subtractions as taking one request at a
 time, and takes them as one slice of the queue. The routes are compiled
-into templates indexed by the low nibble, so the requests a service's
-completions emit to a destination are one comprehension over them, in
-completion order, then spec order; only block and attachment fan-outs, and
-the destinations they share, are walked per completion. Each destination's
-batch is then admitted with a single ``Balancer.dispatch``: the
-destination's queue does not change during the walk, so the batch keeps
-exactly the requests that one call per completion would have kept.
-Per-email state is three flat arrays indexed by email id (outstanding
-requests, arrival tick, lost flag); an email settles when its outstanding
-count reaches zero, and a service whose completions cannot change a count
-(a relay) skips the per-email walk.
-"""
+into templates indexed by the low nibble and, where a block or attachment
+fan-out feeds a destination, by the shape of the email (its blocks,
+attachments and virus mask, all sampled before the run), so the requests a
+service's completions emit to a destination are one comprehension over
+them, in completion order, then spec order. Each destination's batch is
+then admitted with a single ``Balancer.dispatch``: the destination's queue
+does not change during the walk, so the batch keeps exactly the requests
+that one call per completion would have kept.
 
+An email's count is set at admission to its leaf count: the completions of
+its requests that emit nothing, known per shape before the run. Only such
+completions touch per-email state (every completion of a sink; elsewhere
+one whose edges do not fire or whose fan-out is empty), and an email
+settles when its count reaches zero, on the tick its last request
+completes. The per-email state is two flat lists indexed by email id
+(leaves left, arrival tick) and the set of lost email ids.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -58,7 +62,7 @@ from .scaler import (
     scaling_trigger,
     select_global_configuration,
 )
-from .workload import WorkloadSpec, generate_arrivals, rate_curve, sample_email_batch
+from .workload import EmailBatch, WorkloadSpec, generate_arrivals, rate_curve, sample_email_batch
 
 
 class SimulationError(RuntimeError):
@@ -80,9 +84,6 @@ _M_ATT_FANOUT = 3
 _SKIP_NEVER = 2
 _SKIP_INFECTED = 1  # a "clean" edge
 _SKIP_CLEAN = 0  # an "infected" edge
-# How a service's completions change their emails' outstanding counts: not
-# at all, by -1 each, by a per-nibble delta, or by the delta plus fan-outs.
-_K_RELAY, _K_SINK, _K_DELTA, _K_FANOUT = range(4)
 
 
 class Policy:
@@ -366,18 +367,105 @@ def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], arriving: list[
     return lambda done: [r & m | b for r in done for m, b in templates[r & 15]]
 
 
-def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
-    """Per service, its routes as templates indexed by a request's low nibble
-    ``(part << 1) | flag``: ``(kind, fixed, fanout, deltas, dsts)``, and the
-    entry service's index.
+def _shape_emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
+    """Like ``_emitter`` for a destination that a fan-out feeds: per
+    completion, one ``req & -16 | nib`` for each low nibble of
+    ``tables[nibble][shape]``, the shape being that of the request's email."""
+    used = {tables[nib] for nib in arriving}
+    if len(used) == 1:
+        (table,) = used
+        return lambda done: [r & -16 | o for r in done for o in table[shape_of[r >> 4]]]
+    return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
 
-    ``fixed`` pairs each destination that only fixed edges of the service
-    feed with its emitter (see ``_emitter``). ``fanout`` holds,
-    per nibble and in spec order, the ``(dst, mode, bits)`` of each edge into
-    a destination that a fan-out of the service feeds, so that destination
-    still gets its requests in completion order, then spec order. ``deltas``
-    is, per nibble, the fixed emissions less the completed request; ``dsts``
-    lists every destination; ``kind`` is one of the ``_K_*`` codes.
+
+def _leaf_filter(tables: tuple, arriving: list[int], shape_of: list[int]):
+    """The function from a service's completions to those that emit
+    nothing: ``tables[nibble][shape]`` is true where that is the case."""
+    used = {tables[nib] for nib in arriving}
+    if len(used) == 1:
+        (table,) = used
+        return lambda done: [r for r in done if table[shape_of[r >> 4]]]
+    return lambda done: [r for r in done if tables[r & 15][shape_of[r >> 4]]]
+
+
+def _emitted(mode: int, bits: int, nib: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
+    """The low nibbles that one completion at ``nib`` emits along one edge,
+    for an email of ``shape`` = (blocks, attachments, virus mask)."""
+    if mode < 0:
+        return (nib & mode | bits,)
+    blocks, attachments, mask = shape
+    if mode == _M_BLOCKS:
+        return (bits,) * blocks
+    return tuple(bits | (mask >> j) & 1 for j in range(attachments))
+
+
+def _leaves(routes: list[tuple], svc: int, nib: int, shape: tuple[int, int, int],
+            memo: dict[int, int]) -> int:
+    """The completions that emit nothing (leaves) in the expansion of one
+    request at ``nib`` to service ``svc``, for an email of ``shape``;
+    ``memo`` caches them per (service, nibble) for that shape."""
+    key = svc << 4 | nib
+    n = memo.get(key)
+    if n is None:
+        out = [(dst, o) for dst, mode, bits in routes[svc][0][nib]
+               for o in _emitted(mode, bits, nib, shape)]
+        n = memo[key] = sum(_leaves(routes, dst, o, shape, memo) for dst, o in out) if out else 1
+    return n
+
+
+def _email_shapes(batch: EmailBatch) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The distinct (blocks, attachments, virus mask) of a run's emails, in
+    order of first appearance, and each email's index into them."""
+    att_bits = int(batch.attachments.max(initial=0)).bit_length()
+    mask_bits = int(batch.virus_masks.max(initial=0)).bit_length()
+    codes = ((batch.blocks << att_bits | batch.attachments) << mask_bits
+             | batch.virus_masks).tolist()
+    ids = dict.fromkeys(codes)
+    shapes = []
+    for i, code in enumerate(ids):
+        ids[code] = i
+        shapes.append((code >> mask_bits >> att_bits, code >> mask_bits & (1 << att_bits) - 1,
+                       code & (1 << mask_bits) - 1))
+    return shapes, list(map(ids.__getitem__, codes))
+
+
+def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, int, int]],
+                    shape_of: list[int]) -> tuple[list[tuple], Optional[object]]:
+    """``(emitters, leaf)`` of one service: each destination paired with the
+    function from the service's completions to what they emit to it (see
+    ``_emitter`` and ``_shape_emitter``), and the function from completions
+    to those that emit nothing, or None when no completion can be one."""
+    nibs = range(len(fires))
+    emitters = []
+    for d in sorted({dst for f in fires for dst, _, _ in f}):
+        edges = tuple(tuple((mode, bits) for dst, mode, bits in f if dst == d) for f in fires)
+        if all(mode < 0 for e in edges for mode, _ in e):
+            emitters.append((d, _emitter(edges, arriving)))
+        else:
+            tables = tuple(tuple(tuple(o for mode, bits in edges[nib]
+                                       for o in _emitted(mode, bits, nib, shape))
+                                 for shape in shapes) if nib in arriving else ()
+                           for nib in nibs)
+            emitters.append((d, _shape_emitter(tables, arriving, shape_of)))
+    leafy = tuple(tuple(not any(_emitted(mode, bits, nib, shape) for _, mode, bits in fires[nib])
+                        for shape in shapes) if nib in arriving else ()
+                  for nib in nibs)
+    used = {flag for nib in arriving for flag in leafy[nib]}
+    if True not in used:
+        return emitters, None
+    if False not in used:
+        return emitters, lambda done: done
+    return emitters, _leaf_filter(leafy, arriving, shape_of)
+
+
+def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
+    """Per service, its routes indexed by a request's low nibble
+    ``(part << 1) | flag``: ``(fires, arriving)``, and the entry service's
+    index.
+
+    ``fires`` holds, per nibble and in spec order, the ``(dst, mode, bits)``
+    of each edge that fires for a request with that nibble; ``arriving``
+    lists the nibbles of the requests that can reach the service.
     """
     index = {s.name: i for i, s in enumerate(arch.services)}
     entry = arch.entry_service()
@@ -418,23 +506,10 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
 
     routes = []
     for svc, by_part in zip(arch.services, specs):
-        edges = [spec for part_specs in by_part for spec in part_specs]
-        dsts = sorted({dst for _, dst, _, _ in edges})
-        fanned = {dst for _, dst, _, mode in edges if mode >= 0}
-        # Per nibble, the (dst, mode, bits) of the edges that fire, in spec order.
-        fires = [[(dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1]
-                  if skip != nib & 1] for nib in range(2 * len(PART_KINDS))]
-        arriving = [p << 1 | flag for p in inbound[svc.name] for flag in (0, 1)]
-        fixed = [(d, _emitter(tuple(tuple((mode, bits) for dst, mode, bits in f if dst == d)
-                                    for f in fires), arriving))
-                 for d in dsts if d not in fanned]
-        fanout = tuple(tuple(spec for spec in f if spec[0] in fanned) for f in fires)
-        deltas = [0] * len(fires)
-        for nib in arriving:
-            deltas[nib] = sum(mode < 0 for _, mode, _ in fires[nib]) - 1
-        kind = (_K_FANOUT if fanned else _K_SINK if not dsts else _K_DELTA if any(deltas)
-                else _K_RELAY)
-        routes.append((kind, fixed, fanout, tuple(deltas), dsts))
+        fires = tuple(tuple((dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1]
+                            if skip != nib & 1) for nib in range(2 * len(PART_KINDS)))
+        routes.append((fires, [p << 1 | flag for p in sorted(inbound[svc.name])
+                               for flag in (0, 1)]))
     return routes, (index[entry] if entry is not None else -1)
 
 
@@ -465,11 +540,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     peak_rate = Fraction(str(float(np.max(rates)))) if duration else Fraction(0)
     total_emails = int(arrivals.sum())
     email_rng = np.random.Generator(np.random.PCG64(email_seed))
-    batch = sample_email_batch(arch.profile, email_rng, total_emails)
+    shapes, shape_of = _email_shapes(sample_email_batch(arch.profile, email_rng, total_emails))
     arrivals_l = arrivals.tolist()
-    blocks_l = batch.blocks.tolist()
-    atts_l = batch.attachments.tolist()
-    masks_l = batch.virus_masks.tolist()
+    # An email settles when its last leaf completes.
+    leaves = [_leaves(routes, entry_idx, P_EMAIL << 1, shape, {}) for shape in shapes]
 
     # Deployment state.
     registry = DeploymentRegistry(arch)
@@ -646,10 +720,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             timeline.events.append(ScalingEvent(
                 now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{st.committed}"))
 
-    # Email bookkeeping, by email id: requests in flight, arrival tick, lost.
+    # Email bookkeeping, by email id: leaves yet to complete, arrival tick;
+    # and the ids of the emails lost.
     outstanding = [0] * total_emails
     born = [0] * total_emails
-    lost = bytearray(total_emails)
+    lost: set[int] = set()
     next_email = 0
 
     # Interval accumulators.
@@ -660,16 +735,20 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     iv_latency_ticks = 0
     interval_start_tick = 0
 
-    entry_state = svc_states[entry_idx]
+    entry_dispatch = svc_states[entry_idx].balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
-    # One emission batch per destination service; the routes append to it
-    # directly, and each service's outlets are the (batch, dispatch) pairs
-    # of the destinations its routes reach.
+    # One emission batch per destination service. Per service: its
+    # instances and ready queue, the (batch, emitter) pair of each
+    # destination, the filter of its completions that are leaves, and the
+    # (batch, dispatch) pair of each destination.
     batches: list[list[int]] = [[] for _ in svc_states]
-    routes = [(kind, [(batches[d], emit) for d, emit in fixed],
-               tuple(tuple((batches[d], mode, bits) for d, mode, bits in f) for f in fanout),
-               deltas, [(batches[d], svc_states[d].balancer.dispatch) for d in dsts])
-              for kind, fixed, fanout, deltas, dsts in routes]
+    services = []
+    for st, (fires, arriving) in zip(svc_states, routes):
+        emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
+        services.append((st.insts, st.balancer.ready,
+                         [(batches[d], emit) for d, emit in emitters], leaf,
+                         [(batches[d], svc_states[d].balancer.dispatch) for d, _ in emitters]))
+    promotes = [st.balancer.promote for st in svc_states]
 
     for tick in range(duration):
         # Ready events from finished startups.
@@ -685,9 +764,9 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             first = next_email
             next_email += n_arr
             # Part EMAIL, flag 0; an email whose request is dropped is lost.
-            accepted = entry_state.balancer.dispatch(
-                [eid << 4 for eid in range(first, next_email)])
-            outstanding[first:first + accepted] = [1] * accepted
+            accepted = entry_dispatch(list(range(first << 4, next_email << 4, 16)))
+            outstanding[first:first + accepted] = map(
+                leaves.__getitem__, shape_of[first:first + accepted])
             born[first:first + accepted] = [tick] * accepted
             n_drop = n_arr - accepted
             if n_drop:
@@ -698,57 +777,23 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
         # 2. Processing, in declaration order. The emissions of a service's
         # completions go to their destinations' batches, and an email
-        # settles when nothing of it is left in flight. Each batch is then
-        # admitted in one call, before the next service pops its queue and
-        # so changes its room, and the emails of the dropped tail are lost.
-        for st in svc_states:
-            insts = st.insts
+        # settles when its last leaf completes. Each batch is then admitted
+        # in one call, before the next service pops its queue and so changes
+        # its room, and the emails of the dropped tail are lost.
+        for insts, ready, emitters, leaf, outlets in services:
             if not insts:
                 continue
-            done = process_tick(insts, st.balancer.ready, tick)
+            done = process_tick(insts, ready, tick)
             if not done:
                 continue
-            kind, fixed, fanout, deltas, outlets = routes[st.idx]
-            for out, emit in fixed:
+            for out, emit in emitters:
                 out += emit(done)
-            if kind == _K_SINK:
-                for r in done:
+            if leaf is not None:
+                for r in leaf(done):
                     eid = r >> 4
                     left = outstanding[eid] - 1
                     outstanding[eid] = left
-                    if not left and not lost[eid]:
-                        iv_latency_ticks += tick - born[eid]
-                        iv_completed += 1
-            elif kind == _K_DELTA:
-                for r in done:
-                    delta = deltas[r & 15]
-                    if delta:
-                        eid = r >> 4
-                        left = outstanding[eid] + delta
-                        outstanding[eid] = left
-                        if not left and not lost[eid]:
-                            iv_latency_ticks += tick - born[eid]
-                            iv_completed += 1
-            elif kind == _K_FANOUT:
-                for r in done:
-                    eid = r >> 4
-                    nib = r & 15
-                    left = outstanding[eid] + deltas[nib]
-                    for out, mode, bits in fanout[nib]:
-                        if mode < 0:
-                            out.append(r & mode | bits)
-                        elif mode == _M_BLOCKS:
-                            n = blocks_l[eid]
-                            out += (r & -16 | bits,) * n
-                            left += n
-                        else:  # _M_ATT_FANOUT
-                            mask = masks_l[eid]
-                            base_req = r & -16 | bits
-                            n = atts_l[eid]
-                            out += [base_req | ((mask >> j) & 1) for j in range(n)]
-                            left += n
-                    outstanding[eid] = left
-                    if not left and not lost[eid]:
+                    if not left and eid not in lost:
                         iv_latency_ticks += tick - born[eid]
                         iv_completed += 1
             for out, dispatch in outlets:
@@ -756,14 +801,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                     accepted = dispatch(out)
                     if accepted < len(out):
                         iv_dropped += len(out) - accepted
-                        # A lost email's outstanding count is never read
-                        # again (it cannot settle and is not in flight at
-                        # the end), so a dropped request leaves it as is.
-                        for r in out[accepted:]:
-                            eid = r >> 4
-                            if not lost[eid]:
-                                lost[eid] = 1
-                                iv_lost += 1
+                        # A lost email's count is never read again (it
+                        # cannot settle and is not in flight at the end).
+                        gone = {r >> 4 for r in out[accepted:]} - lost
+                        iv_lost += len(gone)
+                        lost |= gone
                     out.clear()
 
         # 3. Monitors.
@@ -782,11 +824,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                         st.draining_count -= 1
                     else:
                         keep.append(inst)
-                st.insts = keep
+                st.insts[:] = keep
 
         # 5. Promote queues.
-        for st in svc_states:
-            st.balancer.promote()
+        for promote in promotes:
+            promote()
 
         # 6. Interval rollup.
         if (tick + 1) % tps == 0 or tick + 1 == duration:
@@ -810,7 +852,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             ))
             iv_generated = iv_completed = iv_lost = iv_dropped = iv_latency_ticks = 0
 
-    timeline.in_flight_end = sum(1 for n, gone in zip(outstanding, lost) if n and not gone)
+    timeline.in_flight_end = sum(1 for eid, n in enumerate(outstanding) if n and eid not in lost)
     timeline.ticks_to_target = ticks_to_target
     return timeline
 

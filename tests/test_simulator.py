@@ -5,6 +5,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,12 +22,17 @@ from archscale import (
 from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
 from archscale.simulator import (
+    P_EMAIL,
     Balancer,
     InstanceRuntime,
     Policy,
+    _compile_routes,
+    _email_shapes,
+    _leaves,
     process_tick,
 )
-from archscale.workload import Diurnal
+from archscale.workload import Diurnal, EmailBatch
+from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH
 
 
 # -- balancer ------------------------------------------------------------------
@@ -265,6 +271,61 @@ def test_kernel_matches_one_request_at_a_time(insts, n_ready, ticks):
         assert ready == list(expected_ready)
         assert [(i.cur_req, i.cur_cost) for i in insts] == [
             (c.cur_req, c.cur_cost) for c in copies]
+
+
+# -- leaf counts ----------------------------------------------------------------
+
+def expanded_leaves(arch, blocks, attachments, mask):
+    """Completions that emit nothing when one email's requests are expanded
+    one at a time along the pipeline's edges."""
+    leaves = 0
+    queue = [(arch.entry_service(), "email", 0)]
+    while queue:
+        svc, part, flag = queue.pop()
+        emitted = []
+        for e in arch.pipeline:
+            if e.src != svc or (e.when == "clean" and flag) or (e.when == "infected" and not flag):
+                continue
+            if e.part == "report" or (part == "email" and e.part in ("header", "links", "text")):
+                emitted.append((e.dst, e.part, 0))
+            elif e.part == part:
+                emitted.append((e.dst, part, flag))
+            elif part == "email" and e.part == "attachment":
+                emitted += [(e.dst, "attachment", mask >> j & 1) for j in range(attachments)]
+            elif part == "text" and e.part == "block":
+                emitted += [(e.dst, "block", 0)] * blocks
+        leaves += not emitted
+        queue += emitted
+    return leaves
+
+
+@st.composite
+def email_batches(draw, profile):
+    (b_lo, b_hi), (a_lo, a_hi) = profile.block_count_support, profile.attachment_count_support
+    rows = draw(st.lists(st.tuples(st.integers(b_lo, b_hi), st.integers(a_lo, a_hi),
+                                   st.integers(0, 2 ** a_hi - 1)), min_size=1, max_size=20))
+    rows = [(b, a, m & (1 << a) - 1) for b, a, m in rows]
+    return EmailBatch(*(np.array(col, dtype=np.int64) for col in zip(*rows)))
+
+
+ARCHS = {"reference": None, "route_shapes": ROUTE_SHAPES_ARCH,
+         "fanout_leaves": FANOUT_LEAVES_ARCH}
+
+
+@pytest.mark.parametrize("name", sorted(ARCHS))
+def test_leaf_count_matches_per_request_expansion(name, reference_arch):
+    arch = reference_arch if ARCHS[name] is None else parse_architecture_data(ARCHS[name])
+    routes, entry = _compile_routes(arch)
+
+    @given(batch=email_batches(arch.profile))
+    def check(batch):
+        shapes, shape_of = _email_shapes(batch)
+        for i, sid in enumerate(shape_of):
+            email = (int(batch.blocks[i]), int(batch.attachments[i]), int(batch.virus_masks[i]))
+            assert shapes[sid] == email
+            assert _leaves(routes, entry, P_EMAIL << 1, email, {}) == expanded_leaves(arch, *email)
+
+    check()
 
 
 # -- whole-engine behavior ---------------------------------------------------------
