@@ -8,9 +8,12 @@ warming orchestrations come online when their startup elapses.
 
 Requests are bit-packed ints: email id, then part kind and virus flag in
 the low nibble. The kernel is ``process_tick``, called once per service per
-tick: per started instance it counts the fresh requests the budget
-completes, with the same float subtractions as taking one request at a
-time, and takes them as one slice of the queue. The routes are compiled
+tick, in exact integer resource units: a service's instances each get a
+budget of MCL.numerator per tick and a request costs
+tps * MCL.denominator, so an instance sustains exactly MCL requests per
+second. Per started instance it finishes or carries its current request,
+takes the ``credit // cost`` fresh requests it completes as one slice of
+the queue, and starts the next one with what is left. The routes are compiled
 into templates indexed by the low nibble and, where a block or attachment
 fan-out feeds a destination, by the shape of the email (its blocks,
 attachments and virus mask, all sampled before the run), so the requests a
@@ -41,7 +44,6 @@ from .capacity import (
     ScaleLadder,
     build_capacity_table,
     is_infinite,
-    request_cost,
     system_mcl,
 )
 from .model import PART_KINDS, SystemArchitecture, validate_architecture
@@ -145,30 +147,32 @@ class Balancer:
 
 
 class InstanceRuntime:
-    """One deployed instance: current work item plus per-tick budget."""
+    """One deployed instance and its current work item: ``left`` is the cost
+    still owed on ``cur_req``."""
 
-    __slots__ = ("iid", "service_idx", "ready_at", "draining",
-                 "cur_req", "cur_cost", "budget", "unit_cost")
+    __slots__ = ("iid", "service_idx", "ready_at", "draining", "cur_req", "left")
 
-    def __init__(self, iid: str, service_idx: int, ready_at: int, budget: float, unit_cost: float):
+    def __init__(self, iid: str, service_idx: int, ready_at: int):
         self.iid = iid
         self.service_idx = service_idx
         self.ready_at = ready_at
         self.draining = False
         self.cur_req = -1
-        self.cur_cost = 0.0
-        self.budget = budget
-        self.unit_cost = unit_cost
+        self.left = 0
 
 
-def process_tick(insts: list[InstanceRuntime], ready: list, tick: int) -> list[int]:
-    """Spend this tick's budget of every instance started by ``tick``, in list
-    order, on the shared ``ready`` queue; returns the completed requests in
-    completion order and deletes the requests taken from the queue's front.
+def process_tick(insts: list[InstanceRuntime], ready: list, tick: int, budget: int,
+                 cost: int) -> list[int]:
+    """Spend this tick's ``budget`` of every instance started by ``tick``, in
+    list order, on the shared ``ready`` queue of requests that each cost
+    ``cost``; returns the completed requests in completion order and deletes
+    the requests taken from the queue's front. A cost of 0 takes the whole
+    queue.
 
     Idle budget is not banked: when the queue runs dry the leftover is lost.
-    A request whose cost exceeds one budget carries its remainder over. A
-    draining instance finishes its current request and takes no new one.
+    A request whose cost exceeds what is left of a budget carries the rest
+    over. A draining instance finishes its current request and takes no new
+    one.
     """
     completed: list[int] = []
     head = 0  # requests taken so far
@@ -176,36 +180,35 @@ def process_tick(insts: list[InstanceRuntime], ready: list, tick: int) -> list[i
     for inst in insts:
         if tick < inst.ready_at:
             continue
-        budget = inst.budget
+        credit = budget
         if inst.cur_req >= 0:
-            cost = inst.cur_cost
-            if cost > budget:
-                inst.cur_cost = cost - budget
+            left = inst.left
+            if left > credit:
+                inst.left = left - credit
                 continue
-            budget -= cost
+            credit -= left
             completed.append(inst.cur_req)
             inst.cur_req = -1
-            inst.cur_cost = 0.0
-            if budget <= 0.0:
+            inst.left = 0
+            if not credit:
                 continue
         if inst.draining or head == n:
             continue
-        # Count the fresh requests the budget completes, with the float
-        # subtractions of one request at a time, and take them as a slice.
-        unit = inst.unit_cost
+        # Complete credit // cost fresh requests as one slice, then start the
+        # next one with what is left, if anything is.
         start = head
-        while head < n and unit <= budget:
-            budget -= unit
+        k = credit // cost if cost else n
+        head += k
+        if head >= n:
+            head = n
+            completed += ready[start:]
+            continue
+        completed += ready[start:head]
+        rem = credit - k * cost
+        if rem:
+            inst.cur_req = ready[head]
+            inst.left = cost - rem
             head += 1
-            if budget <= 0.0:
-                completed += ready[start:head]
-                break
-        else:
-            completed += ready[start:head]
-            if head < n:  # the next request costs more than is left: start it
-                inst.cur_req = ready[head]
-                inst.cur_cost = unit - budget
-                head += 1
     if head:
         del ready[:head]
     return completed
@@ -321,13 +324,12 @@ class MetricsTimeline:
 
 
 class _ServiceState:
-    __slots__ = ("idx", "name", "cores", "balancer", "insts", "draining_count",
+    __slots__ = ("idx", "name", "balancer", "insts", "draining_count",
                  "mcl", "base_n", "committed", "active_order")
 
-    def __init__(self, idx: int, name: str, cores: int, capacity: int):
+    def __init__(self, idx: int, name: str, capacity: int):
         self.idx = idx
         self.name = name
-        self.cores = cores
         self.balancer = Balancer(capacity)
         self.insts: list[InstanceRuntime] = []
         self.draining_count = 0
@@ -548,7 +550,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     # Deployment state.
     registry = DeploymentRegistry(arch)
     svc_states = [
-        _ServiceState(i, s.name, s.cores_required, config.queue_capacity)
+        _ServiceState(i, s.name, config.queue_capacity)
         for i, s in enumerate(arch.services)
     ]
     for st, entry, base_n in zip(svc_states, table.entries, ladder.base.counts):
@@ -556,8 +558,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         st.base_n = base_n
 
     timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
-
-    unit_costs: dict[tuple[str, Fraction], float] = {}
 
     # Ready-capacity tracking (for time-to-target and the capacity column).
     ready_counts = [0] * len(svc_states)
@@ -587,14 +587,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         timeline.total_vm_cost += placement.total_cost
         insts = []
         for iid in orch.created_instance_ids():
-            rec = registry.instances[iid]
-            st = svc_states[arch.service_index(rec.service)]
-            spc = registry.vms[rec.vm_id].vm_type.speed_per_core
-            key = (rec.service, spc)
-            if key not in unit_costs:
-                unit_costs[key] = float(request_cost(arch.service(rec.service), spc, tps, st.mcl))
-            inst = InstanceRuntime(iid, st.idx, ready_at, budget=float(spc * st.cores),
-                                   unit_cost=unit_costs[key])
+            st = svc_states[arch.service_index(registry.instances[iid].service)]
+            inst = InstanceRuntime(iid, st.idx, ready_at)
             st.insts.append(inst)
             st.active_order.append(inst)
             st.committed += 1
@@ -738,14 +732,21 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     entry_dispatch = svc_states[entry_idx].balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
     # One emission batch per destination service. Per service: its
-    # instances and ready queue, the (batch, emitter) pair of each
-    # destination, the filter of its completions that are leaves, and the
-    # (batch, dispatch) pair of each destination.
+    # instances and ready queue, its budget and request cost, the (batch,
+    # emitter) pair of each destination, the filter of its completions that
+    # are leaves, and the (batch, dispatch) pair of each destination.
+    # Every instance of a service has the budget/cost ratio MCL/tps,
+    # whatever its VM's speed, so one exact integer pair serves them all.
     batches: list[list[int]] = [[] for _ in svc_states]
     services = []
     for st, (fires, arriving) in zip(svc_states, routes):
         emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
-        services.append((st.insts, st.balancer.ready,
+        if is_infinite(st.mcl):
+            budget, cost = 1, 0
+        else:
+            mcl = Fraction(st.mcl)
+            budget, cost = mcl.numerator, tps * mcl.denominator
+        services.append((st.insts, st.balancer.ready, budget, cost,
                          [(batches[d], emit) for d, emit in emitters], leaf,
                          [(batches[d], svc_states[d].balancer.dispatch) for d, _ in emitters]))
     promotes = [st.balancer.promote for st in svc_states]
@@ -780,10 +781,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         # settles when its last leaf completes. Each batch is then admitted
         # in one call, before the next service pops its queue and so changes
         # its room, and the emails of the dropped tail are lost.
-        for insts, ready, emitters, leaf, outlets in services:
+        for insts, ready, budget, cost, emitters, leaf, outlets in services:
             if not insts:
                 continue
-            done = process_tick(insts, ready, tick)
+            done = process_tick(insts, ready, tick, budget, cost)
             if not done:
                 continue
             for out, emit in emitters:

@@ -87,7 +87,7 @@ def test_criterion_1_cost_model_pinpoint(reference_arch, reference_table):
     timeline = run_simulation(arch, ladder, cfg)
     window = [r.completed for r in timeline.rows if 1 <= r.t_s < 61]
     rate = sum(window) / 60
-    assert abs(rate - 91) <= 1, rate
+    assert sum(window) == 91 * 60, rate
     elapsed = time.perf_counter() - started
     assert elapsed < 5
     report(1, f"per-request cost 900/91 exact, saturated throughput {rate:.2f}/s", elapsed)

@@ -28,43 +28,43 @@ RUNS = {
         dict(duration_s=720, seed=42, exact_arrivals=True,
              workload=WorkloadSpec(Diurnal(base=60, peak=380, period_s=720))),
         {
-            "metrics_global.csv": "cfa6c74864324e77d27136c1f15f76c48b702600d85cbbb74ce222c2e7f7aa37",
+            "metrics_global.csv": "4f394a477f9ee15e19f5311ceb5c817332ac93ef6f1b7b1bc055077059d84a0a",
             "events_global.csv": "3018ab9cb9c62ed70e4d2bc0ba9d06641b23e7835206b610915b0830665170e1",
-            "metrics_local.csv": "59c10f1085838a9154d821c8e054919b24fcd3251b71cff58ae057b17527bf01",
+            "metrics_local.csv": "e24ed1cb5f57c21aa05bf75c8e89c605923eb47c2fbfcd9872cd22e4f9b15129",
             "events_local.csv": "379f51356e815a3f6d54802eed4f0fedd1ebd7f9754df415fc75e421f1188bbc",
-            "report.json": "ea8432d889285cfaf1ba323b7fdf6a85fb3efeaa1d5123d1a001a63f630e53da",
+            "report.json": "06d579ebce653138eef0152d8e2a7de036fa2e5186858e862f52b4b674e963d6",
         },
     ),
     "surge_exact_seed7": (
         dict(duration_s=600, seed=7, exact_arrivals=True, workload=WorkloadSpec(SURGE_STEPS)),
         {
-            "metrics_global.csv": "d9ca37f9a3d53c8c203d4936491a2c13f9abba49e254a2e6762b8c84b33cdbbb",
+            "metrics_global.csv": "950df031c86d3699eeda9947a244c001b2be900798e50a9a2dc71e89cb8dfe76",
             "events_global.csv": "e3876e45110420a24bc8ce0129b51d65b3244498a5dd26b8e31946cf41ebb0d6",
-            "metrics_local.csv": "c211460a4aa4e27b76983a677f11e08c3bb5a8d8f05a49bf45132139f477dc8f",
-            "events_local.csv": "5f0b3ae04bf33636e5d2eca882f133a28ff893f0ab882ba4264861f878fa7941",
-            "report.json": "ee5a38473105f5a45936ee46ce544109ff6499a31c08455b78b1f9fb753f0b99",
+            "metrics_local.csv": "bf382f2528a571d1a4d6e03fcca5cf65c5439b7d6a7d0eba1961f8ff03f1cbc3",
+            "events_local.csv": "e12597f2d01b5fe46e275c463ecc7dd2d5dd09bcda3f0bbafd57df83e06d7b79",
+            "report.json": "c7b4e5b605549a81476ee1f843e83e85a4887044fbb80190fb1ca62154e84d95",
         },
     ),
     "surge_poisson_jitter_seed1": (
         dict(duration_s=600, seed=1, exact_arrivals=False, monitoring_period_s=5,
              workload=WorkloadSpec(SURGE_STEPS, jitter=0.2)),
         {
-            "metrics_global.csv": "01dc82e66d7aca7a28cb251ebca57c8c53c0cc2242bb458e67278a11de5b829c",
+            "metrics_global.csv": "f4fd668ef2d087efffe898abe46ff44866f057242aa081ca8948e7d1198d9fbd",
             "events_global.csv": "00e8b2c2bb7a36a927439fd856b27cf1d447ac418099cbf5fea8d9d2e4b4a7a6",
-            "metrics_local.csv": "7609ff59f51243c0bf96693f91efa18f78ec5ce9f87ad36b454ff8fbbfd70257",
-            "events_local.csv": "ba21a04c49bf7ed27b8bfdd52e3b1850ed40fac7f9ea7ef15a63e7a76fd7dc89",
-            "report.json": "3599ee0b7fd0b0b8ed1b30a4a376fe87b8ed2d2bce41f194e8187a211a84c4f9",
+            "metrics_local.csv": "934f8b276dc10503228c74df64616dd1afdd49cefc016c53004d9fcac1cfb2e6",
+            "events_local.csv": "665f2605a313ce614bd0e5463e8b32a090b1e46062a2263fa17f0b6610a9a363",
+            "report.json": "19bf61e4bd26983ba342ee059b635ea3de2bf35e8e71a9e601ff7bd2a4005197",
         },
     ),
     "surge_exact_queue40_seed7": (
         dict(duration_s=600, seed=7, exact_arrivals=True, queue_capacity=40,
              workload=WorkloadSpec(SURGE_STEPS)),
         {
-            "metrics_global.csv": "cd10ec478b5f9a623740c08cebfdb620a59ff2a1715448f29bba3b59c3a0e335",
+            "metrics_global.csv": "4f8dd08d35a79ce6162af7453d2d6d92450ddf50726d724d5db5ac1d77bffade",
             "events_global.csv": "e3876e45110420a24bc8ce0129b51d65b3244498a5dd26b8e31946cf41ebb0d6",
-            "metrics_local.csv": "ec0af050eb11eecae00dac3bbffa55e10449bd8e2c5e3645753b5c7bb5e7c668",
+            "metrics_local.csv": "2fa2d73e77ca57fea9d471449c07e42bd013bc5d2f8f6d5acb33454be673ac30",
             "events_local.csv": "7d087b0321aecbb10e6c56af01fb17d66e3ce83571a8cdd5c759b7caa1e752bd",
-            "report.json": "9c32847e8b39410549e7851e3c8affd10bd0d1bfeee808ee5a5c1657307a0693",
+            "report.json": "b91e949e99a7b87a756a19f6b27c3785ed587f9c51bb2da128ca70e6f3ff079e",
         },
     ),
 }
@@ -126,11 +126,11 @@ ROUTE_SHAPES_ARCH = {
 }
 
 ROUTE_SHAPES_DIGESTS = {
-    "metrics_global.csv": "cd5c30f0a512ed159e3f9ec17236fc90f2cb2e9b39b99d31b96a1071fa1929b9",
+    "metrics_global.csv": "2c3bc522b30c9039ef84e41eefcb614451acb3e80efbb576552380b2386ea059",
     "events_global.csv": "d50f094f0dff10d5f81b635652f74f5a28e88dd06250401e31f70b9ee13f33e7",
-    "metrics_local.csv": "da0429291e430ca0f701c403efa4b2a9d423e63bdf402f911ce025ad0e507399",
+    "metrics_local.csv": "7cd703d745bbff286b1369db263acae7638c227eedc65d00e0b468a486dd69fb",
     "events_local.csv": "163d8ba955d56cd2e651ff8eb0a66b3f21115c544a0ee77be676ea31ac490b81",
-    "report.json": "2d5970c68b1078e89f57a908d448f58de712db2aec5ebf5b4fff795c969c4b1b",
+    "report.json": "bfb0dc0711622eb092bbfa6a12fb4be6dca97ff5176644a68cca43ebc67c059c",
 }
 
 

@@ -102,175 +102,185 @@ def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
 
 def test_two_instances_split_four_requests():
     ready = [1, 2, 3, 4]
-    a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
-    b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=5.0)
-    assert process_tick([a], ready, 0) == [1, 2]
-    assert process_tick([b], ready, 0) == [3, 4]
+    a = InstanceRuntime("a", 0, 0)
+    b = InstanceRuntime("b", 0, 0)
+    assert process_tick([a], ready, 0, 10, 5) == [1, 2]
+    assert process_tick([b], ready, 0, 10, 5) == [3, 4]
 
 
 def test_shared_queue_completions_come_back_in_list_order():
-    ready = list(range(6))
-    a = InstanceRuntime("a", 0, 0, budget=10.0, unit_cost=5.0)
-    b = InstanceRuntime("b", 0, 0, budget=10.0, unit_cost=4.0)
-    # a takes 0 and 1, b takes 2 and 3 and starts 4 with 2 of its 10 left.
-    assert process_tick([a, b], ready, 0) == [0, 1, 2, 3]
-    assert list(ready) == [5]
-    assert b.cur_req == 4 and b.cur_cost == 2.0
-    assert process_tick([b, a], ready, 1) == [4, 5]
+    ready = list(range(7))
+    a = InstanceRuntime("a", 0, 0)
+    b = InstanceRuntime("b", 0, 0)
+    # a takes 0 and 1 and starts 2 with 2 of its 10 left; b does the same
+    # with 3, 4 and 5.
+    assert process_tick([a, b], ready, 0, 10, 4) == [0, 1, 3, 4]
+    assert list(ready) == [6]
+    assert (a.cur_req, a.left) == (2, 2) and (b.cur_req, b.left) == (5, 2)
+    assert process_tick([b, a], ready, 1, 10, 4) == [5, 6, 2]
 
 
 def test_instance_not_started_is_skipped():
     ready = [1, 2, 3]
-    warm = InstanceRuntime("w", 0, 60, budget=10.0, unit_cost=5.0)
-    live = InstanceRuntime("l", 0, 0, budget=10.0, unit_cost=5.0)
-    assert process_tick([warm, live], ready, 59) == [1, 2]
+    warm = InstanceRuntime("w", 0, 60)
+    live = InstanceRuntime("l", 0, 0)
+    assert process_tick([warm, live], ready, 59, 10, 5) == [1, 2]
     assert warm.cur_req == -1
-    assert process_tick([warm, live], ready, 60) == [3]
+    assert process_tick([warm, live], ready, 60, 10, 5) == [3]
 
 
 # -- per-tick budget accounting ---------------------------------------------------
 
 def test_request_spanning_ticks_completes_on_third():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=25.0)
+    inst = InstanceRuntime("i", 0, 0)
     ready = [7]
-    assert process_tick([inst], ready, 0) == []
-    assert process_tick([inst], ready, 1) == []
-    assert process_tick([inst], ready, 2) == [7]
+    assert process_tick([inst], ready, 0, 10, 25) == []
+    assert process_tick([inst], ready, 1, 10, 25) == []
+    assert process_tick([inst], ready, 2, 10, 25) == [7]
 
 
 def test_budget_not_banked_when_idle():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=15.0)
-    assert process_tick([inst], [], 0) == []
+    inst = InstanceRuntime("i", 0, 0)
+    assert process_tick([inst], [], 0, 10, 15) == []
     ready = [3]
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
-    assert process_tick([inst], ready, 1) == []
-    assert process_tick([inst], ready, 2) == [3]
+    assert process_tick([inst], ready, 1, 10, 15) == []
+    assert process_tick([inst], ready, 2, 10, 15) == [3]
 
 
 def test_image_recognizer_cost_rate():
-    # budget 30/tick, cost 900/91: three requests most ticks, ~91/s sustained
-    cost = float(Fraction(5 * 6 * 30, 91))
-    inst = InstanceRuntime("i", 0, 0, budget=30.0, unit_cost=cost)
+    # MCL 91/s at 30 ticks/s: budget 91 per tick, 30 per request.
+    mcl = Fraction(91)
+    inst = InstanceRuntime("i", 0, 0)
     ready = list(range(10000))
     done = 0
     for tick in range(30 * 60):
-        done += len(process_tick([inst], ready, tick))
-    assert abs(done - 91 * 60) <= 1
+        done += len(process_tick([inst], ready, tick, mcl.numerator, 30 * mcl.denominator))
+    assert done == 91 * 60
+
+
+@given(mcl=st.fractions(min_value=Fraction(1, 50), max_value=500, max_denominator=60),
+       tps=st.integers(1, 60), ticks=st.integers(1, 300))
+def test_saturated_instance_completes_floor_of_budget_over_cost(mcl, tps, ticks):
+    budget, cost = mcl.numerator, tps * mcl.denominator
+    inst = InstanceRuntime("i", 0, 0)
+    ready = list(range(ticks * budget // cost + 2))
+    done = 0
+    for tick in range(ticks):
+        done += len(process_tick([inst], ready, tick, budget, cost))
+        assert done == (tick + 1) * budget // cost
 
 
 def test_zero_cost_drains_entire_queue():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=0.0)
+    inst = InstanceRuntime("i", 0, 0)
     ready = list(range(500))
-    assert len(process_tick([inst], ready, 0)) == 500
+    assert len(process_tick([inst], ready, 0, 1, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
+    inst = InstanceRuntime("i", 0, 0)
     ready = [1, 2]
     inst.cur_req = 0
-    inst.cur_cost = 4.0
+    inst.left = 4
     inst.draining = True
-    assert process_tick([inst], ready, 0) == [0]
+    assert process_tick([inst], ready, 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
-    assert process_tick([inst], ready, 1) == []
+    assert process_tick([inst], ready, 1, 10, 8) == []
 
 
 def test_carried_request_costing_the_whole_budget_pops_nothing():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
+    inst = InstanceRuntime("i", 0, 0)
     inst.cur_req = 0
-    inst.cur_cost = 10.0
+    inst.left = 10
     ready = [1, 2]
-    assert process_tick([inst], ready, 0) == [0]
+    assert process_tick([inst], ready, 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
     assert inst.cur_req == -1
 
 
 def test_draining_instance_carries_remainder_over_budget():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=8.0)
+    inst = InstanceRuntime("i", 0, 0)
     inst.cur_req = 0
-    inst.cur_cost = 25.0
+    inst.left = 25
     inst.draining = True
     ready = [1]
-    assert process_tick([inst], ready, 0) == []
-    assert (inst.cur_req, inst.cur_cost) == (0, 15.0)
-    assert process_tick([inst], ready, 1) == []
-    assert (inst.cur_req, inst.cur_cost) == (0, 5.0)
-    assert process_tick([inst], ready, 2) == [0]
+    assert process_tick([inst], ready, 0, 10, 8) == []
+    assert (inst.cur_req, inst.left) == (0, 15)
+    assert process_tick([inst], ready, 1, 10, 8) == []
+    assert (inst.cur_req, inst.left) == (0, 5)
+    assert process_tick([inst], ready, 2, 10, 8) == [0]
     assert list(ready) == [1]
 
 
 def test_fresh_request_spending_budget_to_zero_starts_no_other():
-    inst = InstanceRuntime("i", 0, 0, budget=10.0, unit_cost=5.0)
+    inst = InstanceRuntime("i", 0, 0)
     ready = [1, 2, 3]
-    assert process_tick([inst], ready, 0) == [1, 2]
+    assert process_tick([inst], ready, 0, 10, 5) == [1, 2]
     assert list(ready) == [3]
-    assert (inst.cur_req, inst.cur_cost) == (-1, 0.0)
+    assert (inst.cur_req, inst.left) == (-1, 0)
 
 
-def reference_tick(insts, ready: deque, tick):
+def reference_tick(insts, ready: deque, tick, budget, cost):
     """The kernel one request at a time: pop, then spend or carry."""
     completed = []
     for inst in insts:
         if tick < inst.ready_at:
             continue
-        budget = inst.budget
+        credit = budget
         if inst.cur_req >= 0:
-            if inst.cur_cost > budget:
-                inst.cur_cost -= budget
+            if inst.left > credit:
+                inst.left -= credit
                 continue
-            budget -= inst.cur_cost
+            credit -= inst.left
             completed.append(inst.cur_req)
-            inst.cur_req, inst.cur_cost = -1, 0.0
-            if budget <= 0.0:
+            inst.cur_req, inst.left = -1, 0
+            if credit == 0:
                 continue
         if inst.draining:
             continue
         while ready:
             req = ready.popleft()
-            if inst.unit_cost > budget:
-                inst.cur_req, inst.cur_cost = req, inst.unit_cost - budget
+            if cost > credit:
+                inst.cur_req, inst.left = req, cost - credit
                 break
-            budget -= inst.unit_cost
+            credit -= cost
             completed.append(req)
-            if budget <= 0.0:
+            if credit == 0:
                 break
     return completed
 
 
-BUDGETS = st.sampled_from([10.0, 30.0, 2.5, 0.1]) | st.floats(0.05, 40.0)
-UNIT_COSTS = (st.sampled_from([0.0, 5.0, 2.5, 1.5, 10 / 3, float(Fraction(900, 91)), 0.1])
-              | st.floats(0.0, 50.0))
+BUDGETS = st.sampled_from([10, 30, 91, 1, 7]) | st.integers(1, 200)
+COSTS = st.sampled_from([0, 5, 30, 25, 4, 91, 3]) | st.integers(0, 300)
 
 
 @st.composite
-def instances(draw):
-    budget = draw(BUDGETS)
-    inst = InstanceRuntime("i", 0, draw(st.integers(0, 2)), budget=budget,
-                           unit_cost=draw(UNIT_COSTS))
+def instances(draw, budget):
+    inst = InstanceRuntime("i", 0, draw(st.integers(0, 2)))
     inst.draining = draw(st.booleans())
     if draw(st.booleans()):
         inst.cur_req = 1000
         # A carried cost above, at or below the budget.
-        inst.cur_cost = draw(st.sampled_from([budget, 2 * budget, budget / 3])
-                             | st.floats(0.01, 3 * budget))
+        inst.left = draw(st.sampled_from([budget, 2 * budget, budget // 3 + 1])
+                         | st.integers(1, 3 * budget))
     return inst
 
 
-@given(insts=st.lists(instances(), max_size=6), n_ready=st.integers(0, 60),
+@given(data=st.data(), budget=BUDGETS, cost=COSTS, n_ready=st.integers(0, 60),
        ticks=st.integers(1, 3))
-def test_kernel_matches_one_request_at_a_time(insts, n_ready, ticks):
+def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks):
+    insts = data.draw(st.lists(instances(budget), max_size=6))
     copies = []
     for inst in insts:
-        copy = InstanceRuntime(inst.iid, inst.service_idx, inst.ready_at, inst.budget,
-                               inst.unit_cost)
-        copy.draining, copy.cur_req, copy.cur_cost = inst.draining, inst.cur_req, inst.cur_cost
+        copy = InstanceRuntime(inst.iid, inst.service_idx, inst.ready_at)
+        copy.draining, copy.cur_req, copy.left = inst.draining, inst.cur_req, inst.left
         copies.append(copy)
     ready, expected_ready = list(range(n_ready)), deque(range(n_ready))
     for tick in range(ticks):
-        assert process_tick(insts, ready, tick) == reference_tick(copies, expected_ready, tick)
+        assert (process_tick(insts, ready, tick, budget, cost)
+                == reference_tick(copies, expected_ready, tick, budget, cost))
         assert ready == list(expected_ready)
-        assert [(i.cur_req, i.cur_cost) for i in insts] == [
-            (c.cur_req, c.cur_cost) for c in copies]
+        assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
 
 
 # -- leaf counts ----------------------------------------------------------------
