@@ -69,6 +69,7 @@ from .scaler import (
     DeltaVector,
     ReconfigurationPlan,
     ScalerParams,
+    ScalingError,
     Trigger,
     delta_vector_is_canonical,
     diff_reconfiguration,

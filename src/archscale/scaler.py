@@ -40,6 +40,10 @@ class ScalerParams:
             raise ValueError("require K >= 0, k >= 0, monitoring_period >= 1")
 
 
+class ScalingError(RuntimeError):
+    """No configuration the ladder can reach covers the demand."""
+
+
 class Trigger(Enum):
     UP = "up"
     DOWN = "down"
@@ -87,8 +91,10 @@ def select_global_configuration(
 
     Starting from the base, repeatedly add the first scale whose addition
     satisfies the demand; if none does, add the largest scale and retry.
-    Termination holds because the largest scale grows every finite-capacity
-    service, so capacity strictly increases each round.
+    This ends when the largest scale grows every finite-capacity service
+    (``ScaleLadder.last_scale_covers_finite_services``), so that capacity
+    strictly increases each round; a round of the largest scale that does
+    not raise it raises ``ScalingError`` instead, as no later round would.
     """
     demand = Fraction(inbound) + params.K
     num = ladder.num_scales
@@ -104,6 +110,10 @@ def select_global_configuration(
             candidate = config + scales[i]
             mcl = system_mcl(candidate, table)
             found = is_infinite(mcl) or Fraction(mcl) - demand >= 0
+        if not found and mcl <= system_mcl(config, table):
+            raise ScalingError(
+                f"the largest scale adds no capacity at system MCL {mcl}, "
+                f"below the demand {demand}: it adds no instance to a bounding service")
         config = candidate
         for j in range(i + 1):
             deltas[j] += 1

@@ -525,6 +525,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         raise SimulationError("scale ladder does not match the architecture")
 
     table = build_capacity_table(arch)
+    if config.policy == Policy.GLOBAL and not ladder.last_scale_covers_finite_services(table):
+        raise SimulationError(
+            "the global policy needs a ladder whose largest scale adds an instance to "
+            "every finite-MCL service")
     tps = config.ticks_per_second
     duration = config.duration
     period = config.params.monitoring_period

@@ -1,5 +1,7 @@
 """Scaling triggers, global configuration selection, reconfiguration diffs."""
 
+import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,15 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archscale import (
+    ExperimentSpec,
     ScalerParams,
+    ScalingError,
+    SimulationError,
+    Steps,
     Trigger,
+    WorkloadSpec,
+    build_capacity_table,
     delta_vector_is_canonical,
     diff_reconfiguration,
     local_target_instances,
     scaling_trigger,
+    run_experiment,
     select_global_configuration,
+    synthesize_scale_ladder,
     system_mcl,
 )
+from archscale.document import parse_architecture_data
+from test_golden import ROUTE_SHAPES_ARCH
 
 PARAMS = ScalerParams(K=Fraction(20), k=Fraction(10), monitoring_period=300)
 
@@ -88,6 +100,43 @@ def test_select_invariant_and_sufficiency(inbound, reference_ladder, reference_t
     assert system_mcl(config, reference_table) == mcl
     again = select_global_configuration(Fraction(inbound), PARAMS, reference_ladder, reference_table)
     assert again[1] == deltas
+
+
+def within(seconds, fn, *args, **kwargs):
+    """Call ``fn``, failing instead of hanging if it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# On the 8-service architecture, base target 40 and increments (40, 80)
+# give Receiver (120 requests/s per instance) no instance in either delta,
+# so no stack of the largest scale carries more than 120 emails/s.
+def test_select_raises_when_largest_scale_adds_no_capacity():
+    table = build_capacity_table(parse_architecture_data(ROUTE_SHAPES_ARCH))
+    ladder = synthesize_scale_ladder(Fraction(40), [Fraction(40), Fraction(80)], table)
+    assert not ladder.last_scale_covers_finite_services(table)
+    assert select_global_configuration(Fraction(90), PARAMS, ladder, table)[1] == (1, 1)
+    with pytest.raises(ScalingError, match="largest scale adds no capacity"):
+        within(10, select_global_configuration, Fraction(160), PARAMS, ladder, table)
+
+
+def test_global_run_refuses_ladder_whose_largest_scale_misses_a_service(tmp_path):
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps(ROUTE_SHAPES_ARCH), encoding="utf-8")
+    spec = ExperimentSpec(
+        architecture=str(arch_path), policies=("global",), output=str(tmp_path / "out"),
+        duration_s=60, seed=3, exact_arrivals=True, base_target_mcl=40,
+        scale_increments=(40, 80), workload=WorkloadSpec(Steps(((0, 50.0), (300, 160.0)))))
+    with pytest.raises(SimulationError, match="largest scale adds an instance"):
+        within(30, run_experiment, spec)
 
 
 def test_canonical_predicate():

@@ -444,7 +444,8 @@ def test_startup_gating():
 
 def test_throughput_ceiling_at_saturation():
     arch = tiny_arch()
-    table, ladder = ladder_for(arch)
+    # The global policy needs a largest scale that grows Gate and Sink.
+    table, ladder = ladder_for(arch, increments=(150,))
     cfg = SimConfig(duration=90 * 30, workload=WorkloadSpec(Steps(((0, 400.0),))),
                     seed=9, policy=Policy.GLOBAL, exact_arrivals=True,
                     params=ScalerParams(monitoring_period=10 ** 9))
