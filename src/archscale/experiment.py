@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -84,6 +84,11 @@ class ExperimentSpec:
         )
 
 
+# Workload kind -> the keys it reads besides "kind" and "jitter".
+_WORKLOAD_KEYS = {"diurnal": {"base", "peak", "period_s", "phase_s"}, "steps": {"points"},
+                  "trace": {"path"}}
+
+
 def _parse_workload(block: dict) -> WorkloadSpec:
     if not isinstance(block, dict):
         raise ExperimentError("workload: expected an object")
@@ -98,6 +103,11 @@ def _parse_workload(block: dict) -> WorkloadSpec:
                 f"experiment workload {key!r}: {exc}, got {block[key]!r}") from None
 
     kind = block.get("kind")
+    if not isinstance(kind, str) or kind not in _WORKLOAD_KEYS:
+        raise ExperimentError(f"unknown workload kind {kind!r}")
+    unknown = set(block) - _WORKLOAD_KEYS[kind] - {"kind", "jitter"}
+    if unknown:
+        raise ExperimentError(f"experiment {kind} workload: unknown keys {sorted(unknown)}")
     jitter = value("jitter", _number, 0.0)
     if kind == "diurnal":
         return WorkloadSpec(Diurnal(
@@ -111,12 +121,10 @@ def _parse_workload(block: dict) -> WorkloadSpec:
         if not points:
             raise ExperimentError("steps workload needs a non-empty 'points' list")
         return WorkloadSpec(Steps(points), jitter=jitter)
-    if kind == "trace":
-        path = value("path", _string, "")
-        if not path:
-            raise ExperimentError("trace workload needs a 'path'")
-        return WorkloadSpec(Trace(path), jitter=jitter)
-    raise ExperimentError(f"unknown workload kind {kind!r}")
+    path = value("path", _string, "")
+    if not path:
+        raise ExperimentError("trace workload needs a 'path'")
+    return WorkloadSpec(Trace(path), jitter=jitter)
 
 
 # Scenario value checks: each returns the value or raises TypeError saying
@@ -203,6 +211,10 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
             except TypeError as exc:
                 raise ExperimentError(
                     f"experiment scenario {key!r}: {exc}, got {scenario[key]!r}") from None
+    workload = fields.get("workload")
+    if workload is not None and isinstance(workload.kind, Trace):
+        fields["workload"] = replace(
+            workload, kind=Trace(str((path.parent / workload.kind.path).resolve())))
     if "policies" in data:
         fields["policies"] = tuple(data["policies"])
     if "output" in data:

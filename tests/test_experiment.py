@@ -8,7 +8,7 @@ import pytest
 from archscale import ExperimentError, ExperimentSpec, load_experiment_spec, run_experiment
 from archscale.cli import reference_architecture_path
 from archscale.experiment import read_metrics_csv, summarize_metrics_rows
-from archscale.workload import Diurnal, Steps, WorkloadSpec
+from archscale.workload import Diurnal, Steps, Trace, WorkloadSpec, rate_curve
 
 
 def short_spec(tmp_path, **overrides) -> ExperimentSpec:
@@ -174,6 +174,31 @@ def test_spec_workload_values_loaded(tmp_path):
     assert spec.workload == WorkloadSpec(Diurnal(20.0, 90.5, 15.0, 0.0))
     with pytest.raises(ExperimentError, match="non-empty 'points'"):
         load_experiment_spec(write_scenario(tmp_path, workload={"kind": "steps", "points": []}))
+
+
+@pytest.mark.parametrize("workload,unknown", [
+    ({"kind": "steps", "points": [[0, 60]], "jiter": 0.5}, "['jiter']"),
+    ({"kind": "diurnal", "points": [[0, 60]], "peek": 90}, "['peek', 'points']"),
+    ({"kind": "trace", "path": "t.csv", "base": 60}, "['base']"),
+])
+def test_spec_unknown_workload_keys_rejected(tmp_path, workload, unknown):
+    spec_file = write_scenario(tmp_path, workload=workload)
+    with pytest.raises(ExperimentError, match=re.escape(f"unknown keys {unknown}")):
+        load_experiment_spec(spec_file)
+
+
+def test_relative_trace_path_resolves_against_spec_file(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "t.csv").write_text("tick,rate\n0,12\n", encoding="utf-8")
+    (sub / "exp.json").write_text(json.dumps({
+        "architecture": str(reference_architecture_path()),
+        "scenario": {"workload": {"kind": "trace", "path": "t.csv"}},
+    }), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    spec = load_experiment_spec("sub/exp.json")
+    assert spec.workload.kind == Trace(str(sub.resolve() / "t.csv"))
+    assert rate_curve(spec.workload, 3, 30).tolist() == [12.0] * 3
 
 
 def test_spec_unknown_keys_rejected(tmp_path):
