@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,10 +74,11 @@ class SimulationError(RuntimeError):
 # Part kind codes (indices into PART_KINDS).
 P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
 
-# Emission modes for compiled routes. A fixed emission is the completed
-# request masked and or-ed with the emitted part, so its mode is the mask:
-# _M_ONE clears the part and the virus flag, _M_PASS the part only. The
-# fan-outs emit a number of requests read from the email's sample.
+# Emission modes for compiled routes. One request emitted along an edge has
+# the completed request's low nibble masked and or-ed with the emitted part,
+# so its mode is the mask: _M_ONE clears the part and the virus flag,
+# _M_PASS the part only. The fan-outs emit as many requests as the email's
+# shape has blocks or attachments.
 _M_ONE = -16
 _M_PASS = -15
 _M_BLOCKS = 2
@@ -353,31 +354,28 @@ def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, in
     return {name: c for name, c in zip(names, counts) if c > 0}
 
 
-def _emitter(templates: tuple[tuple[tuple[int, int], ...], ...], arriving: list[int]):
+def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     """The function from a service's completions to what they emit to one
     destination, in completion order, then spec order: per completion, one
-    ``req & mask | bits`` for each ``(mask, bits)`` of ``templates`` at its
-    nibble. When every nibble in ``arriving`` has the same single template,
-    the lookup is skipped; when that template passes the request on
-    unchanged, the completions are the emissions."""
-    used = {templates[nib] for nib in arriving}
+    ``req & -16 | o`` for each low nibble ``o`` of ``tables[nib][shape]``, at
+    the request's nibble and its email's shape. A lookup that every
+    arriving request answers alike is skipped; when each completion emits
+    itself, the completions are the emissions."""
+    if any(len(set(tables[nib])) > 1 for nib in arriving):
+        used = {tables[nib] for nib in arriving}
+        if len(used) == 1:
+            (table,) = used
+            return lambda done: [r & -16 | o for r in done for o in table[shape_of[r >> 4]]]
+        return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
+    # Every shape emits alike.
+    fixed = tuple(t[0] if t else () for t in tables)
+    if all(fixed[nib] == (nib,) for nib in arriving):
+        return lambda done: done
+    used = {fixed[nib] for nib in arriving}
     if len(used) == 1 and len(next(iter(used))) == 1:
-        ((mask, bits),) = used.pop()
-        if mask == _M_PASS and all(nib & 14 == bits for nib in arriving):
-            return lambda done: done
-        return lambda done: [r & mask | bits for r in done]
-    return lambda done: [r & m | b for r in done for m, b in templates[r & 15]]
-
-
-def _shape_emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
-    """Like ``_emitter`` for a destination that a fan-out feeds: per
-    completion, one ``req & -16 | nib`` for each low nibble of
-    ``tables[nibble][shape]``, the shape being that of the request's email."""
-    used = {tables[nib] for nib in arriving}
-    if len(used) == 1:
-        (table,) = used
-        return lambda done: [r & -16 | o for r in done for o in table[shape_of[r >> 4]]]
-    return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
+        ((o,),) = used
+        return lambda done: [r & -16 | o for r in done]
+    return lambda done: [r & -16 | o for r in done for o in fixed[r & 15]]
 
 
 def _leaf_filter(tables: tuple, arriving: list[int], shape_of: list[int]):
@@ -432,23 +430,19 @@ def _email_shapes(batch: EmailBatch) -> tuple[list[tuple[int, int, int]], list[i
 
 
 def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, int, int]],
-                    shape_of: list[int]) -> tuple[list[tuple], Optional[object]]:
+                    shape_of: list[int]) -> tuple[list[tuple], Optional[Callable]]:
     """``(emitters, leaf)`` of one service: each destination paired with the
     function from the service's completions to what they emit to it (see
-    ``_emitter`` and ``_shape_emitter``), and the function from completions
-    to those that emit nothing, or None when no completion can be one."""
+    ``_emitter``), and the function from completions to those that emit
+    nothing, or None when no completion can be one."""
     nibs = range(len(fires))
     emitters = []
     for d in sorted({dst for f in fires for dst, _, _ in f}):
-        edges = tuple(tuple((mode, bits) for dst, mode, bits in f if dst == d) for f in fires)
-        if all(mode < 0 for e in edges for mode, _ in e):
-            emitters.append((d, _emitter(edges, arriving)))
-        else:
-            tables = tuple(tuple(tuple(o for mode, bits in edges[nib]
-                                       for o in _emitted(mode, bits, nib, shape))
-                                 for shape in shapes) if nib in arriving else ()
-                           for nib in nibs)
-            emitters.append((d, _shape_emitter(tables, arriving, shape_of)))
+        tables = tuple(tuple(tuple(o for dst, mode, bits in fires[nib] if dst == d
+                                   for o in _emitted(mode, bits, nib, shape))
+                             for shape in shapes) if nib in arriving else ()
+                       for nib in nibs)
+        emitters.append((d, _emitter(tables, arriving, shape_of)))
     leafy = tuple(tuple(not any(_emitted(mode, bits, nib, shape) for _, mode, bits in fires[nib])
                         for shape in shapes) if nib in arriving else ()
                   for nib in nibs)
