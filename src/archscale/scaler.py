@@ -104,13 +104,14 @@ def select_global_configuration(
     found = is_infinite(mcl) or Fraction(mcl) - demand >= 0
     scales = [ladder.scale(i) for i in range(1, num + 1)]
     while not found:
+        below = mcl  # the system MCL of ``config``
         i = -1
         while i < num - 1 and not found:
             i += 1
             candidate = config + scales[i]
             mcl = system_mcl(candidate, table)
             found = is_infinite(mcl) or Fraction(mcl) - demand >= 0
-        if not found and mcl <= system_mcl(config, table):
+        if not found and mcl <= below:
             raise ScalingError(
                 f"the largest scale adds no capacity at system MCL {mcl}, "
                 f"below the demand {demand}: it adds no instance to a bounding service")
