@@ -9,19 +9,20 @@ warming orchestrations come online when their startup elapses.
 Requests are bit-packed ints: email id, then part kind and virus flag in
 the low nibble. The kernel is ``process_tick``, called once per service per
 tick, in exact integer resource units: a service's instances each get a
-budget of MCL.numerator per tick and a request costs
-tps * MCL.denominator, so an instance sustains exactly MCL requests per
-second. Per started instance it finishes or carries its current request,
-takes the ``credit // cost`` fresh requests it completes as one slice of
-the queue, and starts the next one with what is left. The routes are compiled
-into templates indexed by the low nibble and, where a block or attachment
-fan-out feeds a destination, by the shape of the email (its blocks,
-attachments and virus mask, all sampled before the run), so the requests a
-service's completions emit to a destination are one comprehension over
-them, in completion order, then spec order. Each destination's batch is
-then admitted with a single ``Balancer.dispatch``: the destination's queue
-does not change during the walk, so the batch keeps exactly the requests
-that one call per completion would have kept.
+budget of MCL.numerator per tick and a request costs tps * MCL.denominator,
+so an instance sustains exactly MCL requests per second. Per started
+instance it finishes or carries its current request, takes the
+``credit // cost`` fresh requests it completes as one slice of the queue,
+and starts the next one with what is left.
+
+The routes are compiled into tables indexed by the low nibble and the
+shape of the email (its blocks, attachments and virus mask, all sampled
+before the run), so the requests a service's completions emit to a
+destination are one comprehension over them, in completion order, then
+spec order. Each destination's batch is then admitted with a single
+``Balancer.dispatch``: the destination's queue does not change during the
+walk, so the batch keeps exactly the requests that one call per completion
+would have kept.
 
 An email's count is set at admission to its leaf count: the completions of
 its requests that emit nothing, known per shape before the run. Only such
@@ -31,6 +32,7 @@ settles when its count reaches zero, on the tick its last request
 completes. The per-email state is two flat lists indexed by email id
 (leaves left, arrival tick) and the set of lost email ids.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
