@@ -380,16 +380,6 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     return lambda done: [r & -16 | o for r in done for o in fixed[r & 15]]
 
 
-def _leaf_filter(tables: tuple, arriving: list[int], shape_of: list[int]):
-    """The function from a service's completions to those that emit
-    nothing: ``tables[nibble][shape]`` is true where that is the case."""
-    used = {tables[nib] for nib in arriving}
-    if len(used) == 1:
-        (table,) = used
-        return lambda done: [r for r in done if table[shape_of[r >> 4]]]
-    return lambda done: [r for r in done if tables[r & 15][shape_of[r >> 4]]]
-
-
 def _emitted(mode: int, bits: int, nib: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
     """The low nibbles that one completion at ``nib`` emits along one edge,
     for an email of ``shape`` = (blocks, attachments, virus mask)."""
@@ -436,7 +426,7 @@ def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, i
     """``(emitters, leaf)`` of one service: each destination paired with the
     function from the service's completions to what they emit to it (see
     ``_emitter``), and the function from completions to those that emit
-    nothing, or None when no completion can be one."""
+    nothing (leaves), or None when no completion can be one."""
     nibs = range(len(fires))
     emitters = []
     for d in sorted({dst for f in fires for dst, _, _ in f}):
@@ -445,15 +435,13 @@ def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, i
                              for shape in shapes) if nib in arriving else ()
                        for nib in nibs)
         emitters.append((d, _emitter(tables, arriving, shape_of)))
-    leafy = tuple(tuple(not any(_emitted(mode, bits, nib, shape) for _, mode, bits in fires[nib])
-                        for shape in shapes) if nib in arriving else ()
-                  for nib in nibs)
-    used = {flag for nib in arriving for flag in leafy[nib]}
-    if True not in used:
+    # A leaf emits itself to the settle loop, and other completions nothing.
+    leaves = tuple(tuple(() if any(_emitted(mode, bits, nib, shape) for _, mode, bits in fires[nib])
+                         else (nib,) for shape in shapes) if nib in arriving else ()
+                   for nib in nibs)
+    if not any(o for table in leaves for o in table):
         return emitters, None
-    if False not in used:
-        return emitters, lambda done: done
-    return emitters, _leaf_filter(leafy, arriving, shape_of)
+    return emitters, _emitter(leaves, arriving, shape_of)
 
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
