@@ -410,15 +410,15 @@ def _email_shapes(batch: EmailBatch) -> tuple[list[tuple[int, int, int]], list[i
     order of first appearance, and each email's index into them."""
     att_bits = int(batch.attachments.max(initial=0)).bit_length()
     mask_bits = int(batch.virus_masks.max(initial=0)).bit_length()
-    codes = ((batch.blocks << att_bits | batch.attachments) << mask_bits
-             | batch.virus_masks).tolist()
-    ids = dict.fromkeys(codes)
-    shapes = []
-    for i, code in enumerate(ids):
-        ids[code] = i
-        shapes.append((code >> mask_bits >> att_bits, code >> mask_bits & (1 << att_bits) - 1,
-                       code & (1 << mask_bits) - 1))
-    return shapes, list(map(ids.__getitem__, codes))
+    codes = (batch.blocks << att_bits | batch.attachments) << mask_bits | batch.virus_masks
+    ids: dict[int, int] = {}  # code -> shape index
+    shape_of: list[int] = []
+    # In chunks, so that the codes never all exist as Python ints at once.
+    for start in range(0, len(codes), 1 << 14):
+        shape_of += [ids.setdefault(c, len(ids)) for c in codes[start:start + (1 << 14)].tolist()]
+    shapes = [(code >> mask_bits >> att_bits, code >> mask_bits & (1 << att_bits) - 1,
+               code & (1 << mask_bits) - 1) for code in ids]
+    return shapes, shape_of
 
 
 def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, int, int]],
