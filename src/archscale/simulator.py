@@ -436,12 +436,13 @@ def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, i
                        for nib in nibs)
         emitters.append((d, _emitter(tables, arriving, shape_of)))
     # A leaf emits itself to the settle loop, and other completions nothing.
-    leaves = tuple(tuple(() if any(_emitted(mode, bits, nib, shape) for _, mode, bits in fires[nib])
-                         else (nib,) for shape in shapes) if nib in arriving else ()
-                   for nib in nibs)
-    if not any(o for table in leaves for o in table):
+    leaf_tables = tuple(tuple(() if any(_emitted(mode, bits, nib, shape)
+                                         for _, mode, bits in fires[nib])
+                              else (nib,) for shape in shapes) if nib in arriving else ()
+                        for nib in nibs)
+    if not any(o for table in leaf_tables for o in table):
         return emitters, None
-    return emitters, _emitter(leaves, arriving, shape_of)
+    return emitters, _emitter(leaf_tables, arriving, shape_of)
 
 
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
