@@ -1,5 +1,6 @@
 """Capacity math: multiplicities, throughput limits, counts, ladder."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,46 @@ def test_system_mcl_single_service():
 def test_system_mcl_all_infinite_is_infinite():
     table = CapacityTable((ServiceCapacity("s", Fraction(1), Fraction(0), INFINITE),))
     assert is_infinite(system_mcl(Configuration((1,)), table))
+
+
+def reference_system_mcl(counts, table):
+    """The bottleneck ``min(count * mcl / mf)`` over the finite services,
+    one Fraction per service."""
+    ratios = [count * Fraction(e.mcl) / e.mf
+              for count, e in zip(counts, table.entries) if e.mcl != INFINITE]
+    return min(ratios, default=INFINITE)
+
+
+@st.composite
+def capacity_tables(draw, max_size=6):
+    """Tables of finite and infinite services with rational MF and MCL."""
+    size = draw(st.integers(1, max_size))
+    return CapacityTable(tuple(
+        ServiceCapacity(
+            f"s{i}",
+            draw(st.fractions(Fraction(1, 4), Fraction(8), max_denominator=12)),
+            Fraction(0),
+            draw(st.one_of(st.just(INFINITE),
+                           st.fractions(Fraction(10), Fraction(300), max_denominator=30))))
+        for i in range(size)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data(), table=capacity_tables())
+def test_system_mcl_matches_reference(data, table):
+    counts = data.draw(st.lists(st.integers(0, 40), min_size=len(table.entries),
+                                max_size=len(table.entries)))
+    got = system_mcl(Configuration(tuple(counts)), table)
+    assert got == reference_system_mcl(counts, table)
+    assert type(got) is (float if is_infinite(got) else Fraction)
+
+
+def test_is_infinite():
+    assert is_infinite(math.inf)
+    assert is_infinite(float("inf"))
+    assert is_infinite(INFINITE)
+    for finite in (Fraction(10 ** 9), Fraction(1, 3), 0, 1, 10 ** 30, 0.0, 0.1, 1e300):
+        assert not is_infinite(finite), finite
 
 
 # -- base configuration -------------------------------------------------------

@@ -5,11 +5,14 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archscale import (
+    INFINITE,
+    Configuration,
     ExperimentSpec,
+    ScaleLadder,
     ScalerParams,
     ScalingError,
     SimulationError,
@@ -26,7 +29,9 @@ from archscale import (
     synthesize_scale_ladder,
     system_mcl,
 )
+from archscale.capacity import ceil_frac
 from archscale.document import parse_architecture_data
+from test_capacity import capacity_tables, reference_system_mcl
 from test_golden import ROUTE_SHAPES_ARCH
 
 PARAMS = ScalerParams(K=Fraction(20), k=Fraction(10), monitoring_period=300)
@@ -55,6 +60,41 @@ def test_trigger_directions_exclusive(inbound, total):
         assert trig is Trigger.DOWN
     else:
         assert trig is Trigger.NONE
+
+
+def reference_trigger(inbound, total, params):
+    """The trigger as a gap: inbound + K - total against the band k."""
+    demand = Fraction(inbound) + params.K
+    if total == INFINITE:
+        return Trigger.NONE
+    gap = demand - Fraction(total)
+    if gap > params.k:
+        return Trigger.UP
+    if -gap > params.k:
+        return Trigger.DOWN
+    return Trigger.NONE
+
+
+# Rates as the monitors and callers pass them: Fractions, ints and floats.
+RATES = st.one_of(st.fractions(0, 2000, max_denominator=30), st.integers(0, 2000),
+                  st.floats(0, 2000, allow_nan=False, allow_infinity=False))
+MARGINS = st.one_of(st.fractions(0, 40, max_denominator=12), st.integers(0, 40))
+
+
+@settings(max_examples=500, derandomize=True)
+@given(inbound=RATES, total=st.one_of(RATES, st.just(INFINITE)), K=MARGINS, k=MARGINS)
+# A float is taken at its exact binary value: 0.1 lies just above 1/10.
+@example(inbound=0.1, total=Fraction(1, 10), K=0, k=0)
+@example(inbound=Fraction(1, 10), total=0.1, K=0, k=0)
+@example(inbound=0.1, total=Fraction(1, 10) + 40, K=40, k=0)
+def test_trigger_matches_reference(inbound, total, K, k):
+    params = ScalerParams(K=K, k=k)
+    assert scaling_trigger(inbound, total, params) is reference_trigger(inbound, total, params)
+
+
+def test_trigger_takes_floats_exactly():
+    assert scaling_trigger(0.1, Fraction(1, 10), ScalerParams(K=0, k=0)) is Trigger.UP
+    assert scaling_trigger(Fraction(1, 10), 0.1, ScalerParams(K=0, k=0)) is Trigger.DOWN
 
 
 def test_params_invariants():
@@ -126,6 +166,109 @@ def test_select_raises_when_largest_scale_adds_no_capacity():
     assert select_global_configuration(Fraction(90), PARAMS, ladder, table)[1] == (1, 1)
     with pytest.raises(ScalingError, match="largest scale adds no capacity"):
         within(10, select_global_configuration, Fraction(160), PARAMS, ladder, table)
+
+
+def reference_select(inbound, params, ladder, table):
+    """The per-candidate walk: every candidate's system MCL as Fractions."""
+    demand = Fraction(inbound) + params.K
+    num = ladder.num_scales
+    scales = []
+    acc = Configuration(tuple(0 for _ in ladder.base.counts))
+    for d in ladder.deltas:
+        acc = acc + d
+        scales.append(acc)
+    deltas = [0] * num
+    config = ladder.base
+    mcl = reference_system_mcl(config.counts, table)
+    found = mcl == INFINITE or mcl >= demand
+    while not found:
+        below = mcl
+        i = -1
+        while i < num - 1 and not found:
+            i += 1
+            candidate = config + scales[i]
+            mcl = reference_system_mcl(candidate.counts, table)
+            found = mcl == INFINITE or mcl >= demand
+        if not found and mcl <= below:
+            raise ScalingError(f"system MCL {mcl}, below the demand {demand}")
+        config = candidate
+        for j in range(i + 1):
+            deltas[j] += 1
+    return config, tuple(deltas), mcl
+
+
+def assert_selects_as_reference(inbound, params, ladder, table):
+    try:
+        expected = reference_select(inbound, params, ladder, table)
+    except ScalingError as exc:
+        with pytest.raises(ScalingError) as raised:
+            within(10, select_global_configuration, inbound, params, ladder, table)
+        assert str(exc) in str(raised.value)
+        return
+    got = within(10, select_global_configuration, inbound, params, ladder, table)
+    assert got == expected
+    assert type(got[0]) is Configuration
+    assert type(got[2]) is type(expected[2])
+
+
+@settings(max_examples=300, derandomize=True)
+@given(inbound=st.one_of(RATES, st.fractions(0, 5000, max_denominator=7)))
+def test_select_matches_reference_on_reference_ladder(inbound, reference_ladder, reference_table):
+    assert_selects_as_reference(inbound, PARAMS, reference_ladder, reference_table)
+
+
+def test_select_matches_reference_at_capacity_boundaries(reference_ladder, reference_table):
+    # Demand exactly at the system MCL of each configuration the walk can
+    # reach: the walk must stop there, not one scale later.
+    num = reference_ladder.num_scales
+    for stacks in range(4):
+        for prefix in range(num):
+            vector = tuple(stacks + (j < prefix) for j in range(num))
+            config = reference_ladder.configuration_for(vector)
+            cap = reference_system_mcl(config.counts, reference_table)
+            inbound = cap - PARAMS.K
+            if inbound >= 0:
+                assert_selects_as_reference(inbound, PARAMS, reference_ladder, reference_table)
+                assert select_global_configuration(
+                    inbound, PARAMS, reference_ladder, reference_table)[0] == config
+
+
+@st.composite
+def random_ladders(draw):
+    """A table and a ladder of arbitrary deltas; the largest scale may add
+    nothing to a service that bounds the system MCL."""
+    table = draw(capacity_tables(max_size=5))
+    size = len(table.entries)
+    counts = st.lists(st.integers(0, 3), min_size=size, max_size=size)
+    deltas = tuple(Configuration(tuple(c)) for c in draw(st.lists(counts, min_size=0, max_size=4)))
+    ladder = ScaleLadder(Configuration(tuple(draw(counts))), Fraction(0), deltas,
+                         tuple(Fraction(i + 1) for i in range(len(deltas))))
+    return table, ladder
+
+
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data(), drawn=random_ladders(), K=MARGINS)
+def test_select_matches_reference_on_random_ladders(data, drawn, K):
+    table, ladder = drawn
+    params = ScalerParams(K=K)
+    inbound = data.draw(st.one_of(RATES.filter(lambda r: r <= 600), st.sampled_from(["boundary"])))
+    if inbound == "boundary":
+        # The system MCL of a configuration the walk can reach, as the demand.
+        stacks = data.draw(st.integers(0, 3))
+        vector = tuple(stacks + (j < data.draw(st.integers(0, ladder.num_scales)))
+                       for j in range(ladder.num_scales))
+        cap = reference_system_mcl(ladder.configuration_for(vector).counts, table)
+        inbound = 0 if cap == INFINITE else max(cap - params.K, 0)
+    assert_selects_as_reference(inbound, params, ladder, table)
+
+
+def test_select_raises_as_reference_when_largest_scale_misses_a_bounding_service():
+    table = build_capacity_table(parse_architecture_data(ROUTE_SHAPES_ARCH))
+    ladder = synthesize_scale_ladder(Fraction(40), [Fraction(40), Fraction(80)], table)
+    for inbound in (Fraction(90), Fraction(160), 160, 159.5, Fraction(2000)):
+        assert_selects_as_reference(inbound, PARAMS, ladder, table)
+    with pytest.raises(ScalingError):
+        reference_select(Fraction(160), PARAMS, ladder, table)
 
 
 def test_global_run_refuses_ladder_whose_largest_scale_misses_a_service(tmp_path):
@@ -209,3 +352,25 @@ def test_local_never_below_base(inbound, base_n):
     target = local_target_instances(Fraction(inbound), PARAMS, Fraction(91), base_n, base_n + 2)
     assert target >= base_n
     assert target >= 1
+
+
+def reference_local_target(inbound, params, mcl, base_n):
+    return max(base_n, ceil_frac((Fraction(inbound) + params.K) / Fraction(mcl)))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(inbound=RATES, K=MARGINS, base_n=st.integers(0, 4),
+       mcl=st.one_of(st.fractions(Fraction(1, 4), 400, max_denominator=30), st.integers(1, 400),
+                     st.floats(0.25, 400, allow_nan=False)))
+@example(inbound=0.1, K=0, base_n=0, mcl=Fraction(1, 10))
+@example(inbound=Fraction(1, 10), K=0, base_n=0, mcl=0.1)
+def test_local_target_matches_reference(inbound, K, base_n, mcl):
+    params = ScalerParams(K=K)
+    assert local_target_instances(inbound, params, mcl, base_n, base_n) == \
+        reference_local_target(inbound, params, mcl, base_n)
+
+
+def test_local_target_takes_floats_exactly():
+    params = ScalerParams(K=0)
+    assert local_target_instances(0.1, params, Fraction(1, 10), 0, 0) == 2
+    assert local_target_instances(Fraction(1, 10), params, 0.1, 0, 0) == 1
