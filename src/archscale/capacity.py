@@ -8,15 +8,22 @@ the system-wide sustainable rate of a configuration, and the synthesis of
 a base configuration plus an incremental delta/scale ladder.
 
 All arithmetic is exact rational arithmetic; ceilings never misfire at
-integer boundaries.
+integer boundaries.  The system MCL, the bottleneck minimum of
+``count * MCL / MF``, is an integer minimum in units of ``1/D``: each
+table carries one common denominator ``D`` (the lcm of the denominators of
+``MCL / MF`` over the services that bound the system) and per service the
+integer weight ``MCL / MF * D``, so a configuration's system MCL is
+``min(count * weight) / D``, still exact.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     INFINITE,
@@ -37,7 +44,13 @@ def ceil_frac(x: Fraction) -> int:
 
 
 def is_infinite(mcl: Rational) -> bool:
-    return mcl == INFINITE
+    # A Fraction compared with a float goes through Fraction.__eq__(float).
+    return isinstance(mcl, float) and mcl == INFINITE
+
+
+def exact(x: Rational) -> Fraction:
+    """``x`` as a Fraction: a Fraction as it is, an int or float exactly."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 _ALLOWED_OPS = {
@@ -149,6 +162,25 @@ class CapacityTable:
 
     entries: tuple[ServiceCapacity, ...]
 
+    @cached_property
+    def _ratios(self) -> tuple[Fraction | None, ...]:
+        # A service with an infinite MCL, or one that receives no requests
+        # (MF 0), bounds nothing.
+        return tuple(None if is_infinite(e.mcl) or e.mf == 0 else exact(e.mcl) / e.mf
+                     for e in self.entries)
+
+    @cached_property
+    def denominator(self) -> int:
+        """D: the lcm of the denominators of MCL/MF over the bounding services."""
+        return math.lcm(*(r.denominator for r in self._ratios if r is not None))
+
+    @cached_property
+    def weights(self) -> tuple[int | None, ...]:
+        """Per service, MCL/MF in units of 1/D, or None if it bounds nothing."""
+        d = self.denominator
+        return tuple(None if r is None else r.numerator * (d // r.denominator)
+                     for r in self._ratios)
+
     def __iter__(self):
         return iter(self.entries)
 
@@ -215,18 +247,18 @@ def instances_for_target(sys_mcl: Rational, mf: Fraction, mcl: Rational) -> int:
     return max(1, ceil_frac(Fraction(sys_mcl) * mf / Fraction(mcl)))
 
 
+def system_units(counts: tuple[int, ...], table: CapacityTable) -> int | None:
+    """The system MCL of ``counts`` in units of ``1/table.denominator``:
+    ``min(count * weight)`` over the bounding services, None if none bounds."""
+    return min([c * w for c, w in zip(counts, table.weights) if w is not None], default=None)
+
+
 def system_mcl(config: Configuration, table: CapacityTable) -> Rational:
     """Max sustainable inbound emails/sec: the bottleneck service's ratio."""
     if len(config.counts) != len(table.entries):
         raise CapacityError("configuration length does not match capacity table")
-    best: Rational | None = None
-    for count, entry in zip(config.counts, table.entries):
-        if is_infinite(entry.mcl):
-            continue
-        ratio = count * Fraction(entry.mcl) / entry.mf
-        if best is None or ratio < best:
-            best = ratio
-    return INFINITE if best is None else best
+    low = system_units(config.counts, table)
+    return INFINITE if low is None else Fraction(low, table.denominator)
 
 
 def base_configuration(target: Rational, table: CapacityTable) -> Configuration:
@@ -253,14 +285,21 @@ class ScaleLadder:
     def num_scales(self) -> int:
         return len(self.deltas)
 
+    @cached_property
+    def scale_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per scale, its instance counts: the prefix sums of the deltas."""
+        acc = [0] * len(self.base.counts)
+        out = []
+        for d in self.deltas:
+            acc = [a + b for a, b in zip(acc, d.counts)]
+            out.append(tuple(acc))
+        return tuple(out)
+
     def scale(self, i: int) -> Configuration:
         """Scale i as an instance-count vector (1-based; prefix of deltas)."""
         if not 1 <= i <= self.num_scales:
             raise IndexError(f"scale index {i} out of range 1..{self.num_scales}")
-        acc = Configuration(tuple(0 for _ in self.base.counts))
-        for d in self.deltas[:i]:
-            acc = acc + d
-        return acc
+        return Configuration(self.scale_counts[i - 1])
 
     def scale_composition(self, i: int) -> tuple[int, ...]:
         """Multiset of delta indices composing scale i, as per-delta counts."""
@@ -276,13 +315,10 @@ class ScaleLadder:
 
     def last_scale_covers_finite_services(self, table: CapacityTable) -> bool:
         """Whether the largest scale adds at least one instance to every
-        finite-MCL service (keeps repeated largest-scale stacking balanced)."""
+        service that bounds the system MCL: finite MCL, and requests to
+        serve (keeps repeated largest-scale stacking balanced)."""
         top = self.scale(self.num_scales)
-        return all(
-            add >= 1
-            for add, entry in zip(top.counts, table.entries)
-            if not is_infinite(entry.mcl)
-        )
+        return all(add >= 1 for add, w in zip(top.counts, table.weights) if w is not None)
 
 
 def synthesize_scale_ladder(

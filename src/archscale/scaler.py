@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .capacity import (
@@ -21,10 +22,11 @@ from .capacity import (
     Configuration,
     ScaleLadder,
     ceil_frac,
+    exact,
     is_infinite,
-    system_mcl,
+    system_units,
 )
-from .model import Rational
+from .model import INFINITE, Rational
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,13 @@ class ScalerParams:
     def __post_init__(self):
         if self.K < 0 or self.k < 0 or self.monitoring_period < 1:
             raise ValueError("require K >= 0, k >= 0, monitoring_period >= 1")
+
+    @cached_property
+    def bands(self) -> tuple[Rational, Rational]:
+        """(k - K, -(k + K)): the trigger scales up when inbound - capacity
+        lies above the first and down when it lies below the second, as
+        inbound + K - capacity lies above k or below -k."""
+        return self.k - self.K, -(self.k + self.K)
 
 
 class ScalingError(RuntimeError):
@@ -53,13 +62,14 @@ class Trigger(Enum):
 def scaling_trigger(inbound: Rational, total_mcl: Rational, params: ScalerParams) -> Trigger:
     if inbound < 0:
         raise ValueError("inbound rate must be >= 0")
-    demand = Fraction(inbound) + params.K
+    inbound = exact(inbound)
     if is_infinite(total_mcl):
         return Trigger.NONE
-    gap = demand - Fraction(total_mcl)
-    if gap > params.k:
+    over = inbound - exact(total_mcl)
+    up, down = params.bands
+    if over > up:
         return Trigger.UP
-    if -gap > params.k:
+    if over < down:
         return Trigger.DOWN
     return Trigger.NONE
 
@@ -91,34 +101,37 @@ def select_global_configuration(
 
     Starting from the base, repeatedly add the first scale whose addition
     satisfies the demand; if none does, add the largest scale and retry.
-    This ends when the largest scale grows every finite-capacity service
-    (``ScaleLadder.last_scale_covers_finite_services``), so that capacity
-    strictly increases each round; a round of the largest scale that does
-    not raise it raises ``ScalingError`` instead, as no later round would.
+    This ends when the largest scale grows every service that bounds the
+    system MCL (``ScaleLadder.last_scale_covers_finite_services``), so that
+    capacity strictly increases each round; a round of the largest scale
+    that does not raise it raises ``ScalingError`` instead, as no later
+    round would. Capacities are compared in the table's integer units.
     """
-    demand = Fraction(inbound) + params.K
+    demand = exact(inbound) + exact(params.K)
+    d = table.denominator
+    need = ceil_frac(demand * d)
     num = ladder.num_scales
+    scales = ladder.scale_counts
     deltas = [0] * num
-    config = ladder.base
-    mcl = system_mcl(config, table)
-    found = is_infinite(mcl) or Fraction(mcl) - demand >= 0
-    scales = [ladder.scale(i) for i in range(1, num + 1)]
+    counts = ladder.base.counts
+    low = system_units(counts, table)
+    found = low is None or low >= need
     while not found:
-        below = mcl  # the system MCL of ``config``
+        below = low  # the system MCL of ``counts``
         i = -1
         while i < num - 1 and not found:
             i += 1
-            candidate = config + scales[i]
-            mcl = system_mcl(candidate, table)
-            found = is_infinite(mcl) or Fraction(mcl) - demand >= 0
-        if not found and mcl <= below:
+            candidate = tuple([c + s for c, s in zip(counts, scales[i])])
+            low = system_units(candidate, table)
+            found = low >= need
+        if not found and low <= below:
             raise ScalingError(
-                f"the largest scale adds no capacity at system MCL {mcl}, "
+                f"the largest scale adds no capacity at system MCL {Fraction(low, d)}, "
                 f"below the demand {demand}: it adds no instance to a bounding service")
-        config = candidate
+        counts = candidate
         for j in range(i + 1):
             deltas[j] += 1
-    return config, tuple(deltas), mcl
+    return Configuration(counts), tuple(deltas), INFINITE if low is None else Fraction(low, d)
 
 
 @dataclass(frozen=True)
@@ -158,9 +171,9 @@ def local_target_instances(
     deployed: int,
 ) -> int:
     """Per-service replica target: demand ceiling, never below the base count."""
-    if is_infinite(mcl) or Fraction(mcl) <= 0:
+    if is_infinite(mcl) or mcl <= 0:
         raise ValueError("local scaling needs a finite positive mcl")
     if deployed < 0 or base_n < 0:
         raise ValueError("instance counts must be >= 0")
-    target = ceil_frac((Fraction(inbound) + params.K) / Fraction(mcl))
+    target = ceil_frac((exact(inbound) + params.K) / exact(mcl))
     return max(base_n, target)

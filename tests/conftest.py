@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from archscale import (
     load_architecture,
     synthesize_scale_ladder,
 )
+from archscale.document import parse_architecture_data
 from archscale.cli import reference_architecture_path
 
 
@@ -18,6 +20,15 @@ def reference_arch():
 @pytest.fixture(scope="session")
 def reference_table(reference_arch):
     return build_capacity_table(reference_arch)
+
+
+@pytest.fixture(scope="session")
+def all_virus_arch():
+    """The reference architecture with every attachment infected: the
+    services behind the clean-attachment edges receive no requests."""
+    doc = json.loads(reference_architecture_path().read_text(encoding="utf-8"))
+    doc["profile"]["p_virus"] = 1
+    return parse_architecture_data(doc)
 
 
 @pytest.fixture(scope="session")

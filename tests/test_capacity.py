@@ -12,6 +12,7 @@ from archscale import (
     CapacityError,
     Configuration,
     base_configuration,
+    build_capacity_table,
     instances_for_target,
     multiplicative_factor,
     request_cost,
@@ -212,21 +213,23 @@ def test_system_mcl_all_infinite_is_infinite():
 
 
 def reference_system_mcl(counts, table):
-    """The bottleneck ``min(count * mcl / mf)`` over the finite services,
-    one Fraction per service."""
+    """The bottleneck ``min(count * mcl / mf)`` over the finite services
+    that receive requests, one Fraction per service."""
     ratios = [count * Fraction(e.mcl) / e.mf
-              for count, e in zip(counts, table.entries) if e.mcl != INFINITE]
+              for count, e in zip(counts, table.entries) if e.mcl != INFINITE and e.mf != 0]
     return min(ratios, default=INFINITE)
 
 
 @st.composite
 def capacity_tables(draw, max_size=6):
-    """Tables of finite and infinite services with rational MF and MCL."""
+    """Tables of finite and infinite services with rational MF and MCL,
+    some of them receiving no requests (MF 0)."""
     size = draw(st.integers(1, max_size))
     return CapacityTable(tuple(
         ServiceCapacity(
             f"s{i}",
-            draw(st.fractions(Fraction(1, 4), Fraction(8), max_denominator=12)),
+            draw(st.one_of(st.just(Fraction(0)),
+                           st.fractions(Fraction(1, 4), Fraction(8), max_denominator=12))),
             Fraction(0),
             draw(st.one_of(st.just(INFINITE),
                            st.fractions(Fraction(10), Fraction(300), max_denominator=30))))
@@ -402,3 +405,16 @@ def test_request_cost_exact(reference_arch):
 def test_request_cost_infinite_is_zero(reference_arch):
     s = reference_arch.service("HeaderAnalyser")
     assert request_cost(s, Fraction(5), 30, INFINITE) == 0
+
+
+def test_service_without_requests_bounds_nothing(all_virus_arch):
+    table = build_capacity_table(all_virus_arch)
+    idle = {e.name for e in table if e.mf == 0}
+    assert idle == {"AttachmentManager", "ImageAnalyser", "NSFWDetector", "ImageRecognizer"}
+    ladder = synthesize_scale_ladder(Fraction(60), [Fraction(x) for x in (60, 150, 240, 330)], table)
+    others = [count * Fraction(e.mcl) / e.mf for count, e in zip(ladder.base.counts, table)
+              if e.name not in idle and not is_infinite(e.mcl)]
+    assert system_mcl(ladder.base, table) == min(others)
+    assert all(ladder.scale(ladder.num_scales).counts[[e.name for e in table].index(n)] == 0
+               for n in idle)
+    assert ladder.last_scale_covers_finite_services(table)

@@ -525,3 +525,18 @@ def test_scale_down_returns_to_base(reference_arch, reference_ladder):
     assert tl.rows[-1].service_counts == tuple(reference_ladder.base.counts)
     undeploys = [e for e in tl.events if e.action == "undeploy"]
     assert undeploys
+
+
+def test_services_without_requests_do_not_block_either_policy(all_virus_arch):
+    # With every attachment infected, four services get MF 0 and no instance
+    # in any delta; both policies still run and account for every email.
+    table = build_capacity_table(all_virus_arch)
+    ladder = synthesize_scale_ladder(Fraction(60), [Fraction(x) for x in (60, 150, 240, 330)], table)
+    for policy in (Policy.GLOBAL, Policy.LOCAL):
+        cfg = SimConfig(duration=60 * 30, workload=WorkloadSpec(Steps(((0, 100.0),))), seed=4,
+                        policy=policy, exact_arrivals=True,
+                        params=ScalerParams(monitoring_period=10 * 30))
+        tl = run_simulation(all_virus_arch, ladder, cfg)
+        assert tl.generated == 6000
+        assert tl.completed > 0
+        assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
