@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 
 from .capacity import (
     CapacityTable,
@@ -42,11 +42,12 @@ class ScalerParams:
             raise ValueError("require K >= 0, k >= 0, monitoring_period >= 1")
 
     @cached_property
-    def bands(self) -> tuple[Rational, Rational]:
+    def bands(self) -> tuple[Fraction, Fraction]:
         """(k - K, -(k + K)): the trigger scales up when inbound - capacity
         lies above the first and down when it lies below the second, as
         inbound + K - capacity lies above k or below -k."""
-        return self.k - self.K, -(self.k + self.K)
+        k, K = exact(self.k), exact(self.K)
+        return k - K, -(k + K)
 
 
 class ScalingError(RuntimeError):
