@@ -1,5 +1,5 @@
 """Golden outputs: the SHA-256 of every metrics and event CSV and of the
-`report.json` of six runs, and the conservation of emails in each.
+`report.json` of seven runs, and the conservation of emails in each.
 
 A refactor of the engine must leave these files byte for byte unchanged.
 The first two runs are the compressed diurnal demo and part 1 of the step
@@ -9,7 +9,9 @@ second with 40-request queues, so that within one tick the fan-outs of
 several completions meet a full queue and are cut part way. The fifth runs
 a small architecture with the route shapes the reference lacks. The sixth
 runs an architecture where an email can end at a fan-out that emits
-nothing, with queues so short that emails are dropped at the entry.
+nothing, with queues so short that emails are dropped at the entry. The
+seventh runs an architecture declared out of pipeline order, whose sink,
+declared first, drops requests sent to it by services declared after it.
 """
 
 import hashlib
@@ -199,3 +201,57 @@ def test_fanout_leaves_digests_unchanged(tmp_path):
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
                for f in FANOUT_LEAVES_DIGESTS}
     assert digests == FANOUT_LEAVES_DIGESTS
+
+
+# Analyser, the sink, is declared first, so every edge into it runs from a
+# service declared later. Parser sends Mixer two parts (header and text) over
+# single edges, and Mixer sends Analyser two (report and text).
+WIRES_ARCH = {
+    "services": [
+        _service("Analyser", 300, {"custom": "4 + n_attachments"}),
+        _service("Receiver", 150), _service("Mixer", 250, {"custom": "2 + n_attachments"}),
+        _service("Parser", 150), _service("Header", 120),
+        _service("Scanner", 150, "per_attachment"),
+    ],
+    "vm_catalog": ROUTE_SHAPES_ARCH["vm_catalog"],
+    "profile": {"n_blocks": 2.5, "n_attachments": 1.5, "attachment_size": 7, "p_virus": 0.25,
+                "block_count_support": [1, 4], "attachment_count_support": [0, 3]},
+    "pipeline": [
+        {"from": "Receiver", "to": "Parser", "part": "email"},
+        {"from": "Parser", "to": "Mixer", "part": "header"},
+        {"from": "Parser", "to": "Mixer", "part": "text"},
+        {"from": "Parser", "to": "Scanner", "part": "attachment"},
+        {"from": "Parser", "to": "Header", "part": "header"},
+        {"from": "Scanner", "to": "Mixer", "part": "attachment", "when": "clean"},
+        {"from": "Scanner", "to": "Analyser", "part": "report", "when": "infected"},
+        {"from": "Mixer", "to": "Analyser", "part": "report"},
+        {"from": "Mixer", "to": "Analyser", "part": "text"},
+        {"from": "Header", "to": "Analyser", "part": "header"},
+    ],
+}
+
+WIRES_DIGESTS = {
+    "metrics_global.csv": "e59c28567446ef246dbef0be44bfeb869467d96fb6d7329a94e2cf2e3d8b321f",
+    "events_global.csv": "d50f094f0dff10d5f81b635652f74f5a28e88dd06250401e31f70b9ee13f33e7",
+    "metrics_local.csv": "0eae9d1f5616c964f2921bf4bc8dbf5d390c56f463c97b2d7dac3ee292cf49a8",
+    "events_local.csv": "8124070d974a8f5888b8395609dc77abcbe5fa140ae73ee99268bdccceb1facd",
+    "report.json": "80596f6a55bcf1381a489ad0f31967c27bfa57923cc8c691ccd3c1135550038d",
+}
+
+
+def test_wires_digests_unchanged(tmp_path):
+    # Poisson arrivals, 50 -> 200 -> 80 emails/s, 40-request queues: Analyser
+    # drops more requests than any other service, every one of them sent on
+    # an edge from a service declared after it.
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps(WIRES_ARCH), encoding="utf-8")
+    spec = ExperimentSpec(
+        architecture=str(arch_path), policies=("global", "local"), output=str(tmp_path / "out"),
+        duration_s=90, seed=11, queue_capacity=40, exact_arrivals=False,
+        workload=WorkloadSpec(Steps(((0, 50.0), (20 * 30, 200.0), (60 * 30, 80.0)))))
+    result = run_experiment(spec)
+    assert all(tl.lost and tl.completed for tl in result.timelines.values())
+    assert_conserved(result)
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+               for f in WIRES_DIGESTS}
+    assert digests == WIRES_DIGESTS
