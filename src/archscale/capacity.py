@@ -306,12 +306,12 @@ class ScaleLadder:
         return tuple(1 if j < i else 0 for j in range(self.num_scales))
 
     def configuration_for(self, delta_vector: tuple[int, ...]) -> Configuration:
-        """Base plus ``delta_vector[i]`` copies of each delta."""
-        acc = self.base
-        for count, d in zip(delta_vector, self.deltas):
-            for _ in range(count):
-                acc = acc + d
-        return acc
+        """Base plus ``delta_vector[i]`` (>= 0) copies of each delta."""
+        counts = self.base.counts
+        for n, d in zip(delta_vector, self.deltas):
+            if n:
+                counts = [c + n * x for c, x in zip(counts, d.counts)]
+        return Configuration(tuple(counts))
 
     def last_scale_covers_finite_services(self, table: CapacityTable) -> bool:
         """Whether the largest scale adds at least one instance to every

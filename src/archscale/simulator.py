@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from typing import Callable, Optional
 
 import numpy as np
@@ -362,7 +363,8 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     ``req & -16 | o`` for each low nibble ``o`` of ``tables[nib][shape]``, at
     the request's nibble and its email's shape. A lookup that every
     arriving request answers alike is skipped; when each completion emits
-    itself, the completions are the emissions."""
+    itself, the completions are the emissions, and when each emits itself or
+    nothing, a filter of them."""
     if any(len(set(tables[nib])) > 1 for nib in arriving):
         used = {tables[nib] for nib in arriving}
         if len(used) == 1:
@@ -373,6 +375,8 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     fixed = tuple(t[0] if t else () for t in tables)
     if all(fixed[nib] == (nib,) for nib in arriving):
         return lambda done: done
+    if all(fixed[nib] in ((nib,), ()) for nib in arriving):
+        return lambda done: [r for r in done if fixed[r & 15]]
     used = {fixed[nib] for nib in arriving}
     if len(used) == 1 and len(next(iter(used))) == 1:
         ((o,),) = used
@@ -445,14 +449,34 @@ def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, i
     return emitters, _emitter(leaf_tables, arriving, shape_of)
 
 
-def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
-    """Per service, its routes indexed by a request's low nibble
-    ``(part << 1) | flag``: ``(fires, arriving)``, and the entry service's
-    index.
+def _claim(wires: dict[int, int], w: int, meaning: tuple[int, ...]) -> int:
+    """The wire on which an edge delivers ``meaning`` from a request on wire
+    ``w`` to a service whose wires so far map to ``wires`` (wire -> original
+    nibble), which it extends: ``w`` if the service gives that wire no other
+    meaning, else the original nibble if it is free, else the lowest free
+    wire. An attachment fan-out's meaning is its clean and infected nibbles,
+    on an even wire and the next one."""
+    step = len(meaning)
+    for b in (w, meaning[0], *range(0, 16, step)):
+        if not b % step and all(wires.get(b + i, m) == m for i, m in enumerate(meaning)):
+            for i, m in enumerate(meaning):
+                wires[b + i] = m
+            return b
+    raise SimulationError("a service needs more than 16 wire nibbles")
 
-    ``fires`` holds, per nibble and in spec order, the ``(dst, mode, bits)``
-    of each edge that fires for a request with that nibble; ``arriving``
-    lists the nibbles of the requests that can reach the service.
+
+def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
+    """Per service, its routes indexed by a request's wire nibble: ``(fires,
+    arriving)``, and the entry service's index.
+
+    A wire stands, at the service it reaches, for one original nibble
+    ``(part << 1) | flag``; the entry reads wire 0 as an email. The wires are
+    claimed in topological order (see ``_claim``), so a request keeps its
+    wire along an edge whenever it can. ``fires`` holds, per wire and in
+    spec order, the ``(dst, mode, bits)`` of each edge that fires for a
+    request on it, ``bits`` being the wire it emits on (the even one of a
+    pair for an attachment fan-out); ``arriving`` lists the wires that can
+    reach the service.
     """
     index = {s.name: i for i, s in enumerate(arch.services)}
     entry = arch.entry_service()
@@ -491,12 +515,25 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
                 f"pipeline edge {e.src} -> {e.dst} ({e.part}) matches no part "
                 f"arriving at {e.src}")
 
-    routes = []
-    for svc, by_part in zip(arch.services, specs):
-        fires = tuple(tuple((dst, mode, bits) for skip, dst, bits, mode in by_part[nib >> 1]
-                            if skip != nib & 1) for nib in range(2 * len(PART_KINDS)))
-        routes.append((fires, [p << 1 | flag for p in sorted(inbound[svc.name])
-                               for flag in (0, 1)]))
+    wires: list[dict[int, int]] = [{} for _ in arch.services]  # wire -> original nibble
+    if entry is not None:
+        wires[index[entry]][0] = P_EMAIL << 1
+    preds: dict[int, set[int]] = {i: set() for i in range(len(arch.services))}
+    for e in arch.pipeline:
+        preds[index[e.dst]].add(index[e.src])
+    routes: list[tuple] = [()] * len(arch.services)
+    for svc in TopologicalSorter(preds).static_order():
+        fires = [()] * 16
+        for w, nib in sorted(wires[svc].items()):
+            out = []
+            for skip, dst, bits, mode in specs[svc][nib >> 1]:
+                if skip == nib & 1:
+                    continue
+                meaning = ((nib & mode | bits,) if mode < 0 else
+                           (bits, bits | 1) if mode == _M_ATT_FANOUT else (bits,))
+                out.append((dst, _M_ONE if mode < 0 else mode, _claim(wires[dst], w, meaning)))
+            fires[w] = tuple(out)
+        routes[svc] = (tuple(fires), sorted(wires[svc]))
     return routes, (index[entry] if entry is not None else -1)
 
 
@@ -513,7 +550,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     if config.policy == Policy.GLOBAL and not ladder.last_scale_covers_finite_services(table):
         raise SimulationError(
             "the global policy needs a ladder whose largest scale adds an instance to "
-            "every finite-MCL service")
+            "every service with a finite MCL and an MF above 0")
     tps = config.ticks_per_second
     duration = config.duration
     period = config.params.monitoring_period
@@ -678,7 +715,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         for st in finite_services:
             inbound = Fraction(st.balancer.offered) / window_s
             st.balancer.offered = 0
-            total = Fraction(st.mcl) * st.committed
+            total = st.mcl * st.committed
             trig = scaling_trigger(inbound, total, config.params)
             if trig is Trigger.NONE:
                 continue
@@ -720,13 +757,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     entry_dispatch = svc_states[entry_idx].balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
-    # One emission batch per destination service. Per service: its
-    # instances and ready queue, its budget and request cost, the (batch,
-    # emitter) pair of each destination, the filter of its completions that
-    # are leaves, and the (batch, dispatch) pair of each destination.
-    # Every instance of a service has the budget/cost ratio MCL/tps,
-    # whatever its VM's speed, so one exact integer pair serves them all.
-    batches: list[list[int]] = [[] for _ in svc_states]
+    # Per service: its instances and ready queue, its budget and request
+    # cost, the (emitter, dispatch) pair of each destination, and the filter
+    # of its completions that are leaves. Every instance of a service has the
+    # budget/cost ratio MCL/tps, whatever its VM's speed, so one exact
+    # integer pair serves them all.
     services = []
     for st, (fires, arriving) in zip(svc_states, routes):
         emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
@@ -736,8 +771,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             mcl = Fraction(st.mcl)
             budget, cost = mcl.numerator, tps * mcl.denominator
         services.append((st.insts, st.balancer.ready, budget, cost,
-                         [(batches[d], emit) for d, emit in emitters], leaf,
-                         [(batches[d], svc_states[d].balancer.dispatch) for d, _ in emitters]))
+                         [(emit, svc_states[d].balancer.dispatch) for d, emit in emitters], leaf))
     promotes = [st.balancer.promote for st in svc_states]
 
     for tick in range(duration):
@@ -765,28 +799,20 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             iv_generated += n_arr
             window_generated += n_arr
 
-        # 2. Processing, in declaration order. The emissions of a service's
-        # completions go to their destinations' batches, and an email
-        # settles when its last leaf completes. Each batch is then admitted
-        # in one call, before the next service pops its queue and so changes
-        # its room, and the emails of the dropped tail are lost.
-        for insts, ready, budget, cost, emitters, leaf, outlets in services:
+        # 2. Processing, in declaration order. What a service's completions
+        # emit to a destination is admitted in one call, before the next
+        # service pops its queue and so changes its room, and the emails of
+        # the dropped tail are lost. An email settles when its last leaf
+        # completes; a lost email never does, as its dropped request's
+        # leaves never complete.
+        for insts, ready, budget, cost, emitters, leaf in services:
             if not insts:
                 continue
             done = process_tick(insts, ready, tick, budget, cost)
             if not done:
                 continue
-            for out, emit in emitters:
-                out += emit(done)
-            if leaf is not None:
-                for r in leaf(done):
-                    eid = r >> 4
-                    left = outstanding[eid] - 1
-                    outstanding[eid] = left
-                    if not left and eid not in lost:
-                        iv_latency_ticks += tick - born[eid]
-                        iv_completed += 1
-            for out, dispatch in outlets:
+            for emit, dispatch in emitters:
+                out = emit(done)
                 if out:
                     accepted = dispatch(out)
                     if accepted < len(out):
@@ -796,7 +822,14 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                         gone = {r >> 4 for r in out[accepted:]} - lost
                         iv_lost += len(gone)
                         lost |= gone
-                    out.clear()
+            if leaf is not None:
+                for r in leaf(done):
+                    eid = r >> 4
+                    left = outstanding[eid] - 1
+                    outstanding[eid] = left
+                    if not left:
+                        iv_latency_ticks += tick - born[eid]
+                        iv_completed += 1
 
         # 3. Monitors.
         if (tick + 1) % period == 0:

@@ -394,6 +394,24 @@ def test_ladder_soundness_random(base, steps, reference_table):
         assert all(c >= 0 for c in delta.counts)
 
 
+@settings(max_examples=100, derandomize=True)
+@given(
+    base=st.integers(10, 200),
+    steps=st.lists(st.integers(10, 120), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_configuration_for_equals_repeated_addition(base, steps, data, reference_table):
+    increments = [Fraction(sum(steps[:i + 1])) for i in range(len(steps))]
+    ladder = synthesize_scale_ladder(Fraction(base), increments, reference_table)
+    vector = tuple(data.draw(st.lists(st.integers(0, 6), min_size=ladder.num_scales,
+                                      max_size=ladder.num_scales)))
+    expected = ladder.base
+    for count, delta in zip(vector, ladder.deltas):
+        for _ in range(count):
+            expected = expected + delta
+    assert ladder.configuration_for(vector) == expected
+
+
 # -- per-request cost ----------------------------------------------------------
 
 def test_request_cost_exact(reference_arch):

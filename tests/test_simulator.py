@@ -28,11 +28,13 @@ from archscale.simulator import (
     Policy,
     _compile_routes,
     _email_shapes,
+    _emitted,
     _leaves,
+    _service_routes,
     process_tick,
 )
 from archscale.workload import Diurnal, EmailBatch
-from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH
+from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, WIRES_ARCH
 
 
 # -- balancer ------------------------------------------------------------------
@@ -285,25 +287,32 @@ def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks
 
 # -- leaf counts ----------------------------------------------------------------
 
+def part_emissions(arch, svc, part, flag, blocks, attachments, mask):
+    """The (service, part, virus flag) of each request that one request of
+    ``part`` and ``flag`` emits on completing at ``svc``, edge by edge in
+    spec order, for an email of the given shape."""
+    emitted = []
+    for e in arch.pipeline:
+        if e.src != svc or (e.when == "clean" and flag) or (e.when == "infected" and not flag):
+            continue
+        if e.part == "report" or (part == "email" and e.part in ("header", "links", "text")):
+            emitted.append((e.dst, e.part, 0))
+        elif e.part == part:
+            emitted.append((e.dst, part, flag))
+        elif part == "email" and e.part == "attachment":
+            emitted += [(e.dst, "attachment", mask >> j & 1) for j in range(attachments)]
+        elif part == "text" and e.part == "block":
+            emitted += [(e.dst, "block", 0)] * blocks
+    return emitted
+
+
 def expanded_leaves(arch, blocks, attachments, mask):
     """Completions that emit nothing when one email's requests are expanded
     one at a time along the pipeline's edges."""
     leaves = 0
     queue = [(arch.entry_service(), "email", 0)]
     while queue:
-        svc, part, flag = queue.pop()
-        emitted = []
-        for e in arch.pipeline:
-            if e.src != svc or (e.when == "clean" and flag) or (e.when == "infected" and not flag):
-                continue
-            if e.part == "report" or (part == "email" and e.part in ("header", "links", "text")):
-                emitted.append((e.dst, e.part, 0))
-            elif e.part == part:
-                emitted.append((e.dst, part, flag))
-            elif part == "email" and e.part == "attachment":
-                emitted += [(e.dst, "attachment", mask >> j & 1) for j in range(attachments)]
-            elif part == "text" and e.part == "block":
-                emitted += [(e.dst, "block", 0)] * blocks
+        emitted = part_emissions(arch, *queue.pop(), blocks, attachments, mask)
         leaves += not emitted
         queue += emitted
     return leaves
@@ -336,6 +345,65 @@ def test_leaf_count_matches_per_request_expansion(name, reference_arch):
             assert _leaves(routes, entry, P_EMAIL << 1, email, {}) == expanded_leaves(arch, *email)
 
     check()
+
+
+WIRE_ARCHS = {**ARCHS, "wires": WIRES_ARCH}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_ARCHS))
+def test_wire_routes_keep_part_semantics(name, reference_arch):
+    # Walk one email's requests along the compiled wire routes and along the
+    # pipeline's part semantics side by side: at every completion both emit
+    # to the same services in the same order, and each (service, wire) only
+    # ever carries one (part, flag).
+    arch = reference_arch if WIRE_ARCHS[name] is None else parse_architecture_data(WIRE_ARCHS[name])
+    routes, entry = _compile_routes(arch)
+    names = [s.name for s in arch.services]
+    meanings = {}  # (service, wire) -> {(part, flag)}
+
+    def walk(shape):
+        queue = [(entry, P_EMAIL << 1, "email", 0)]
+        while queue:
+            svc, wire, part, flag = queue.pop()
+            meanings.setdefault((svc, wire), set()).add((part, flag))
+            wired = [(dst, o) for dst, mode, bits in routes[svc][0][wire]
+                     for o in _emitted(mode, bits, wire, shape)]
+            parts = part_emissions(arch, names[svc], part, flag, *shape)
+            assert [names[dst] for dst, _ in wired] == [dst for dst, _, _ in parts]
+            queue += [(dst, o, p, f) for (dst, o), (_, p, f) in zip(wired, parts)]
+
+    # An email with the most blocks and attachments, one infected and the
+    # rest clean, reaches every wire that can reach a service.
+    (_, blocks), (_, attachments) = (arch.profile.block_count_support,
+                                     arch.profile.attachment_count_support)
+    walk((blocks, attachments, 1))
+    assert all(sorted(w for s, w in meanings if s == svc) == arriving
+               for svc, (_, arriving) in enumerate(routes))
+
+    @given(batch=email_batches(arch.profile))
+    def check(batch):
+        for row in zip(batch.blocks.tolist(), batch.attachments.tolist(),
+                       batch.virus_masks.tolist()):
+            walk(row)
+
+    check()
+    assert all(len(parts) == 1 for parts in meanings.values())
+
+
+def test_single_part_edges_forward_completions_unchanged(reference_arch):
+    routes, _ = _compile_routes(reference_arch)
+    index = {s.name: i for i, s in enumerate(reference_arch.services)}
+    shapes, shape_of = _email_shapes(EmailBatch(*(np.array(c, dtype=np.int64)
+                                                  for c in ((1, 3), (2, 0), (1, 0)))))
+    done = [0 << 4, 1 << 4]  # each service's one arriving wire is 0
+    forwards = {"MessageParser": {"HeaderAnalyser", "LinkAnalyser", "TextAnalyser"},
+                "HeaderAnalyser": {"MessageAnalyser"}, "LinkAnalyser": {"MessageAnalyser"},
+                "TextAnalyser": {"MessageAnalyser"}}
+    for src, dsts in forwards.items():
+        fires, arriving = routes[index[src]]
+        assert arriving == [0]
+        emitters = dict(_service_routes(fires, arriving, shapes, shape_of)[0])
+        assert all(emitters[index[dst]](done) is done for dst in dsts)
 
 
 # -- whole-engine behavior ---------------------------------------------------------
@@ -462,6 +530,22 @@ def test_ladder_mismatch_rejected(reference_arch):
     cfg = SimConfig(duration=30, workload=WorkloadSpec(Steps(((0, 1.0),))), seed=1)
     with pytest.raises(SimulationError, match="ladder"):
         run_simulation(reference_arch, ladder, cfg)
+
+
+def test_global_refusal_names_the_covering_rule():
+    # Base target 40 and increments (40, 80) give Receiver no instance in
+    # either delta, while Receiver has a finite MCL and MF 1.
+    arch = parse_architecture_data(ROUTE_SHAPES_ARCH)
+    _, ladder = ladder_for(arch, base=40, increments=(40, 80))
+    cfg = SimConfig(duration=30, workload=WorkloadSpec(Steps(((0, 1.0),))), seed=1,
+                    exact_arrivals=True)
+    with pytest.raises(SimulationError) as err:
+        run_simulation(arch, ladder, cfg)
+    assert str(err.value) == (
+        "the global policy needs a ladder whose largest scale adds an instance to "
+        "every service with a finite MCL and an MF above 0")
+    local = run_simulation(arch, ladder, dataclasses.replace(cfg, policy=Policy.LOCAL))
+    assert local.generated == 1
 
 
 def test_invalid_architecture_rejected(reference_ladder):
