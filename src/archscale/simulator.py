@@ -6,23 +6,26 @@ on queued requests (completions forward downstream in the same tick but
 become processable the next one), monitors fire on their period, and
 warming orchestrations come online when their startup elapses.
 
-Requests are bit-packed ints: email id, then part kind and virus flag in
-the low nibble. The kernel is ``process_tick``, called once per service per
-tick, in exact integer resource units: a service's instances each get a
-budget of MCL.numerator per tick and a request costs tps * MCL.denominator,
-so an instance sustains exactly MCL requests per second. Per started
-instance it finishes or carries its current request, takes the
-``credit // cost`` fresh requests it completes as one slice of the queue,
-and starts the next one with what is left.
+Requests are bit-packed ints: email id, then a wire nibble, which stands,
+at the service the request reaches, for one part kind and virus flag. The
+kernel is ``process_tick``, called once per service per tick, in exact
+integer resource units: a service's instances each get a budget of
+MCL.numerator per tick and a request costs tps * MCL.denominator, so an
+instance sustains exactly MCL requests per second. Per started instance it
+finishes or carries its current request, takes the ``credit // cost``
+fresh requests it completes as one slice of the queue, and starts the next
+one with what is left.
 
-The routes are compiled into tables indexed by the low nibble and the
-shape of the email (its blocks, attachments and virus mask, all sampled
-before the run), so the requests a service's completions emit to a
-destination are one comprehension over them, in completion order, then
-spec order. Each destination's batch is then admitted with a single
-``Balancer.dispatch``: the destination's queue does not change during the
-walk, so the batch keeps exactly the requests that one call per completion
-would have kept.
+The routes are compiled in pipeline order, and an edge keeps a request's
+wire whenever its destination gives that wire no other meaning, so most
+single-part edges forward a service's completions as they are. The routes
+are tables indexed by the wire and the shape of the email (its blocks,
+attachments and virus mask, all sampled before the run), so the requests a
+service's completions emit to a destination are the completions, a filter
+of them or one comprehension over them, in completion order, then spec
+order. A service has one emitter per destination, and its output is
+admitted as soon as it is made, with a single ``Balancer.dispatch``: it
+keeps exactly the requests that one call per completion would have kept.
 
 An email's count is set at admission to its leaf count: the completions of
 its requests that emit nothing, known per shape before the run. Only such
@@ -80,8 +83,9 @@ P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
 # Emission modes for compiled routes. One request emitted along an edge has
 # the completed request's low nibble masked and or-ed with the emitted part,
 # so its mode is the mask: _M_ONE clears the part and the virus flag,
-# _M_PASS the part only. The fan-outs emit as many requests as the email's
-# shape has blocks or attachments.
+# _M_PASS the part only. The compiled routes emit one request with _M_ONE
+# and the wire it goes on. The fan-outs emit as many requests as the
+# email's shape has blocks or attachments.
 _M_ONE = -16
 _M_PASS = -15
 _M_BLOCKS = 2
