@@ -1,5 +1,6 @@
 """Placement optimality, orchestration structure, registry semantics."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -96,6 +97,51 @@ def exhaustive_optimum(items, catalog):
         if packable(bins):
             best = cost
     return best
+
+
+# Costs with unlike denominators, and a float as an in-memory document gives it.
+ODD_COSTS = ("1/3", "7/2", 0.1, "2/7", "5/3", 3)
+
+
+def odd_cost_placements(rng, count):
+    """Criterion-4-style instances whose catalogs mix odd-denominator costs
+    with two-decimal ones: up to 4 VM types, 6 services and 10 instances."""
+    out = []
+    while len(out) < count:
+        catalog = [vm_block(f"vm{t}", cores=rng.randint(2, 12),
+                            cost=rng.choice(ODD_COSTS + (round(rng.uniform(0.5, 8.0), 2),)),
+                            memory=rng.choice([2000, 6000, 16000]))
+                   for t in range(rng.randint(1, 4))]
+        services = [service_block(f"S{i}", cores=rng.randint(1, 6),
+                                  memory=rng.choice([100, 500, 1500]))
+                    for i in range(rng.randint(1, 6))]
+        arch = make_arch(services, catalog)
+        delta = {}
+        total = 0
+        for s in arch.services:
+            c = rng.randint(0, min(3, 10 - total))
+            total += c
+            if c:
+                delta[s.name] = c
+        if delta and all(any(vm.cores >= arch.service(n).cores_required and
+                             vm.memory >= arch.service(n).memory_required
+                             for vm in arch.vm_catalog) for n in delta):
+            out.append((arch, delta))
+    return out
+
+
+# SHA-256 of the 200 placements above, seed 4, recorded before placement
+# searched in integer cost units: a change to how it computes costs must
+# place every instance exactly as before.
+ODD_COST_PLACEMENTS_DIGEST = "4c9b83816fa892e78fd442aedd8932573c70eb432a8ea75947617f8134ec3a2f"
+
+
+def test_odd_cost_placements_digest_unchanged():
+    lines = []
+    for arch, delta in odd_cost_placements(random.Random(4), 200):
+        p = plan_placement(delta, arch, arch.vm_catalog)
+        lines.append(repr(([(t.name, i) for t, i in p.acquired_vms], p.assignments, p.total_cost)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ODD_COST_PLACEMENTS_DIGEST
 
 
 def test_two_instances_prefer_one_xlarge():

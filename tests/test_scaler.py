@@ -1,6 +1,8 @@
 """Scaling triggers, global configuration selection, reconfiguration diffs."""
 
+import hashlib
 import json
+import random
 import signal
 from fractions import Fraction
 
@@ -87,8 +89,30 @@ MARGINS = st.one_of(st.fractions(0, 40, max_denominator=12), st.integers(0, 40))
 @example(inbound=0.1, total=Fraction(1, 10), K=0, k=0)
 @example(inbound=Fraction(1, 10), total=0.1, K=0, k=0)
 @example(inbound=0.1, total=Fraction(1, 10) + 40, K=40, k=0)
+# inbound - total exactly k - K, and exactly -(k + K): neither fires.
+@example(inbound=Fraction(589, 6), total=100, K=Fraction(7, 3), k=Fraction(1, 2))
+@example(inbound=Fraction(583, 6), total=100, K=Fraction(7, 3), k=Fraction(1, 2))
+@example(inbound=Fraction(589, 6) + Fraction(1, 2 ** 70), total=100, K=Fraction(7, 3),
+         k=Fraction(1, 2))
+@example(inbound=Fraction(583, 6) - Fraction(1, 2 ** 70), total=100, K=Fraction(7, 3),
+         k=Fraction(1, 2))
+@example(inbound=90, total=Fraction(100), K=20, k=10)
+@example(inbound=70.0, total=100, K=20, k=10)
+# Numerators above 2**64.
+@example(inbound=Fraction(2 ** 70 + 1, 3), total=Fraction(2 ** 70, 3), K=Fraction(1, 3), k=0)
+@example(inbound=Fraction(2 ** 66, 7), total=Fraction(2 ** 66 + 2 ** 40, 7), K=Fraction(2 ** 65, 7),
+         k=Fraction(2 ** 65 - 2 ** 40, 7))
+# A negative rate raises, even against an infinite capacity.
+@example(inbound=Fraction(-1, 3), total=INFINITE, K=0, k=0)
+@example(inbound=-1, total=INFINITE, K=20, k=10)
+@example(inbound=float("-inf"), total=INFINITE, K=20, k=10)
+@example(inbound=-0.5, total=Fraction(10), K=20, k=10)
 def test_trigger_matches_reference(inbound, total, K, k):
     params = ScalerParams(K=K, k=k)
+    if inbound < 0:
+        with pytest.raises(ValueError, match="inbound rate must be >= 0"):
+            scaling_trigger(inbound, total, params)
+        return
     assert scaling_trigger(inbound, total, params) is reference_trigger(inbound, total, params)
 
 
@@ -213,6 +237,9 @@ def assert_selects_as_reference(inbound, params, ladder, table):
 
 @settings(max_examples=300, derandomize=True)
 @given(inbound=st.one_of(RATES, st.fractions(0, 5000, max_denominator=7)))
+# Numerators above 2**64.
+@example(inbound=Fraction(2 ** 70 + 1, 2 ** 62))
+@example(inbound=Fraction(3 ** 45, 3 ** 44 - 1))
 def test_select_matches_reference_on_reference_ladder(inbound, reference_ladder, reference_table):
     assert_selects_as_reference(inbound, PARAMS, reference_ladder, reference_table)
 
@@ -364,6 +391,16 @@ def reference_local_target(inbound, params, mcl, base_n):
                      st.floats(0.25, 400, allow_nan=False)))
 @example(inbound=0.1, K=0, base_n=0, mcl=Fraction(1, 10))
 @example(inbound=Fraction(1, 10), K=0, base_n=0, mcl=0.1)
+# Quotients that are exactly an integer.
+@example(inbound=Fraction(101), K=Fraction(10), base_n=0, mcl=Fraction(37))
+@example(inbound=Fraction(16, 3), K=Fraction(2, 3), base_n=0, mcl=Fraction(3, 2))
+@example(inbound=0.5, K=0, base_n=0, mcl=0.25)
+@example(inbound=Fraction(16, 3) - Fraction(1, 2 ** 70), K=Fraction(2, 3), base_n=0,
+         mcl=Fraction(3, 2))
+# Numerators above 2**64.
+@example(inbound=Fraction(2 ** 70, 7), K=Fraction(2 ** 65, 3), base_n=1,
+         mcl=Fraction(2 ** 66 + 1, 3))
+@example(inbound=Fraction(3 * 2 ** 66 - 5), K=5, base_n=0, mcl=Fraction(2 ** 66))
 def test_local_target_matches_reference(inbound, K, base_n, mcl):
     params = ScalerParams(K=K)
     assert local_target_instances(inbound, params, mcl, base_n, base_n) == \
@@ -374,3 +411,124 @@ def test_local_target_takes_floats_exactly():
     params = ScalerParams(K=0)
     assert local_target_instances(0.1, params, Fraction(1, 10), 0, 0) == 2
     assert local_target_instances(Fraction(1, 10), params, 0.1, 0, 0) == 1
+
+
+# -- pinned decisions ----------------------------------------------------------
+#
+# SHA-256 digests of what the three decision functions return over a seeded
+# grid of Fraction, int and float rates on the reference ladder, band and
+# ceiling edges included, and of the exception class for bad inputs. A change
+# to how they compute must leave every digest as it is.
+
+GRID_PARAMS = (ScalerParams(K=Fraction(20), k=Fraction(10)),
+               ScalerParams(K=Fraction(7, 3), k=Fraction(1, 2)),
+               ScalerParams(K=0, k=0),
+               ScalerParams(K=5, k=0.25))
+TINY = Fraction(1, 10 ** 9)
+BAD_RATES = (Fraction(-1, 3), -1, -0.5, float("-inf"), float("inf"), float("nan"))
+
+
+def grid_rates(rng, count, high=2000):
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        out.append(Fraction(rng.randint(0, 30 * high), rng.randint(1, 30)) if kind == 0 else
+                   rng.randint(0, high) if kind == 1 else rng.uniform(0, high))
+    return out
+
+
+def edges(point):
+    """``point`` and its neighbours: exactly, a hair either side, as a float."""
+    return [point, point - TINY, point + TINY, float(point)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError, ArithmeticError, AttributeError) as exc:
+        return type(exc).__name__
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def reachable_capacities(ladder, table):
+    """The system MCL of each configuration the global walk can reach."""
+    num = ladder.num_scales
+    return [system_mcl(ladder.configuration_for(tuple(stacks + (j < prefix) for j in range(num))),
+                       table)
+            for stacks in range(4) for prefix in range(num)]
+
+
+def trigger_grid(ladder, table):
+    rng = random.Random(91)
+    totals = reachable_capacities(ladder, table) + grid_rates(rng, 12) + [0, INFINITE]
+    lines = []
+    for p, params in enumerate(GRID_PARAMS):
+        k, K = Fraction(params.k), Fraction(params.K)
+        for total in totals:
+            inbounds = grid_rates(rng, 8) + list(BAD_RATES)
+            if total != INFINITE:
+                for edge in (Fraction(total) + k - K, Fraction(total) - k - K):
+                    if edge >= TINY:
+                        inbounds += edges(edge)
+            for inbound in inbounds:
+                got = outcome(scaling_trigger, inbound, total, params)
+                lines.append(f"{p} {inbound!r} {total!r} {getattr(got, 'value', got)}")
+    return lines
+
+
+def local_target_grid(table):
+    rng = random.Random(92)
+    mcls = ([e.mcl for e in table.entries if e.mcl != INFINITE] + grid_rates(rng, 10, 400)
+            + [Fraction(1, 3), Fraction(91), 0.1])
+    bad_mcls = (0, -3, Fraction(-1, 2), INFINITE, float("-inf"), float("nan"))
+    lines = []
+    for p, params in enumerate(GRID_PARAMS):
+        for mcl in [m for m in mcls if m != 0] + list(bad_mcls):
+            inbounds = grid_rates(rng, 6)
+            if mcl in bad_mcls:
+                inbounds = inbounds[:1]
+            else:
+                # Demands whose quotient by the MCL is exactly an integer.
+                inbounds += [e for n in (1, 2, 7) for e in edges(n * Fraction(mcl) - params.K)
+                             if e >= 0]
+                inbounds += [float("inf"), float("nan")]
+            for inbound in inbounds:
+                for base_n in (0, 1, 3):
+                    got = outcome(local_target_instances, inbound, params, mcl, base_n, base_n)
+                    lines.append(f"{p} {inbound!r} {mcl!r} {base_n} {got}")
+        lines.append(f"{p} {outcome(local_target_instances, 5, params, 10, 1, -1)}")
+    return lines
+
+
+def select_grid(ladder, table):
+    rng = random.Random(93)
+    lines = []
+    for p, params in enumerate(GRID_PARAMS):
+        inbounds = grid_rates(rng, 60, 5000) + [Fraction(-5), float("inf"), float("nan")]
+        for cap in reachable_capacities(ladder, table):
+            if cap - Fraction(params.K) >= TINY:
+                inbounds += edges(cap - Fraction(params.K))
+        for inbound in inbounds:
+            got = outcome(select_global_configuration, inbound, params, ladder, table)
+            if isinstance(got, tuple):
+                config, deltas, mcl = got
+                got = f"{config.counts} {deltas} {mcl!r}"
+            lines.append(f"{p} {inbound!r} {got}")
+    return lines
+
+
+DECISION_DIGESTS = {
+    "trigger": "2fbc6ced44e75e934967009fbebe31d8eb029a0d940ee5476fdfe5aba37b88dd",
+    "local_target": "bbb3b46b79d3f1e53e85a924c89778113eb1acd93adb413b14040b474f006bd6",
+    "select": "031408a1f74874336751b4304c673e6796c7fdb65729536ef423f1649eee0388",
+}
+
+
+def test_decision_digests_unchanged(reference_ladder, reference_table):
+    digests = {"trigger": digest(trigger_grid(reference_ladder, reference_table)),
+               "local_target": digest(local_target_grid(reference_table)),
+               "select": digest(select_grid(reference_ladder, reference_table))}
+    assert digests == DECISION_DIGESTS
