@@ -13,7 +13,9 @@ integer boundaries.  The system MCL, the bottleneck minimum of
 table carries one common denominator ``D`` (the lcm of the denominators of
 ``MCL / MF`` over the services that bound the system) and per service the
 integer weight ``MCL / MF * D``, so a configuration's system MCL is
-``min(count * weight) / D``, still exact.
+``min(count * weight) / D``, still exact.  ``ratio`` turns a number into
+the integer (numerator, denominator) pair on which the scaler and the
+planner decide.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ def is_infinite(mcl: Rational) -> bool:
 def exact(x: Rational) -> Fraction:
     """``x`` as a Fraction: a Fraction as it is, an int or float exactly."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def ratio(x: Rational) -> tuple[int, int]:
+    """``x`` exactly as integers ``(numerator, denominator)``, the
+    denominator positive: a float by its binary value, and a number without
+    ``as_integer_ratio`` as ``Fraction(x)`` reads it."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return Fraction(x).as_integer_ratio()
 
 
 _ALLOWED_OPS = {

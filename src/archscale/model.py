@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 #: Sentinel for an unbounded per-instance throughput limit.
@@ -129,23 +130,55 @@ class SystemArchitecture:
     profile: EmailProfile
     pipeline: tuple[PipelineEdge, ...] = ()
 
+    # The cached properties below are derived once per architecture; being
+    # no fields, they take no part in == and hash.
+
+    @cached_property
+    def _service_indices(self) -> dict[str, int]:
+        """Each service name's first position in ``services``."""
+        out: dict[str, int] = {}
+        for i, svc in enumerate(self.services):
+            out.setdefault(svc.name, i)
+        return out
+
+    @cached_property
+    def _vm_types(self) -> dict[str, VMType]:
+        out: dict[str, VMType] = {}
+        for vm in self.vm_catalog:
+            out.setdefault(vm.name, vm)
+        return out
+
+    @cached_property
+    def strong_order(self) -> tuple[str, ...]:
+        """Service names, each after the providers of its strong
+        requirements: sweeps in declaration order, each taking every service
+        whose providers are taken. Services on or behind a strong cycle
+        (which the document parser rejects) are left out."""
+        deps = {s.name: set(s.strong_requires) for s in self.services}
+        order: list[str] = []
+        taken: set[str] = set()
+        pending = [s.name for s in self.services]
+        while pending:
+            left = []
+            for name in pending:
+                if deps[name] <= taken:
+                    order.append(name)
+                    taken.add(name)
+                else:
+                    left.append(name)
+            if len(left) == len(pending):
+                break
+            pending = left
+        return tuple(order)
+
     def service(self, name: str) -> ServiceType:
-        for svc in self.services:
-            if svc.name == name:
-                return svc
-        raise KeyError(name)
+        return self.services[self._service_indices[name]]
 
     def service_index(self, name: str) -> int:
-        for i, svc in enumerate(self.services):
-            if svc.name == name:
-                return i
-        raise KeyError(name)
+        return self._service_indices[name]
 
     def vm_type(self, name: str) -> VMType:
-        for vm in self.vm_catalog:
-            if vm.name == name:
-                return vm
-        raise KeyError(name)
+        return self._vm_types[name]
 
     def entry_service(self) -> str | None:
         """The service that receives raw inbound emails.

@@ -5,11 +5,16 @@ VM types of minimum total acquisition cost (ties: fewer VMs, then the
 lexicographically smallest type-name sequence) such that the requested
 instances fit core- and memory-wise.  Instances pack only into newly
 acquired VMs, so undeploying an increment releases exactly its own VMs.
+The search orders and prunes integer costs: each call scales the catalog's
+costs by the lcm D of their denominators, and the placement's total cost is
+the winning sum over D.
 
 ``synthesize_orchestration`` turns a placement into an ordered action
 program: acquire VMs, set the overall startup to the slowest acquired VM,
 create instances in strong-dependency order, establish weak bindings, and
 finally decrement each VM's speed so unused cores contribute nothing.
+The creation order (``SystemArchitecture.strong_order``) and the by-name
+lookups are derived once per architecture.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .capacity import ratio
 from .model import ServiceType, SystemArchitecture, VMType
 
 
@@ -55,11 +62,12 @@ class Placement:
         return ()
 
 
-def _ffd_upper_bound(items: list[tuple[int, int]], catalog: list[VMType]) -> Fraction:
-    """Cost of a greedy first-fit-decreasing packing (feasibility is known)."""
+def _ffd_upper_bound(items: list[tuple[int, int]], catalog: list[VMType], costs: list[int]) -> int:
+    """Cost, in the units of ``costs``, of a greedy first-fit-decreasing
+    packing (feasibility is known)."""
     bins: list[list[int]] = []  # [remaining cores, remaining memory, type index]
-    cost = Fraction(0)
-    by_cost = sorted(range(len(catalog)), key=lambda i: (catalog[i].cost, catalog[i].name))
+    cost = 0
+    by_cost = sorted(range(len(catalog)), key=lambda i: (costs[i], catalog[i].name))
     for cores, mem in items:
         for b in bins:
             if b[0] >= cores and b[1] >= mem:
@@ -71,7 +79,7 @@ def _ffd_upper_bound(items: list[tuple[int, int]], catalog: list[VMType]) -> Fra
                 vm = catalog[ti]
                 if vm.cores >= cores and vm.memory >= mem:
                     bins.append([vm.cores - cores, vm.memory - mem, ti])
-                    cost += vm.cost
+                    cost += costs[ti]
                     break
     return cost
 
@@ -163,14 +171,23 @@ def plan_placement(
     need_cores = sum(c for c, _ in items)
     need_mem = sum(m for _, m in items)
     types = list(catalog)
-    ub = _ffd_upper_bound(items, types)
-    min_cost_per_core = min(vm.cost / vm.cores for vm in types)
+    # Costs in units of 1/D, D the lcm of the catalog's cost denominators:
+    # integers that order, sum and compare as the costs do.
+    pairs = [ratio(vm.cost) for vm in types]
+    unit = math.lcm(*(d for _, d in pairs))
+    costs = [n * (unit // d) for n, d in pairs]
+    ub = _ffd_upper_bound(items, types, costs)
+    # The least cost per core, p / q, prunes a multiset whose cost plus
+    # p / q per missing core exceeds the upper bound; times q, in integers.
+    least = min(Fraction(c, vm.cores) for c, vm in zip(costs, types))
+    p, q = least.numerator, least.denominator
+    ub_q = ub * q
 
     # Best-first search over VM-type multisets, canonicalized by only adding
     # types with index >= the largest index already present.
     start = tuple(0 for _ in types)
-    heap: list[tuple[Fraction, int, tuple[str, ...], tuple[int, ...], int]] = [
-        (Fraction(0), 0, (), start, 0)
+    heap: list[tuple[int, int, tuple[str, ...], tuple[int, ...], int]] = [
+        (0, 0, (), start, 0)
     ]
     seen: set[tuple[int, ...]] = {start}
     while heap:
@@ -194,7 +211,8 @@ def plan_placement(
                     (vi, tuple(sorted(names_, key=lambda n: [s.name for s in service_list].index(n))))
                     for vi, names_ in enumerate(per_vm)
                 )
-                return Placement(acquired_vms=acquired, assignments=assigns, total_cost=cost)
+                return Placement(acquired_vms=acquired, assignments=assigns,
+                                 total_cost=Fraction(cost, unit))
         if nvms >= n_items:
             continue
         deficit = max(0, need_cores - total_cores)
@@ -204,9 +222,9 @@ def plan_placement(
             child_t = tuple(child)
             if child_t in seen:
                 continue
-            child_cost = cost + types[ti].cost
+            child_cost = cost + costs[ti]
             remaining = max(0, deficit - types[ti].cores)
-            if child_cost + remaining * min_cost_per_core > ub:
+            if child_cost * q + remaining * p > ub_q:
                 continue
             seen.add(child_t)
             heapq.heappush(heap, (
@@ -510,24 +528,6 @@ class DeploymentRegistry:
 # Orchestration synthesis
 
 
-def _creation_order(arch: SystemArchitecture) -> list[str]:
-    """Service names ordered so strong providers precede their consumers."""
-    names = [s.name for s in arch.services]
-    deps = {s.name: set(s.strong_requires) for s in arch.services}
-    done: list[str] = []
-    pending = list(names)
-    while pending:
-        progressed = False
-        for name in list(pending):
-            if deps[name] <= set(done):
-                done.append(name)
-                pending.remove(name)
-                progressed = True
-        if not progressed:  # unreachable: parser rejects strong cycles
-            raise SynthesisError(f"strong dependencies are cyclic among {pending}")
-    return done
-
-
 def _pick_provider(
     port: str,
     candidates: list[tuple[str, int]],
@@ -584,8 +584,12 @@ def synthesize_orchestration(
         fresh = created.get(port, [])
         return [(pid, consumers.get(pid, 0)) for pid in existing + fresh]
 
+    order = arch.strong_order
+    if len(order) < len(arch.services):  # unreachable: parser rejects strong cycles
+        pending = [s.name for s in arch.services if s.name not in order]
+        raise SynthesisError(f"strong dependencies are cyclic among {pending}")
     create_actions: list[CreateInstance] = []
-    for svc_name in _creation_order(arch):
+    for svc_name in order:
         if svc_name not in new_by_service:
             continue
         svc = arch.service(svc_name)

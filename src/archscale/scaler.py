@@ -8,6 +8,12 @@ The global policy re-derives the whole target configuration from the scale
 ladder; the resulting delta vector always has the shape "base, or base plus
 n copies of the largest scale plus at most one further scale", so repeated
 stacking only ever happens with the largest (balanced) scale.
+
+Every decision is exact and computes on integers: a rate, a capacity, an
+MCL and the margins enter as (numerator, denominator) pairs
+(``capacity.ratio``, a float by its binary value), comparisons
+cross-multiply, and a ceiling is one integer floor division. ``ScalerParams``
+caches K and the trigger's bands as such pairs on first use.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ from .capacity import (
     CapacityTable,
     Configuration,
     ScaleLadder,
-    ceil_frac,
-    exact,
     is_infinite,
+    ratio,
     system_units,
 )
 from .model import INFINITE, Rational
@@ -42,12 +47,19 @@ class ScalerParams:
             raise ValueError("require K >= 0, k >= 0, monitoring_period >= 1")
 
     @cached_property
-    def bands(self) -> tuple[Fraction, Fraction]:
-        """(k - K, -(k + K)): the trigger scales up when inbound - capacity
-        lies above the first and down when it lies below the second, as
-        inbound + K - capacity lies above k or below -k."""
-        k, K = exact(self.k), exact(self.K)
-        return k - K, -(k + K)
+    def margin(self) -> tuple[int, int]:
+        """K as integers (numerator, denominator)."""
+        return ratio(self.K)
+
+    @cached_property
+    def bands(self) -> tuple[int, int, int]:
+        """(k - K, -(k + K)) as numerators over one positive denominator:
+        the trigger scales up when inbound - capacity lies above the first
+        and down when it lies below the second, as inbound + K - capacity
+        lies above k or below -k."""
+        kn, kd = ratio(self.k)
+        Kn, Kd = self.margin
+        return kn * Kd - Kn * kd, -(kn * Kd + Kn * kd), kd * Kd
 
 
 class ScalingError(RuntimeError):
@@ -61,16 +73,26 @@ class Trigger(Enum):
 
 
 def scaling_trigger(inbound: Rational, total_mcl: Rational, params: ScalerParams) -> Trigger:
-    if inbound < 0:
+    """UP or DOWN when inbound - total_mcl lies above or below the bands
+    (see ``ScalerParams.bands``), compared exactly on integer pairs: with
+    inbound a/b and capacity c/d, the gap is (a*d - c*b) / (b*d)."""
+    try:
+        a, b = ratio(inbound)
+    except OverflowError:
+        if inbound < 0:  # minus infinity
+            raise ValueError("inbound rate must be >= 0") from None
+        raise
+    if a < 0:
         raise ValueError("inbound rate must be >= 0")
-    inbound = exact(inbound)
     if is_infinite(total_mcl):
         return Trigger.NONE
-    over = inbound - exact(total_mcl)
-    up, down = params.bands
-    if over > up:
+    c, d = ratio(total_mcl)
+    up, down, den = params.bands
+    gap = (a * d - c * b) * den
+    scale = b * d
+    if gap > up * scale:
         return Trigger.UP
-    if over < down:
+    if gap < down * scale:
         return Trigger.DOWN
     return Trigger.NONE
 
@@ -108,9 +130,11 @@ def select_global_configuration(
     that does not raise it raises ``ScalingError`` instead, as no later
     round would. Capacities are compared in the table's integer units.
     """
-    demand = exact(inbound) + exact(params.K)
+    a, b = ratio(inbound)
+    Kn, Kd = params.margin
     d = table.denominator
-    need = ceil_frac(demand * d)
+    # The demand inbound + K is (a*Kd + Kn*b) / (b*Kd) emails/s.
+    need = -(-(a * Kd + Kn * b) * d // (b * Kd))
     num = ladder.num_scales
     scales = ladder.scale_counts
     deltas = [0] * num
@@ -126,6 +150,7 @@ def select_global_configuration(
             low = system_units(candidate, table)
             found = low >= need
         if not found and low <= below:
+            demand = Fraction(a * Kd + Kn * b, b * Kd)
             raise ScalingError(
                 f"the largest scale adds no capacity at system MCL {Fraction(low, d)}, "
                 f"below the demand {demand}: it adds no instance to a bounding service")
@@ -171,10 +196,23 @@ def local_target_instances(
     base_n: int,
     deployed: int,
 ) -> int:
-    """Per-service replica target: demand ceiling, never below the base count."""
-    if is_infinite(mcl) or mcl <= 0:
+    """Per-service replica target: demand ceiling, never below the base count.
+
+    With inbound a/b, K Kn/Kd and mcl mn/md, one integer ceiling of
+    (a*Kd + Kn*b) * md / (b*Kd*mn)."""
+    if is_infinite(mcl):
+        raise ValueError("local scaling needs a finite positive mcl")
+    try:
+        mn, md = ratio(mcl)
+    except OverflowError:
+        if mcl < 0:  # minus infinity
+            raise ValueError("local scaling needs a finite positive mcl") from None
+        raise
+    if mn <= 0:
         raise ValueError("local scaling needs a finite positive mcl")
     if deployed < 0 or base_n < 0:
         raise ValueError("instance counts must be >= 0")
-    target = ceil_frac((exact(inbound) + params.K) / exact(mcl))
+    a, b = ratio(inbound)
+    Kn, Kd = params.margin
+    target = -(-(a * Kd + Kn * b) * md // (b * Kd * mn))
     return max(base_n, target)

@@ -80,12 +80,13 @@ class SimulationError(RuntimeError):
 # Part kind codes (indices into PART_KINDS).
 P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
 
-# Emission modes for compiled routes. One request emitted along an edge has
-# the completed request's low nibble masked and or-ed with the emitted part,
-# so its mode is the mask: _M_ONE clears the part and the virus flag,
-# _M_PASS the part only. The compiled routes emit one request with _M_ONE
-# and the wire it goes on. The fan-outs emit as many requests as the
-# email's shape has blocks or attachments.
+# Emission modes. While _compile_routes classifies a pipeline edge, the
+# meaning of one request emitted along it is the completed request's
+# original nibble masked and or-ed with the emitted part, so the mode is the
+# mask: _M_ONE clears the part and the virus flag, _M_PASS the part only.
+# Compiled routes carry no masks: a one-request edge is _M_ONE with the wire
+# it emits on. The fan-outs emit as many requests as the email's shape has
+# blocks or attachments.
 _M_ONE = -16
 _M_PASS = -15
 _M_BLOCKS = 2
@@ -389,10 +390,11 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
 
 
 def _emitted(mode: int, bits: int, nib: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
-    """The low nibbles that one completion at ``nib`` emits along one edge,
-    for an email of ``shape`` = (blocks, attachments, virus mask)."""
+    """The low nibbles that one completion at ``nib`` emits along one
+    compiled edge, for an email of ``shape`` = (blocks, attachments, virus
+    mask). They do not depend on ``nib``: an edge emits on its own wires."""
     if mode < 0:
-        return (nib & mode | bits,)
+        return (bits,)
     blocks, attachments, mask = shape
     if mode == _M_BLOCKS:
         return (bits,) * blocks
@@ -666,8 +668,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     def warming(units: list[_Unit], now: int) -> bool:
         return any(u.ready_tick > now for u in units)
 
-    # Policy state.
-    window_s = Fraction(period, tps)
+    # Policy state. A monitor measures n events over a window of ``period``
+    # ticks as the rate n * tps / period per second.
     deployed_deltas = [0] * ladder.num_scales
     committed_mcl = system_mcl(ladder.base, table)
     delta_units: list[list[_Unit]] = [[] for _ in range(ladder.num_scales)]  # stacks per index
@@ -680,7 +682,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     def global_monitor(now: int) -> None:
         nonlocal committed_mcl, window_generated
-        inbound = Fraction(window_generated) / window_s
+        inbound = Fraction(window_generated * tps, period)
         window_generated = 0
         trig = scaling_trigger(inbound, committed_mcl, config.params)
         if trig is Trigger.NONE:
@@ -717,7 +719,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     def local_monitor(now: int) -> None:
         for st in finite_services:
-            inbound = Fraction(st.balancer.offered) / window_s
+            inbound = Fraction(st.balancer.offered * tps, period)
             st.balancer.offered = 0
             total = st.mcl * st.committed
             trig = scaling_trigger(inbound, total, config.params)

@@ -532,3 +532,31 @@ def test_decision_digests_unchanged(reference_ladder, reference_table):
                "local_target": digest(local_target_grid(reference_table)),
                "select": digest(select_grid(reference_ladder, reference_table))}
     assert digests == DECISION_DIGESTS
+
+
+def test_trigger_and_local_target_build_no_fraction(monkeypatch, reference_table):
+    # Once a ScalerParams has been used, a decision on Fraction and int
+    # inputs computes on integer pairs alone: counted, not timed.
+    params = ScalerParams(K=Fraction(7, 3), k=Fraction(1, 2))
+    scaling_trigger(Fraction(1), Fraction(1), params)
+    local_target_instances(Fraction(1), params, Fraction(1), 0, 0)
+    mcls = [e.mcl for e in reference_table.entries if e.mcl != INFINITE]
+    inbounds = [Fraction(3 * i + 1, 7) if i % 2 else 40 * i for i in range(50)]
+    calls = [(inbound, inbound + params.K if i % 5 == 0 else mcls[i % len(mcls)] * (1 + i % 4),
+              mcls[i % len(mcls)] if i % 3 else 25 + i)
+             for i, inbound in enumerate(inbounds)]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    triggers = [scaling_trigger(inbound, total, params) for inbound, total, _ in calls]
+    targets = [local_target_instances(inbound, params, mcl, 1, 1) for inbound, _, mcl in calls]
+    monkeypatch.undo()
+    assert built == []
+    assert Fraction(2, 4) == Fraction(1, 2)  # the constructor is back
+    assert set(triggers) == {Trigger.UP, Trigger.DOWN, Trigger.NONE}
+    assert max(targets) > 1
