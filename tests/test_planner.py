@@ -1,11 +1,14 @@
 """Placement optimality, orchestration structure, registry semantics."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archscale import (
     DeploymentRegistry,
@@ -19,8 +22,10 @@ from archscale import (
     validate_orchestration_timing,
 )
 from archscale.document import parse_architecture_data
+from archscale.model import EmailProfile, ServiceType, SystemArchitecture
 from archscale.planner import (
     AcquireVM,
+    Placement,
     BindWeak,
     CreateInstance,
     DecrementSpeed,
@@ -429,3 +434,63 @@ def test_script_round_trip_stability(chain_arch):
     assert script.splitlines()[0].startswith("acquire")
     assert "set-startup" in script
     assert orchestration_to_script(orch) == script
+
+
+# -- architecture lookups -----------------------------------------------------
+
+def reference_creation_order(arch):
+    """Sweeps in declaration order, each taking every service whose strong
+    providers are taken so far; None if a sweep takes nothing."""
+    deps = {s.name: set(s.strong_requires) for s in arch.services}
+    done = []
+    pending = [s.name for s in arch.services]
+    while pending:
+        progressed = False
+        for name in list(pending):
+            if deps[name] <= set(done):
+                done.append(name)
+                pending.remove(name)
+                progressed = True
+        if not progressed:
+            return None
+    return done
+
+
+@settings(max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_strong_order_matches_reference(data):
+    n = data.draw(st.integers(1, 8))
+    # Service i may require any service numbered below it; declared in any order.
+    deps = [sorted(data.draw(st.sets(st.integers(0, i - 1), max_size=3))) if i else []
+            for i in range(n)]
+    declared = data.draw(st.permutations(range(n)))
+    arch = SystemArchitecture(
+        tuple(ServiceType(f"S{i}", 1, 0, strong_requires=tuple(f"S{j}" for j in deps[i]))
+              for i in declared), (), EmailProfile())
+    assert arch.strong_order == tuple(reference_creation_order(arch))
+
+
+def test_synthesis_refuses_cyclic_strong_requirements():
+    arch = SystemArchitecture((ServiceType("A", 1, 0, strong_requires=("B",)),
+                               ServiceType("C", 1, 0),
+                               ServiceType("B", 1, 0, strong_requires=("A",))),
+                              (), EmailProfile())
+    assert reference_creation_order(arch) is None
+    assert arch.strong_order == ("C",)
+    empty = Placement(acquired_vms=(), assignments=(), total_cost=Fraction(0))
+    with pytest.raises(SynthesisError, match=r"cyclic among \['A', 'B'\]"):
+        synthesize_orchestration(empty, arch, DeploymentRegistry(arch))
+
+
+def test_architecture_lookups_stay_out_of_equality(reference_arch):
+    twin = dataclasses.replace(reference_arch)
+    assert reference_arch.service("VirusScanner").name == "VirusScanner"
+    assert reference_arch.vm_type(reference_arch.vm_catalog[-1].name) is reference_arch.vm_catalog[-1]
+    assert reference_arch.strong_order is reference_arch.strong_order
+    assert twin == reference_arch and hash(twin) == hash(reference_arch)
+    assert [reference_arch.service_index(s.name) for s in reference_arch.services] == \
+        list(range(len(reference_arch.services)))
+    with pytest.raises(KeyError):
+        reference_arch.service("Nowhere")
+    with pytest.raises(KeyError):
+        reference_arch.vm_type("Nowhere")
