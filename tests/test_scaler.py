@@ -445,7 +445,7 @@ def edges(point):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (ValueError, OverflowError, ArithmeticError, AttributeError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__
 
 
