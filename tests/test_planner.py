@@ -404,6 +404,38 @@ def test_undeploy_reference_deltas(reference_arch, reference_ladder):
         assert registry.state_hash() == before
 
 
+def applied_synthesis_actions(arch, ladder, rng):
+    """Actions of a sequence of syntheses, each applied before the next: the
+    base, the reference deltas stacked 1 to 4 deep, then 50 single-service
+    deltas of 1 to 3 instances, so providers pile up across services."""
+    registry = DeploymentRegistry(arch)
+    lines = []
+
+    def deploy(counts):
+        orch = synthesize_orchestration(
+            plan_placement(counts, arch, arch.vm_catalog), arch, registry)
+        registry.apply(orch)
+        lines.append(repr(orch.actions))
+
+    deploy({s.name: n for s, n in zip(arch.services, ladder.base.counts)})
+    for depth in range(1, 5):
+        for delta in ladder.deltas[:depth]:
+            deploy({s.name: c for s, c in zip(arch.services, delta.counts) if c > 0})
+    for _ in range(50):
+        deploy({rng.choice(arch.services).name: rng.randint(1, 3)})
+    return lines
+
+
+# SHA-256 of the actions above, seed 10, recorded before synthesis grouped
+# the registry's instances by service: providers must be picked as before.
+APPLIED_SYNTHESES_DIGEST = "5f9654d7f7d4c2239f2c3a743fefc8c452c4d2a51a228ead78b31fad6df4b04d"
+
+
+def test_applied_syntheses_digest_unchanged(reference_arch, reference_ladder):
+    lines = applied_synthesis_actions(reference_arch, reference_ladder, random.Random(10))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == APPLIED_SYNTHESES_DIGEST
+
+
 def test_replay_never_references_undefined_ids(chain_arch):
     registry, orch = bootstrap(chain_arch, {"Front": 1, "Mid": 1, "Back": 1, "Side": 2})
     fresh = DeploymentRegistry(chain_arch)
