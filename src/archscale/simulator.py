@@ -43,8 +43,6 @@ from fractions import Fraction
 from graphlib import TopologicalSorter
 from typing import Callable, Optional
 
-import numpy as np
-
 from .capacity import (
     Configuration,
     ScaleLadder,
@@ -545,6 +543,8 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
 
 def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimConfig) -> MetricsTimeline:
     """Execute the pipeline under the configured workload and policy."""
+    import numpy as np  # here, not at module level: see the workload module
+
     report = validate_architecture(arch)
     if not report.ok:
         raise SimulationError(

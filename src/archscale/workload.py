@@ -4,6 +4,10 @@ Rates are emails per second; arrivals are realized per tick either
 stochastically (Poisson counts from a seeded generator) or exactly
 (deterministic rounding of the cumulative rate integral), so acceptance
 runs can be reproduced bit for bit.
+
+NumPy is imported inside the functions that draw or shape traffic, never
+at module level: a process that draws none (``validate``, ``ladder``,
+``plan``) does not pay its import.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import EmailProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WorkloadError(ValueError):
@@ -84,6 +91,8 @@ def _load_trace(path: str) -> tuple[tuple[int, float], ...]:
 
 def rate_curve(spec: WorkloadSpec, duration_ticks: int, ticks_per_second: int) -> np.ndarray:
     """Per-tick rate (emails/sec) over the whole run."""
+    import numpy as np
+
     t = np.arange(duration_ticks, dtype=np.float64) / ticks_per_second
     kind = spec.kind
     if isinstance(kind, Diurnal):
@@ -114,6 +123,8 @@ def generate_arrivals(
     exact: bool = False,
 ) -> np.ndarray:
     """Per-tick arrival counts, deterministic for a given seed and mode."""
+    import numpy as np
+
     rates = rate_curve(spec, duration_ticks, ticks_per_second)
     per_tick = rates / ticks_per_second
     if exact:
@@ -144,6 +155,8 @@ class EmailBatch:
 
 def sample_email_batch(profile: EmailProfile, rng: np.random.Generator, count: int) -> EmailBatch:
     """Vectorized structure sampling for ``count`` emails."""
+    import numpy as np
+
     b_lo, b_hi = profile.block_count_support
     a_lo, a_hi = profile.attachment_count_support
     blocks = rng.integers(b_lo, b_hi + 1, size=count, dtype=np.int64)

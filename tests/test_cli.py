@@ -1,7 +1,12 @@
 """Command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from archscale import Steps, WorkloadSpec, generate_arrivals
 from archscale.cli import main, reference_architecture_path
 
 from conftest import REFERENCE_COUNTS
@@ -129,3 +134,26 @@ def test_compare_byte_identical(tmp_path):
 def test_cli_error_is_nonzero(tmp_path, capsys):
     assert main(["simulate", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+COLD_START = """
+import contextlib, io, json, sys
+import archscale, archscale.cli, archscale.experiment
+for argv in (["validate"], ["ladder"], ["plan", "--delta-index", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert archscale.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded before any traffic was drawn"
+counts = archscale.generate_arrivals(
+    archscale.WorkloadSpec(archscale.Steps(((0, 40.0), (150, 90.0)))), 3, 300, 30)
+assert "numpy" in sys.modules
+print(json.dumps(counts.tolist()))
+"""
+
+
+def test_cold_commands_never_import_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    direct = generate_arrivals(WorkloadSpec(Steps(((0, 40.0), (150, 90.0)))), 3, 300, 30)
+    assert json.loads(done.stdout) == direct.tolist()
