@@ -43,9 +43,16 @@ class Diurnal:
 
 @dataclass(frozen=True)
 class Steps:
-    """Piecewise-constant rates: list of (start tick, emails/sec)."""
+    """Piecewise-constant rates: list of (start tick, emails/sec), by
+    strictly increasing start tick."""
 
     points: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        for (before, _), (start, _) in zip(self.points, self.points[1:]):
+            if start <= before:
+                raise WorkloadError(
+                    f"steps start ticks must strictly increase: {start} follows {before}")
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,15 @@ def test_jitter_bound_validated():
         WorkloadSpec(Steps(((0, 5.0),)), jitter=1.5)
 
 
+@pytest.mark.parametrize("points, named", [
+    (((300, 50.0), (0, 100.0)), "0 follows 300"),  # every tick ran at 100/s
+    (((0, 10.0), (60, 40.0), (60, 20.0), (90, 5.0)), "60 follows 60"),  # dropped 40/s
+])
+def test_steps_out_of_order_start_rejected(points, named):
+    with pytest.raises(WorkloadError, match=named):
+        Steps(points)
+
+
 # -- email structure ----------------------------------------------------------
 
 def test_sample_email_zero_virus_probability():
