@@ -577,12 +577,13 @@ def synthesize_orchestration(
     # bindings added by earlier actions of the same orchestration.
     consumers: dict[str, int] = dict(registry.consumer_counts)
     created: dict[str, list[str]] = {}  # service -> new instance ids created so far
+    existing: dict[str, list[str]] = {}  # port -> live provider ids, registry order
 
     def candidates_for(port: str) -> list[tuple[str, int]]:
-        existing = [inst.instance_id for inst in registry.instances.values()
-                    if inst.service == port]
-        fresh = created.get(port, [])
-        return [(pid, consumers.get(pid, 0)) for pid in existing + fresh]
+        if port not in existing:
+            existing[port] = [inst.instance_id for inst in registry.instances.values()
+                              if inst.service == port]
+        return [(pid, consumers.get(pid, 0)) for pid in existing[port] + created.get(port, [])]
 
     order = arch.strong_order
     if len(order) < len(arch.services):  # unreachable: parser rejects strong cycles
