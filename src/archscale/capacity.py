@@ -313,10 +313,6 @@ class ScaleLadder:
             raise IndexError(f"scale index {i} out of range 1..{self.num_scales}")
         return Configuration(self.scale_counts[i - 1])
 
-    def scale_composition(self, i: int) -> tuple[int, ...]:
-        """Multiset of delta indices composing scale i, as per-delta counts."""
-        return tuple(1 if j < i else 0 for j in range(self.num_scales))
-
     def configuration_for(self, delta_vector: tuple[int, ...]) -> Configuration:
         """Base plus ``delta_vector[i]`` (>= 0) copies of each delta."""
         counts = self.base.counts

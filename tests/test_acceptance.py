@@ -101,9 +101,10 @@ def test_criterion_2_table_reproduction(reference_arch, reference_table, referen
         got = (reference_ladder.base.counts[idx],) + tuple(
             d.counts[idx] for d in reference_ladder.deltas)
         assert got == row, name
-    for i in range(1, 5):
-        assert reference_ladder.scale_composition(i) == tuple(
-            1 if j < i else 0 for j in range(4))
+    for i in range(1, 5):  # scale i is the prefix D1 + ... + Di
+        prefix = (1,) * i + (0,) * (4 - i)
+        assert reference_ladder.configuration_for(prefix) == \
+            reference_ladder.base + reference_ladder.scale(i)
     config = reference_ladder.base
     assert system_mcl(config, reference_table) >= 60
     for inc, delta in zip((60, 150, 240, 330), reference_ladder.deltas):
