@@ -141,6 +141,9 @@ def plan_placement(
     else:
         service_list = list(services)
     by_name = {s.name: s for s in service_list}
+    position: dict[str, int] = {}  # a name's first index: a VM's assignment order
+    for i, s in enumerate(service_list):
+        position.setdefault(s.name, i)
 
     for name, count in delta.items():
         if name not in by_name:
@@ -207,10 +210,8 @@ def plan_placement(
                 per_vm: list[list[str]] = [[] for _ in bins]
                 for item_idx, b in enumerate(assignment):
                     per_vm[b].append(item_services[item_idx])
-                assigns = tuple(
-                    (vi, tuple(sorted(names_, key=lambda n: [s.name for s in service_list].index(n))))
-                    for vi, names_ in enumerate(per_vm)
-                )
+                assigns = tuple((vi, tuple(sorted(names_, key=position.__getitem__)))
+                                for vi, names_ in enumerate(per_vm))
                 return Placement(acquired_vms=acquired, assignments=assigns,
                                  total_cost=Fraction(cost, unit))
         if nvms >= n_items:

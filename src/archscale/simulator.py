@@ -68,7 +68,7 @@ from .scaler import (
     scaling_trigger,
     select_global_configuration,
 )
-from .workload import EmailBatch, WorkloadSpec, generate_arrivals, rate_curve, sample_email_batch
+from .workload import EmailBatch, WorkloadSpec, generate_arrivals, sample_email_batch
 
 
 class SimulationError(RuntimeError):
@@ -269,7 +269,6 @@ class MetricsTimeline:
     events: list[ScalingEvent] = field(default_factory=list)
     orchestrations: list[TimedOrchestration] = field(default_factory=list)
     in_flight_end: int = 0
-    ticks_to_target: Optional[int] = None
     total_vm_cost: Fraction = Fraction(0)
 
     @property
@@ -331,8 +330,7 @@ class MetricsTimeline:
 
 
 class _ServiceState:
-    __slots__ = ("idx", "name", "balancer", "insts", "draining_count",
-                 "mcl", "base_n", "committed", "active_order")
+    __slots__ = ("idx", "name", "balancer", "insts", "draining_count", "mcl", "base_n")
 
     def __init__(self, idx: int, name: str, capacity: int):
         self.idx = idx
@@ -342,8 +340,11 @@ class _ServiceState:
         self.draining_count = 0
         self.mcl = None  # Rational, set at build
         self.base_n = 0
-        self.committed = 0
-        self.active_order: list[InstanceRuntime] = []
+
+    @property
+    def committed(self) -> int:
+        """The instances deployed and not draining, warming ones included."""
+        return len(self.insts) - self.draining_count
 
 
 @dataclass(frozen=True)
@@ -387,10 +388,10 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     return lambda done: [r & -16 | o for r in done for o in fixed[r & 15]]
 
 
-def _emitted(mode: int, bits: int, nib: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
-    """The low nibbles that one completion at ``nib`` emits along one
-    compiled edge, for an email of ``shape`` = (blocks, attachments, virus
-    mask). They do not depend on ``nib``: an edge emits on its own wires."""
+def _emitted(mode: int, bits: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
+    """The low nibbles that one completion emits along one compiled edge,
+    for an email of ``shape`` = (blocks, attachments, virus mask). They do
+    not depend on the completion's nibble: an edge emits on its own wires."""
     if mode < 0:
         return (bits,)
     blocks, attachments, mask = shape
@@ -408,7 +409,7 @@ def _leaves(routes: list[tuple], svc: int, nib: int, shape: tuple[int, int, int]
     n = memo.get(key)
     if n is None:
         out = [(dst, o) for dst, mode, bits in routes[svc][0][nib]
-               for o in _emitted(mode, bits, nib, shape)]
+               for o in _emitted(mode, bits, shape)]
         n = memo[key] = sum(_leaves(routes, dst, o, shape, memo) for dst, o in out) if out else 1
     return n
 
@@ -439,12 +440,12 @@ def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, i
     emitters = []
     for d in sorted({dst for f in fires for dst, _, _ in f}):
         tables = tuple(tuple(tuple(o for dst, mode, bits in fires[nib] if dst == d
-                                   for o in _emitted(mode, bits, nib, shape))
+                                   for o in _emitted(mode, bits, shape))
                              for shape in shapes) if nib in arriving else ()
                        for nib in nibs)
         emitters.append((d, _emitter(tables, arriving, shape_of)))
     # A leaf emits itself to the settle loop, and other completions nothing.
-    leaf_tables = tuple(tuple(() if any(_emitted(mode, bits, nib, shape)
+    leaf_tables = tuple(tuple(() if any(_emitted(mode, bits, shape)
                                          for _, mode, bits in fires[nib])
                               else (nib,) for shape in shapes) if nib in arriving else ()
                         for nib in nibs)
@@ -570,8 +571,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     ss = np.random.SeedSequence(config.seed)
     arr_seed, email_seed = ss.spawn(2)
     arrivals = generate_arrivals(config.workload, arr_seed, duration, tps, config.exact_arrivals)
-    rates = rate_curve(config.workload, duration, tps)
-    peak_rate = Fraction(str(float(np.max(rates)))) if duration else Fraction(0)
     total_emails = int(arrivals.sum())
     email_rng = np.random.Generator(np.random.PCG64(email_seed))
     shapes, shape_of = _email_shapes(sample_email_batch(arch.profile, email_rng, total_emails))
@@ -591,28 +590,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
 
-    # Ready-capacity tracking (for time-to-target and the capacity column).
-    ready_counts = [0] * len(svc_states)
-    ready_events: dict[int, list[int]] = {}  # tick -> service index per instance
-    capacity_now = Fraction(0)
-    tick = 0
-    ticks_to_target: Optional[int] = None
-
-    def recompute_capacity() -> None:
-        nonlocal capacity_now, ticks_to_target
-        cap = system_mcl(Configuration(tuple(ready_counts)), table)
-        capacity_now = Fraction(10 ** 9) if is_infinite(cap) else Fraction(cap)
-        if ticks_to_target is None and capacity_now >= peak_rate:
-            ticks_to_target = tick
-
-    def schedule_ready(insts: list[InstanceRuntime], at: int) -> None:
-        if at <= tick:  # zero startup: the event queue for this tick already ran
-            for inst in insts:
-                ready_counts[inst.service_idx] += 1
-            recompute_capacity()
-        else:
-            ready_events.setdefault(at, []).extend(inst.service_idx for inst in insts)
-
     def launch(placement: Placement, orch: TimedOrchestration, ready_at: int) -> list[InstanceRuntime]:
         """Record an applied deployment and start its instances at ``ready_at``."""
         timeline.orchestrations.append(orch)
@@ -622,10 +599,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             st = svc_states[arch.service_index(registry.instances[iid].service)]
             inst = InstanceRuntime(iid, st.idx, ready_at)
             st.insts.append(inst)
-            st.active_order.append(inst)
-            st.committed += 1
             insts.append(inst)
-        schedule_ready(insts, ready_at)
         return insts
 
     # Base deployment: must be placeable, live from tick 0.
@@ -650,68 +624,61 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         ready_at = now + orch.startup_ticks
         return _Unit(ready_at, orch, launch(placement, orch, ready_at))
 
-    def retire(removal: TimedOrchestration, victims: list[InstanceRuntime], now: int) -> None:
+    def retire(removal: TimedOrchestration, victims: list[InstanceRuntime]) -> None:
         """Apply ``removal`` and drain ``victims``: each finishes its current
         request, then leaves the engine."""
         registry.apply(removal)
         timeline.orchestrations.append(removal)
         for inst in victims:
-            st = svc_states[inst.service_idx]
             inst.draining = True
-            st.draining_count += 1
-            st.committed -= 1
-            st.active_order.remove(inst)
-            if now >= inst.ready_at:
-                ready_counts[st.idx] -= 1
-        recompute_capacity()
+            svc_states[inst.service_idx].draining_count += 1
 
     def warming(units: list[_Unit], now: int) -> bool:
         return any(u.ready_tick > now for u in units)
 
-    # Policy state. A monitor measures n events over a window of ``period``
-    # ticks as the rate n * tps / period per second.
-    deployed_deltas = [0] * ladder.num_scales
-    committed_mcl = system_mcl(ladder.base, table)
+    # Policy state. A monitor measures the n requests offered to a balancer
+    # over a window of ``period`` ticks as the rate n * tps / period per
+    # second; only arrivals reach the entry's.
     delta_units: list[list[_Unit]] = [[] for _ in range(ladder.num_scales)]  # stacks per index
     local_units: list[list[_Unit]] = [[] for _ in svc_states]
-    window_generated = 0
+    entry_balancer = svc_states[entry_idx].balancer
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
+
+    def deployed_deltas() -> tuple[int, ...]:
+        return tuple(len(units) for units in delta_units)
 
     def fmt_deltas(vec) -> str:
         return "|".join(str(v) for v in vec)
 
     def global_monitor(now: int) -> None:
-        nonlocal committed_mcl, window_generated
-        inbound = Fraction(window_generated * tps, period)
-        window_generated = 0
-        trig = scaling_trigger(inbound, committed_mcl, config.params)
+        inbound = Fraction(entry_balancer.offered * tps, period)
+        entry_balancer.offered = 0
+        deployed = deployed_deltas()
+        committed = system_mcl(ladder.configuration_for(deployed), table)
+        trig = scaling_trigger(inbound, committed, config.params)
         if trig is Trigger.NONE:
             return
         _, target, _ = select_global_configuration(inbound, config.params, ladder, table)
-        plan = diff_reconfiguration(tuple(deployed_deltas), target)
+        plan = diff_reconfiguration(deployed, target)
         if not len(plan):
             return
-        old = fmt_deltas(deployed_deltas)
         enacted = 0
         deferred = 0
         for step in plan:
             units = delta_units[step.delta_index]
             if step.deploy:
                 units.append(deploy(ladder.deltas[step.delta_index].counts, now))
-                deployed_deltas[step.delta_index] += 1
             elif warming(units, now):
                 deferred += 1
                 continue
             else:
                 unit = units.pop()
-                retire(synthesize_undeployment(unit.orch), unit.insts, now)
-                deployed_deltas[step.delta_index] -= 1
+                retire(synthesize_undeployment(unit.orch), unit.insts)
             enacted += 1
-        committed_mcl = system_mcl(ladder.configuration_for(tuple(deployed_deltas)), table)
         if enacted:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "deploy" if trig is Trigger.UP else "undeploy",
-                f"{old}->{fmt_deltas(deployed_deltas)}"))
+                f"{fmt_deltas(deployed)}->{fmt_deltas(deployed_deltas())}"))
         if deferred:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "defer",
@@ -738,8 +705,9 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                         now, Policy.LOCAL, st.name, trig.value, "defer",
                         f"hold {old} while warming"))
                     continue
-                victims = st.active_order[::-1][:old - target]  # newest first
-                retire(synthesize_removal([v.iid for v in victims], arch, registry), victims, now)
+                # The newest committed instances first.
+                victims = [i for i in reversed(st.insts) if not i.draining][:old - target]
+                retire(synthesize_removal([v.iid for v in victims], arch, registry), victims)
                 action = "undeploy"
             else:
                 continue
@@ -761,7 +729,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     iv_latency_ticks = 0
     interval_start_tick = 0
 
-    entry_dispatch = svc_states[entry_idx].balancer.dispatch
+    entry_dispatch = entry_balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
     # Per service: its instances and ready queue, its budget and request
     # cost, the (emitter, dispatch) pair of each destination, and the filter
@@ -781,13 +749,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     promotes = [st.balancer.promote for st in svc_states]
 
     for tick in range(duration):
-        # Ready events from finished startups.
-        due = ready_events.pop(tick, None)
-        if due:
-            for svc_idx in due:
-                ready_counts[svc_idx] += 1
-            recompute_capacity()
-
         # 1. Workload arrivals.
         n_arr = arrivals_l[tick]
         if n_arr:
@@ -803,7 +764,6 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 iv_dropped += n_drop
                 iv_lost += n_drop
             iv_generated += n_arr
-            window_generated += n_arr
 
         # 2. Processing, in declaration order. What a service's completions
         # emit to a destination is admitted in one call, before the next
@@ -865,6 +825,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             span_s = (tick + 1 - interval_start_tick) / tps
             interval_start_tick = tick + 1
             counts = tuple(st.committed for st in svc_states)
+            # The capacity of the instances online: started and not draining.
+            cap = system_mcl(Configuration(tuple(
+                sum(1 for i in st.insts if i.ready_at <= tick and not i.draining)
+                for st in svc_states)), table)
             timeline.rows.append(IntervalRow(
                 t_s=start_s,
                 inbound_eps=iv_generated / span_s,
@@ -873,15 +837,14 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 lost_emails=iv_lost,
                 dropped_requests=iv_dropped,
                 latency_ticks=iv_latency_ticks,
-                capacity_eps=float(capacity_now),
+                capacity_eps=1e9 if is_infinite(cap) else float(cap),
                 total_instances=sum(counts),
                 vm_cost_total=float(timeline.total_vm_cost),
-                deployed_deltas=fmt_deltas(deployed_deltas) if is_global else "",
+                deployed_deltas=fmt_deltas(deployed_deltas()) if is_global else "",
                 service_counts=counts,
             ))
             iv_generated = iv_completed = iv_lost = iv_dropped = iv_latency_ticks = 0
 
     timeline.in_flight_end = sum(1 for eid, n in enumerate(outstanding) if n and eid not in lost)
-    timeline.ticks_to_target = ticks_to_target
     return timeline
 

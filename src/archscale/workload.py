@@ -57,7 +57,8 @@ class Steps:
 
 @dataclass(frozen=True)
 class Trace:
-    """Replay of (tick, emails/sec) rows from a CSV file."""
+    """Replay of (tick, emails/sec) rows from a CSV file, by strictly
+    increasing tick."""
 
     path: str
 
@@ -87,12 +88,15 @@ def _load_trace(path: str) -> tuple[tuple[int, float], ...]:
                     tick, rate = int(row[0]), float(row[1])
                 except ValueError as exc:
                     raise WorkloadError(f"{path}:{lineno}: malformed row {row!r}") from exc
+                if points and tick <= points[-1][0]:
+                    raise WorkloadError(
+                        f"{path}:{lineno}: trace ticks must strictly increase: "
+                        f"{tick} follows {points[-1][0]}")
                 points.append((tick, rate))
     except OSError as exc:
         raise WorkloadError(f"cannot read trace file {path}: {exc}") from exc
     if not points:
         raise WorkloadError(f"trace file {path} holds no rate points")
-    points.sort()
     return tuple(points)
 
 

@@ -72,6 +72,21 @@ def test_trace_malformed(tmp_path):
         rate_curve(WorkloadSpec(Trace(str(bad))), 10, 30)
 
 
+@pytest.mark.parametrize("rows, line, tick, before", [
+    ("0,100\n300,50\n0,20\n", 3, 0, 300),
+    ("tick,rate\n0,5\n30,10\n30,20\n", 4, 30, 30),
+])
+def test_trace_ticks_must_strictly_increase(tmp_path, rows, line, tick, before):
+    # Sorting the rows would let the higher of two rates at one tick win
+    # without a word; the trace is refused instead, at the offending row.
+    trace = tmp_path / "trace.csv"
+    trace.write_text(rows, encoding="utf-8")
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(Trace(str(trace))), 600, 30)
+    assert str(err.value) == (
+        f"{trace}:{line}: trace ticks must strictly increase: {tick} follows {before}")
+
+
 def test_negative_rate_rejected():
     with pytest.raises(WorkloadError):
         rate_curve(WorkloadSpec(Steps(((0, -5.0),))), 10, 30)
