@@ -362,21 +362,19 @@ def synthesize_scale_ladder(
     )
 
 
-def request_cost(
-    service: ServiceType,
-    speed_per_core: Fraction,
-    ticks_per_second: int,
-    mcl: Rational,
-) -> Fraction:
-    """Computational resource one request consumes at ``service``.
+def request_cost(mcl: Rational, ticks_per_second: int) -> tuple[int, int]:
+    """The exact integer ``(budget, cost)`` of a service whose MCL is ``mcl``:
+    each instance spends ``budget`` resource units per tick and one request
+    costs ``cost``, so an instance sustains exactly ``mcl`` requests/sec
+    whatever VM hosts it.
 
-    An instance's per-tick budget is ``speed_per_core * cores_required``, so
-    charging ``budget * ticks_per_second / mcl`` per request caps sustained
-    throughput at exactly ``mcl`` requests/sec regardless of the hosting VM.
+    For MCL n/d that is ``(n, ticks_per_second * d)``; a request to a
+    service of infinite MCL costs nothing, ``(1, 0)``.
     """
     if is_infinite(mcl):
-        return Fraction(0)
-    return speed_per_core * service.cores_required * ticks_per_second / Fraction(mcl)
+        return 1, 0
+    n, d = ratio(mcl)
+    return n, ticks_per_second * d
 
 
 def ladder_to_text(ladder: ScaleLadder, table: CapacityTable) -> str:

@@ -63,6 +63,14 @@ class ExperimentSpec:
         for p in self.policies:
             if p not in (Policy.GLOBAL, Policy.LOCAL):
                 raise ExperimentError(f"unknown policy {p!r}")
+        if len(set(self.policies)) < len(self.policies):
+            raise ExperimentError(f"a policy is selected more than once: {list(self.policies)}")
+        for name in ("duration_s", "ticks_per_second", "queue_capacity", "monitoring_period_s"):
+            if getattr(self, name) < 1:
+                raise ExperimentError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.margin_K < 0 or self.hysteresis_k < 0:
+            raise ExperimentError(
+                f"K and k must be at least 0, got {self.margin_K} and {self.hysteresis_k}")
 
     def scaler_params(self) -> ScalerParams:
         return ScalerParams(
@@ -166,7 +174,15 @@ def _string(value) -> str:
     return value
 
 
-_SPEC_KEYS = {"architecture", "policies", "output", "scenario"}
+def _strings(values) -> tuple[str, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError("expected a list of strings")
+    return tuple(values)
+
+
+# Spec key -> converter; "scenario" is read below.
+_SPEC_FIELDS = {"architecture": _string, "policies": _strings, "output": _string}
+_SPEC_KEYS = {*_SPEC_FIELDS, "scenario"}
 # Scenario key -> (ExperimentSpec field, converter). A key the file leaves
 # out keeps the field's default.
 _SCENARIO_FIELDS = {
@@ -184,6 +200,14 @@ _SCENARIO_FIELDS = {
 }
 
 
+def _read(where: str, block: dict, key: str, convert):
+    """``block[key]`` converted, or an ExperimentError naming the key."""
+    try:
+        return convert(block[key])
+    except TypeError as exc:
+        raise ExperimentError(f"experiment {where} {key!r}: {exc}, got {block[key]!r}") from None
+
+
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     path = Path(path)
     try:
@@ -196,29 +220,23 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if unknown:
         raise ExperimentError(f"experiment spec: unknown keys {sorted(unknown)}")
     scenario = data.get("scenario", {})
+    if not isinstance(scenario, dict):
+        raise ExperimentError(f"experiment spec 'scenario': expected an object, got {scenario!r}")
     unknown = set(scenario) - _SCENARIO_FIELDS.keys()
     if unknown:
         raise ExperimentError(f"experiment scenario: unknown keys {sorted(unknown)}")
-    arch_path = data.get("architecture")
+    fields = {key: _read("spec", data, key, convert)
+              for key, convert in _SPEC_FIELDS.items() if key in data}
+    arch_path = fields.pop("architecture", "")
     if not arch_path:
         raise ExperimentError("experiment spec needs an 'architecture' path")
     arch_path = str((path.parent / arch_path).resolve()) if not os.path.isabs(arch_path) else arch_path
-    fields = {}
-    for key, (name, convert) in _SCENARIO_FIELDS.items():
-        if key in scenario:
-            try:
-                fields[name] = convert(scenario[key])
-            except TypeError as exc:
-                raise ExperimentError(
-                    f"experiment scenario {key!r}: {exc}, got {scenario[key]!r}") from None
+    fields.update((name, _read("scenario", scenario, key, convert))
+                  for key, (name, convert) in _SCENARIO_FIELDS.items() if key in scenario)
     workload = fields.get("workload")
     if workload is not None and isinstance(workload.kind, Trace):
         fields["workload"] = replace(
             workload, kind=Trace(str((path.parent / workload.kind.path).resolve())))
-    if "policies" in data:
-        fields["policies"] = tuple(data["policies"])
-    if "output" in data:
-        fields["output"] = str(data["output"])
     return ExperimentSpec(architecture=arch_path, **fields)
 
 

@@ -24,8 +24,12 @@ attachments and virus mask, all sampled before the run), so the requests a
 service's completions emit to a destination are the completions, a filter
 of them or one comprehension over them, in completion order, then spec
 order. A service has one emitter per destination, and its output is
-admitted as soon as it is made, with a single ``Balancer.dispatch``: it
-keeps exactly the requests that one call per completion would have kept.
+admitted as soon as it is made, with a single call: it keeps exactly the
+requests that one call per completion would have kept.
+
+A balancer's queue is one FIFO list whose first ``ready`` requests are
+takeable (see ``Balancer``). A retired instance finishes its current
+request, takes no other, and leaves at the next interval rollup.
 
 An email's count is set at admission to its leaf count: the completions of
 its requests that emit nothing, known per shape before the run. Only such
@@ -48,6 +52,7 @@ from .capacity import (
     ScaleLadder,
     build_capacity_table,
     is_infinite,
+    request_cost,
     system_mcl,
 )
 from .model import PART_KINDS, SystemArchitecture, validate_architecture
@@ -112,8 +117,9 @@ class SimConfig:
     exact_arrivals: bool = False
 
     def __post_init__(self):
-        if self.ticks_per_second < 1 or self.queue_capacity < 1:
-            raise ValueError("ticks_per_second >= 1 and queue_capacity >= 1 required")
+        if self.duration < 1 or self.ticks_per_second < 1 or self.queue_capacity < 1:
+            raise ValueError("duration >= 1, ticks_per_second >= 1 and queue_capacity >= 1 "
+                             "required")
         if self.policy not in (Policy.GLOBAL, Policy.LOCAL):
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -122,14 +128,18 @@ class SimConfig:
 class Balancer:
     """Bounded FIFO in front of a service's instances.
 
-    Requests enqueued during a tick become available the next tick; the
-    capacity check covers both segments. ``offered`` counts every request
-    dispatched to it, accepted or dropped, until the monitor resets it.
+    ``queue`` holds at most ``capacity`` requests, and its first ``ready``
+    are the ones the instances may take. A request enqueued during a tick
+    becomes takeable the next tick: the engine sets ``ready`` to the queue's
+    length after the service's turn, and what a service declared after it
+    emits to it, after that turn, is admitted with ``dispatch_ready``.
+    ``offered`` counts every request dispatched to it, accepted or dropped,
+    until the monitor resets it.
     """
 
     capacity: int
-    ready: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
+    queue: list = field(default_factory=list)
+    ready: int = 0
     offered: int = 0
 
     def dispatch(self, reqs) -> int:
@@ -137,44 +147,44 @@ class Balancer:
         returns how many were accepted. The rest are dropped."""
         n = len(reqs)
         self.offered += n
-        pending = self.pending
-        room = self.capacity - len(self.ready) - len(pending)
+        queue = self.queue
+        room = self.capacity - len(queue)
         if room >= n:
-            pending.extend(reqs)
+            queue.extend(reqs)
             return n
         if room <= 0:
             return 0
-        pending.extend(reqs[:room])
+        queue.extend(reqs[:room])
         return room
 
-    def promote(self) -> None:
-        if self.pending:
-            self.ready.extend(self.pending)
-            self.pending.clear()
+    def dispatch_ready(self, reqs) -> int:
+        """``dispatch``, counting what it accepts as ready."""
+        accepted = self.dispatch(reqs)
+        self.ready += accepted
+        return accepted
 
 
 class InstanceRuntime:
     """One deployed instance and its current work item: ``left`` is the cost
     still owed on ``cur_req``."""
 
-    __slots__ = ("iid", "service_idx", "ready_at", "draining", "cur_req", "left")
+    __slots__ = ("iid", "ready_at", "draining", "cur_req", "left")
 
-    def __init__(self, iid: str, service_idx: int, ready_at: int):
+    def __init__(self, iid: str, ready_at: int):
         self.iid = iid
-        self.service_idx = service_idx
         self.ready_at = ready_at
         self.draining = False
         self.cur_req = -1
         self.left = 0
 
 
-def process_tick(insts: list[InstanceRuntime], ready: list, tick: int, budget: int,
+def process_tick(insts: list[InstanceRuntime], queue: list, n: int, tick: int, budget: int,
                  cost: int) -> list[int]:
     """Spend this tick's ``budget`` of every instance started by ``tick``, in
-    list order, on the shared ``ready`` queue of requests that each cost
-    ``cost``; returns the completed requests in completion order and deletes
-    the requests taken from the queue's front. A cost of 0 takes the whole
-    queue.
+    list order, on the first ``n`` requests of the shared ``queue``, each of
+    which costs ``cost``; returns the completed requests in completion order
+    and deletes the requests taken from the queue's front. A cost of 0 takes
+    all ``n``.
 
     Idle budget is not banked: when the queue runs dry the leftover is lost.
     A request whose cost exceeds what is left of a budget carries the rest
@@ -183,7 +193,6 @@ def process_tick(insts: list[InstanceRuntime], ready: list, tick: int, budget: i
     """
     completed: list[int] = []
     head = 0  # requests taken so far
-    n = len(ready)
     for inst in insts:
         if tick < inst.ready_at:
             continue
@@ -208,16 +217,16 @@ def process_tick(insts: list[InstanceRuntime], ready: list, tick: int, budget: i
         head += k
         if head >= n:
             head = n
-            completed += ready[start:]
+            completed += queue[start:n]
             continue
-        completed += ready[start:head]
+        completed += queue[start:head]
         rem = credit - k * cost
         if rem:
-            inst.cur_req = ready[head]
+            inst.cur_req = queue[head]
             inst.left = cost - rem
             head += 1
     if head:
-        del ready[:head]
+        del queue[:head]
     return completed
 
 
@@ -330,21 +339,20 @@ class MetricsTimeline:
 
 
 class _ServiceState:
-    __slots__ = ("idx", "name", "balancer", "insts", "draining_count", "mcl", "base_n")
+    __slots__ = ("idx", "name", "balancer", "insts", "mcl", "base_n")
 
     def __init__(self, idx: int, name: str, capacity: int):
         self.idx = idx
         self.name = name
         self.balancer = Balancer(capacity)
         self.insts: list[InstanceRuntime] = []
-        self.draining_count = 0
         self.mcl = None  # Rational, set at build
         self.base_n = 0
 
     @property
     def committed(self) -> int:
         """The instances deployed and not draining, warming ones included."""
-        return len(self.insts) - self.draining_count
+        return sum(1 for i in self.insts if not i.draining)
 
 
 @dataclass(frozen=True)
@@ -597,7 +605,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         insts = []
         for iid in orch.created_instance_ids():
             st = svc_states[arch.service_index(registry.instances[iid].service)]
-            inst = InstanceRuntime(iid, st.idx, ready_at)
+            inst = InstanceRuntime(iid, ready_at)
             st.insts.append(inst)
             insts.append(inst)
         return insts
@@ -626,12 +634,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     def retire(removal: TimedOrchestration, victims: list[InstanceRuntime]) -> None:
         """Apply ``removal`` and drain ``victims``: each finishes its current
-        request, then leaves the engine."""
+        request, then leaves the engine at the next interval rollup."""
         registry.apply(removal)
         timeline.orchestrations.append(removal)
         for inst in victims:
             inst.draining = True
-            svc_states[inst.service_idx].draining_count += 1
 
     def warming(units: list[_Unit], now: int) -> bool:
         return any(u.ready_tick > now for u in units)
@@ -731,22 +738,20 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     entry_dispatch = entry_balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
-    # Per service: its instances and ready queue, its budget and request
-    # cost, the (emitter, dispatch) pair of each destination, and the filter
+    # Per service: its instances, balancer and queue, its budget and request
+    # cost, the (emitter, outlet) pair of each destination, and the filter
     # of its completions that are leaves. Every instance of a service has the
     # budget/cost ratio MCL/tps, whatever its VM's speed, so one exact
-    # integer pair serves them all.
+    # integer pair serves them all. A destination declared before the
+    # service has had its turn when the service emits, so what it admits is
+    # takeable next tick: its outlet is ``dispatch_ready``.
     services = []
     for st, (fires, arriving) in zip(svc_states, routes):
         emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
-        if is_infinite(st.mcl):
-            budget, cost = 1, 0
-        else:
-            mcl = Fraction(st.mcl)
-            budget, cost = mcl.numerator, tps * mcl.denominator
-        services.append((st.insts, st.balancer.ready, budget, cost,
-                         [(emit, svc_states[d].balancer.dispatch) for d, emit in emitters], leaf))
-    promotes = [st.balancer.promote for st in svc_states]
+        budget, cost = request_cost(st.mcl, tps)
+        outlets = [(emit, svc_states[d].balancer.dispatch_ready if d < st.idx
+                    else svc_states[d].balancer.dispatch) for d, emit in emitters]
+        services.append((st.insts, st.balancer, st.balancer.queue, budget, cost, outlets, leaf))
 
     for tick in range(duration):
         # 1. Workload arrivals.
@@ -765,19 +770,19 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 iv_lost += n_drop
             iv_generated += n_arr
 
-        # 2. Processing, in declaration order. What a service's completions
-        # emit to a destination is admitted in one call, before the next
-        # service pops its queue and so changes its room, and the emails of
-        # the dropped tail are lost. An email settles when its last leaf
-        # completes; a lost email never does, as its dropped request's
-        # leaves never complete.
-        for insts, ready, budget, cost, emitters, leaf in services:
-            if not insts:
-                continue
-            done = process_tick(insts, ready, tick, budget, cost)
+        # 2. Processing, in declaration order. A service takes from the
+        # ready front of its queue, and then all it holds is ready for its
+        # next turn. What its completions emit to a destination is admitted
+        # in one call, before the next service pops its queue and so changes
+        # its room, and the emails of the dropped tail are lost. An email
+        # settles when its last leaf completes; a lost email never does, as
+        # its dropped request's leaves never complete.
+        for insts, bal, queue, budget, cost, outlets, leaf in services:
+            done = process_tick(insts, queue, bal.ready, tick, budget, cost)
+            bal.ready = len(queue)
             if not done:
                 continue
-            for emit, dispatch in emitters:
+            for emit, dispatch in outlets:
                 out = emit(done)
                 if out:
                     accepted = dispatch(out)
@@ -804,23 +809,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             else:
                 local_monitor(tick)
 
-        # 4. Retire drained instances.
-        for st in svc_states:
-            if st.draining_count:
-                keep = []
-                for inst in st.insts:
-                    if inst.draining and inst.cur_req < 0:
-                        st.draining_count -= 1
-                    else:
-                        keep.append(inst)
-                st.insts[:] = keep
-
-        # 5. Promote queues.
-        for promote in promotes:
-            promote()
-
-        # 6. Interval rollup.
+        # 4. Interval rollup. A drained instance (draining, with no current
+        # request) takes nothing in ``process_tick``, so it leaves here.
         if (tick + 1) % tps == 0 or tick + 1 == duration:
+            for st in svc_states:
+                st.insts[:] = [i for i in st.insts if not i.draining or i.cur_req >= 0]
             start_s = interval_start_tick // tps
             span_s = (tick + 1 - interval_start_tick) / tps
             interval_start_tick = tick + 1

@@ -67,8 +67,11 @@ def reference_experiment(tmp_path_factory, reference_arch):
 def test_criterion_1_cost_model_pinpoint(reference_arch, reference_table):
     started = time.perf_counter()
     recognizer = reference_arch.service("ImageRecognizer")
-    cost = request_cost(recognizer, Fraction(5), TPS, reference_table.entry("ImageRecognizer").mcl)
-    assert cost == Fraction(5 * 6 * 30, 91)
+    budget, cost = request_cost(reference_table.entry("ImageRecognizer").mcl, TPS)
+    assert (budget, cost) == (91, 30)
+    # On a VM of speed 5 per core, the recognizer's 6 cores give 5 * 6 units
+    # a tick, and a request takes 5 * 6 * cost / budget of them.
+    assert 5 * recognizer.cores_required * Fraction(cost, budget) == Fraction(5 * 6 * 30, 91)
 
     # Saturate a single-service system and count completions over 60 s.
     arch = parse_architecture_data({

@@ -416,13 +416,18 @@ def test_configuration_for_equals_repeated_addition(base, steps, data, reference
 
 def test_request_cost_exact(reference_arch):
     s = reference_arch.service("ImageRecognizer")
-    cost = request_cost(s, Fraction(5), 30, Fraction(91))
-    assert cost == Fraction(5 * 6 * 30, 91)
+    budget, cost = request_cost(Fraction(91), 30)
+    assert (budget, cost) == (91, 30)
+    # 6 cores at speed 5 spend 5 * 6 units a tick; a request takes 30/91 of them.
+    assert 5 * s.cores_required * Fraction(cost, budget) == Fraction(5 * 6 * 30, 91)
+    # MCL 182/3: budget 182 a tick, a request costs 30 * 3.
+    assert request_cost(Fraction(182, 3), 30) == (182, 90)
 
 
-def test_request_cost_infinite_is_zero(reference_arch):
-    s = reference_arch.service("HeaderAnalyser")
-    assert request_cost(s, Fraction(5), 30, INFINITE) == 0
+def test_request_cost_infinite_is_zero(reference_table):
+    mcl = reference_table.entry("HeaderAnalyser").mcl
+    assert is_infinite(mcl)
+    assert request_cost(mcl, 30) == (1, 0)
 
 
 def test_service_without_requests_bounds_nothing(all_virus_arch):

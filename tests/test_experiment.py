@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from archscale import ExperimentError, ExperimentSpec, load_experiment_spec, run_experiment
+from archscale import (
+    ExperimentError,
+    ExperimentSpec,
+    SimConfig,
+    load_experiment_spec,
+    run_experiment,
+)
 from archscale.cli import reference_architecture_path
 from archscale.experiment import read_metrics_csv, summarize_metrics_rows
 from archscale.workload import Diurnal, Steps, Trace, WorkloadSpec, rate_curve
@@ -118,6 +124,56 @@ def write_scenario(tmp_path, **scenario):
     spec_file.write_text(json.dumps({"architecture": "arch.json", "scenario": scenario}),
                          encoding="utf-8")
     return spec_file
+
+
+def test_repeated_policy_rejected(tmp_path):
+    # Else compare would run global twice and report no local row.
+    with pytest.raises(ExperimentError, match="more than once"):
+        short_spec(tmp_path, policies=("global", "global"))
+    spec_file = tmp_path / "exp.json"
+    spec_file.write_text(json.dumps({"architecture": "a.json", "policies": ["local", "local"]}),
+                         encoding="utf-8")
+    with pytest.raises(ExperimentError, match="more than once"):
+        load_experiment_spec(spec_file)
+
+
+def test_run_of_no_seconds_rejected(tmp_path):
+    # Else the run writes empty metrics files and a report of zeros.
+    for duration_s in (0, -5):
+        with pytest.raises(ExperimentError, match="duration_s must be at least 1"):
+            short_spec(tmp_path, duration_s=duration_s)
+        with pytest.raises(ExperimentError, match="duration_s must be at least 1"):
+            load_experiment_spec(write_scenario(tmp_path, duration_s=duration_s))
+        with pytest.raises(ValueError, match="duration >= 1"):
+            SimConfig(duration=duration_s, workload=WorkloadSpec(Steps(((0, 50.0),))))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("ticks_per_second", 0, "ticks_per_second must be at least 1"),
+    ("queue_capacity", 0, "queue_capacity must be at least 1"),
+    ("monitoring_period_s", 0, "monitoring_period_s must be at least 1"),
+    ("K", -1, "K and k must be at least 0"),
+    ("k", -0.5, "K and k must be at least 0"),
+])
+def test_spec_ranges_checked(tmp_path, key, value, message):
+    # Else the run writes the capacity table and the ladder, then fails on
+    # a simulator or scaler parameter whose name the spec file does not use.
+    with pytest.raises(ExperimentError, match=message):
+        load_experiment_spec(write_scenario(tmp_path, **{key: value}))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"architecture": 7}, "'architecture': expected a string, got 7"),
+    ({"architecture": "a.json", "output": 7}, "'output': expected a string, got 7"),
+    ({"architecture": "a.json", "policies": "global"},
+     "'policies': expected a list of strings, got 'global'"),
+    ({"architecture": "a.json", "scenario": "abc"}, "'scenario': expected an object, got 'abc'"),
+], ids=["architecture", "output", "policies", "scenario"])
+def test_spec_values_checked(tmp_path, spec, message):
+    spec_file = tmp_path / "exp.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(ExperimentError, match=re.escape(f"experiment spec {message}")):
+        load_experiment_spec(spec_file)
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None])

@@ -46,17 +46,35 @@ def test_dispatch_enqueues_until_capacity():
     # One slot left: a fan-out of three keeps its first request only.
     assert bal.dispatch((97, 98, 99)) == 1
     assert bal.dispatch((100,)) == 0
-    assert bal.pending == list(range(9)) + [97]
-    bal.promote()
+    assert bal.queue == list(range(9)) + [97]
+    assert bal.ready == 0
+    bal.ready = len(bal.queue)  # the service's turn
     assert bal.dispatch((101,)) == 0
+    assert bal.dispatch_ready((101,)) == 0
+    assert bal.offered == 15
 
 
 def test_dispatch_empty_queue_enqueues_front():
     bal = Balancer(capacity=10)
     assert bal.dispatch((5,)) == 1
-    assert list(bal.ready) == []
-    bal.promote()
-    assert bal.ready[0] == 5
+    assert (bal.queue, bal.ready) == ([5], 0)
+    inst = InstanceRuntime("i", 0)
+    # Not takeable before the service's turn ends, then first in line.
+    assert process_tick([inst], bal.queue, bal.ready, 0, 10, 5) == []
+    bal.ready = len(bal.queue)
+    assert process_tick([inst], bal.queue, bal.ready, 1, 10, 5) == [5]
+
+
+def test_dispatch_ready_counts_what_it_admits_as_ready():
+    # What a service emits to one declared before it arrives after that
+    # destination's turn: it is takeable on the destination's next turn.
+    bal = Balancer(capacity=4)
+    bal.dispatch((1,))
+    bal.ready = len(bal.queue)
+    assert bal.dispatch_ready((2, 3, 4, 5)) == 3
+    assert (bal.queue, bal.ready, bal.offered) == ([1, 2, 3, 4], 4, 5)
+    assert bal.dispatch_ready((6,)) == 0
+    assert (bal.ready, bal.offered) == (4, 6)
 
 
 @given(capacity=st.integers(1, 20), n_ready=st.integers(0, 25), n_pending=st.integers(0, 25),
@@ -66,23 +84,33 @@ def test_one_dispatch_of_a_concatenation_equals_one_per_request_tuple(
     # The engine admits a service's emissions to each destination in one call.
     def prefilled():
         bal = Balancer(capacity=capacity)
-        bal.ready.extend(range(-n_ready, 0))
-        bal.pending.extend(range(-n_ready - n_pending, -n_ready))
+        bal.queue.extend(range(-n_ready - n_pending, 0))
+        bal.ready = n_ready
         return bal
 
-    whole, each = prefilled(), prefilled()
-    accepted = whole.dispatch([r for reqs in batches for r in reqs])
-    assert accepted == sum(each.dispatch(reqs) for reqs in batches)
-    assert whole.pending == each.pending
-    assert whole.offered == each.offered
+    for outlet in (Balancer.dispatch, Balancer.dispatch_ready):
+        whole, each = prefilled(), prefilled()
+        accepted = outlet(whole, [r for reqs in batches for r in reqs])
+        assert accepted == sum(outlet(each, reqs) for reqs in batches)
+        assert whole.queue == each.queue
+        assert whole.ready == each.ready
+        assert whole.offered == each.offered
 
 
 def test_promotion_preserves_fifo():
+    # Requests admitted during a tick queue behind the ready ones and are
+    # taken after them, in admission order, once the service's turn has
+    # made them ready.
     bal = Balancer(capacity=10)
-    bal.pending.extend(range(4))
-    bal.promote()
-    assert list(bal.ready) == [0, 1, 2, 3]
-    assert bal.pending == []
+    bal.dispatch([0, 1])
+    bal.ready = len(bal.queue)
+    bal.dispatch([2, 3])
+    inst = InstanceRuntime("i", 0)
+    assert process_tick([inst], bal.queue, bal.ready, 0, 10, 4) == [0, 1]
+    assert (inst.cur_req, inst.left) == (-1, 0)
+    bal.ready = len(bal.queue)
+    assert bal.queue == [2, 3]
+    assert process_tick([inst], bal.queue, bal.ready, 1, 10, 4) == [2, 3]
 
 
 def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
@@ -104,60 +132,61 @@ def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
 
 def test_two_instances_split_four_requests():
     ready = [1, 2, 3, 4]
-    a = InstanceRuntime("a", 0, 0)
-    b = InstanceRuntime("b", 0, 0)
-    assert process_tick([a], ready, 0, 10, 5) == [1, 2]
-    assert process_tick([b], ready, 0, 10, 5) == [3, 4]
+    a = InstanceRuntime("a", 0)
+    b = InstanceRuntime("b", 0)
+    assert process_tick([a], ready, len(ready), 0, 10, 5) == [1, 2]
+    assert process_tick([b], ready, len(ready), 0, 10, 5) == [3, 4]
 
 
 def test_shared_queue_completions_come_back_in_list_order():
     ready = list(range(7))
-    a = InstanceRuntime("a", 0, 0)
-    b = InstanceRuntime("b", 0, 0)
+    a = InstanceRuntime("a", 0)
+    b = InstanceRuntime("b", 0)
     # a takes 0 and 1 and starts 2 with 2 of its 10 left; b does the same
     # with 3, 4 and 5.
-    assert process_tick([a, b], ready, 0, 10, 4) == [0, 1, 3, 4]
+    assert process_tick([a, b], ready, len(ready), 0, 10, 4) == [0, 1, 3, 4]
     assert list(ready) == [6]
     assert (a.cur_req, a.left) == (2, 2) and (b.cur_req, b.left) == (5, 2)
-    assert process_tick([b, a], ready, 1, 10, 4) == [5, 6, 2]
+    assert process_tick([b, a], ready, len(ready), 1, 10, 4) == [5, 6, 2]
 
 
 def test_instance_not_started_is_skipped():
     ready = [1, 2, 3]
-    warm = InstanceRuntime("w", 0, 60)
-    live = InstanceRuntime("l", 0, 0)
-    assert process_tick([warm, live], ready, 59, 10, 5) == [1, 2]
+    warm = InstanceRuntime("w", 60)
+    live = InstanceRuntime("l", 0)
+    assert process_tick([warm, live], ready, len(ready), 59, 10, 5) == [1, 2]
     assert warm.cur_req == -1
-    assert process_tick([warm, live], ready, 60, 10, 5) == [3]
+    assert process_tick([warm, live], ready, len(ready), 60, 10, 5) == [3]
 
 
 # -- per-tick budget accounting ---------------------------------------------------
 
 def test_request_spanning_ticks_completes_on_third():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = [7]
-    assert process_tick([inst], ready, 0, 10, 25) == []
-    assert process_tick([inst], ready, 1, 10, 25) == []
-    assert process_tick([inst], ready, 2, 10, 25) == [7]
+    assert process_tick([inst], ready, len(ready), 0, 10, 25) == []
+    assert process_tick([inst], ready, len(ready), 1, 10, 25) == []
+    assert process_tick([inst], ready, len(ready), 2, 10, 25) == [7]
 
 
 def test_budget_not_banked_when_idle():
-    inst = InstanceRuntime("i", 0, 0)
-    assert process_tick([inst], [], 0, 10, 15) == []
+    inst = InstanceRuntime("i", 0)
+    assert process_tick([inst], [], 0, 0, 10, 15) == []
     ready = [3]
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
-    assert process_tick([inst], ready, 1, 10, 15) == []
-    assert process_tick([inst], ready, 2, 10, 15) == [3]
+    assert process_tick([inst], ready, len(ready), 1, 10, 15) == []
+    assert process_tick([inst], ready, len(ready), 2, 10, 15) == [3]
 
 
 def test_image_recognizer_cost_rate():
     # MCL 91/s at 30 ticks/s: budget 91 per tick, 30 per request.
     mcl = Fraction(91)
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = list(range(10000))
     done = 0
     for tick in range(30 * 60):
-        done += len(process_tick([inst], ready, tick, mcl.numerator, 30 * mcl.denominator))
+        done += len(process_tick([inst], ready, len(ready), tick, mcl.numerator,
+                                 30 * mcl.denominator))
     assert done == 91 * 60
 
 
@@ -165,59 +194,59 @@ def test_image_recognizer_cost_rate():
        tps=st.integers(1, 60), ticks=st.integers(1, 300))
 def test_saturated_instance_completes_floor_of_budget_over_cost(mcl, tps, ticks):
     budget, cost = mcl.numerator, tps * mcl.denominator
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = list(range(ticks * budget // cost + 2))
     done = 0
     for tick in range(ticks):
-        done += len(process_tick([inst], ready, tick, budget, cost))
+        done += len(process_tick([inst], ready, len(ready), tick, budget, cost))
         assert done == (tick + 1) * budget // cost
 
 
 def test_zero_cost_drains_entire_queue():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = list(range(500))
-    assert len(process_tick([inst], ready, 0, 1, 0)) == 500
+    assert len(process_tick([inst], ready, len(ready), 0, 1, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = [1, 2]
     inst.cur_req = 0
     inst.left = 4
     inst.draining = True
-    assert process_tick([inst], ready, 0, 10, 8) == [0]
+    assert process_tick([inst], ready, len(ready), 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
-    assert process_tick([inst], ready, 1, 10, 8) == []
+    assert process_tick([inst], ready, len(ready), 1, 10, 8) == []
 
 
 def test_carried_request_costing_the_whole_budget_pops_nothing():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     inst.cur_req = 0
     inst.left = 10
     ready = [1, 2]
-    assert process_tick([inst], ready, 0, 10, 8) == [0]
+    assert process_tick([inst], ready, len(ready), 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
     assert inst.cur_req == -1
 
 
 def test_draining_instance_carries_remainder_over_budget():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     inst.cur_req = 0
     inst.left = 25
     inst.draining = True
     ready = [1]
-    assert process_tick([inst], ready, 0, 10, 8) == []
+    assert process_tick([inst], ready, len(ready), 0, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 15)
-    assert process_tick([inst], ready, 1, 10, 8) == []
+    assert process_tick([inst], ready, len(ready), 1, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 5)
-    assert process_tick([inst], ready, 2, 10, 8) == [0]
+    assert process_tick([inst], ready, len(ready), 2, 10, 8) == [0]
     assert list(ready) == [1]
 
 
 def test_fresh_request_spending_budget_to_zero_starts_no_other():
-    inst = InstanceRuntime("i", 0, 0)
+    inst = InstanceRuntime("i", 0)
     ready = [1, 2, 3]
-    assert process_tick([inst], ready, 0, 10, 5) == [1, 2]
+    assert process_tick([inst], ready, len(ready), 0, 10, 5) == [1, 2]
     assert list(ready) == [3]
     assert (inst.cur_req, inst.left) == (-1, 0)
 
@@ -258,7 +287,7 @@ COSTS = st.sampled_from([0, 5, 30, 25, 4, 91, 3]) | st.integers(0, 300)
 
 @st.composite
 def instances(draw, budget):
-    inst = InstanceRuntime("i", 0, draw(st.integers(0, 2)))
+    inst = InstanceRuntime("i", draw(st.integers(0, 2)))
     inst.draining = draw(st.booleans())
     if draw(st.booleans()):
         inst.cur_req = 1000
@@ -274,14 +303,17 @@ def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks
     insts = data.draw(st.lists(instances(budget), max_size=6))
     copies = []
     for inst in insts:
-        copy = InstanceRuntime(inst.iid, inst.service_idx, inst.ready_at)
+        copy = InstanceRuntime(inst.iid, inst.ready_at)
         copy.draining, copy.cur_req, copy.left = inst.draining, inst.cur_req, inst.left
         copies.append(copy)
-    ready, expected_ready = list(range(n_ready)), deque(range(n_ready))
+    # Behind the ready requests, ones admitted this tick, which the kernel
+    # must leave where they are.
+    tail = data.draw(st.lists(st.integers(2000, 2999), max_size=8))
+    queue, expected_ready = list(range(n_ready)) + tail, deque(range(n_ready))
     for tick in range(ticks):
-        assert (process_tick(insts, ready, tick, budget, cost)
+        assert (process_tick(insts, queue, len(queue) - len(tail), tick, budget, cost)
                 == reference_tick(copies, expected_ready, tick, budget, cost))
-        assert ready == list(expected_ready)
+        assert queue == list(expected_ready) + tail
         assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
 
 
