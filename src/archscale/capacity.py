@@ -324,7 +324,10 @@ class ScaleLadder:
     def last_scale_covers_finite_services(self, table: CapacityTable) -> bool:
         """Whether the largest scale adds at least one instance to every
         service that bounds the system MCL: finite MCL, and requests to
-        serve (keeps repeated largest-scale stacking balanced)."""
+        serve (keeps repeated largest-scale stacking balanced). A ladder
+        without scales has no largest scale, so it covers none."""
+        if not self.num_scales:
+            return False
         top = self.scale(self.num_scales)
         return all(add >= 1 for add, w in zip(top.counts, table.weights) if w is not None)
 

@@ -23,14 +23,7 @@ from .experiment import (
     run_experiment,
 )
 from .model import validate_architecture
-from .planner import (
-    DeploymentRegistry,
-    orchestration_to_script,
-    plan_placement,
-    synthesize_orchestration,
-    synthesize_undeployment,
-)
-from .simulator import Policy
+from .scaler import Policy
 
 
 def reference_architecture_path() -> Path:
@@ -68,6 +61,14 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import (  # here: only this command places and orchestrates
+        DeploymentRegistry,
+        orchestration_to_script,
+        plan_placement,
+        synthesize_orchestration,
+        synthesize_undeployment,
+    )
+
     arch = load_architecture(args.arch)
     if args.delta:
         delta: dict[str, int] = {}

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .capacity import (
     CapacityTable,
@@ -28,9 +28,11 @@ from .capacity import (
 )
 from .document import load_architecture
 from .model import SystemArchitecture
-from .scaler import ScalerParams
-from .simulator import MetricsTimeline, Policy, SimConfig, run_simulation
+from .scaler import Policy, ScalerParams
 from .workload import Diurnal, Steps, Trace, WorkloadSpec
+
+if TYPE_CHECKING:
+    from .simulator import MetricsTimeline, SimConfig
 
 
 class ExperimentError(ValueError):
@@ -80,6 +82,8 @@ class ExperimentSpec:
         )
 
     def sim_config(self, policy: str) -> SimConfig:
+        from .simulator import SimConfig  # here: the set-up commands never simulate
+
         return SimConfig(
             duration=self.duration_s * self.ticks_per_second,
             workload=self.workload,
@@ -152,6 +156,8 @@ def _integer(value) -> int:
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+        raise TypeError("expected a finite number")
     return float(value)
 
 
@@ -413,6 +419,8 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run every selected policy and write all artifacts under ``out_dir``."""
+    from .simulator import run_simulation  # here: the set-up commands never simulate
+
     out = Path(out_dir if out_dir is not None else spec.output)
     out.mkdir(parents=True, exist_ok=True)
     arch = load_architecture(spec.architecture)

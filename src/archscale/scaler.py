@@ -34,6 +34,14 @@ from .capacity import (
 from .model import INFINITE, Rational
 
 
+class Policy:
+    """The scaling policies: one ladder for the whole architecture, or one
+    instance count per service."""
+
+    GLOBAL = "global"
+    LOCAL = "local"
+
+
 @dataclass(frozen=True)
 class ScalerParams:
     """K: safety margin (emails/s); k: hysteresis band; period in ticks."""

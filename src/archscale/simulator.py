@@ -66,6 +66,7 @@ from .planner import (
     synthesize_undeployment,
 )
 from .scaler import (
+    Policy,
     ScalerParams,
     Trigger,
     diff_reconfiguration,
@@ -83,26 +84,16 @@ class SimulationError(RuntimeError):
 # Part kind codes (indices into PART_KINDS).
 P_EMAIL, P_HEADER, P_LINKS, P_TEXT, P_BLOCK, P_ATTACHMENT, P_REPORT = range(7)
 
-# Emission modes. While _compile_routes classifies a pipeline edge, the
-# meaning of one request emitted along it is the completed request's
-# original nibble masked and or-ed with the emitted part, so the mode is the
-# mask: _M_ONE clears the part and the virus flag, _M_PASS the part only.
-# Compiled routes carry no masks: a one-request edge is _M_ONE with the wire
-# it emits on. The fan-outs emit as many requests as the email's shape has
-# blocks or attachments.
+# Emission modes of a compiled edge: _M_ONE emits one request on the edge's
+# wire (see _compile_routes), and the fan-outs emit as many requests as the
+# email's shape has blocks or attachments.
 _M_ONE = -16
-_M_PASS = -15
 _M_BLOCKS = 2
 _M_ATT_FANOUT = 3
 # Edge conditions, as the virus flag for which the edge does not fire.
 _SKIP_NEVER = 2
 _SKIP_INFECTED = 1  # a "clean" edge
 _SKIP_CLEAN = 0  # an "infected" edge
-
-
-class Policy:
-    GLOBAL = "global"
-    LOCAL = "local"
 
 
 @dataclass(frozen=True)
@@ -502,6 +493,11 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
         inbound[e.dst].add(PART_KINDS.index(e.part))
 
     # Per (service, inbound part): (skip, dst, part << 1, mode) in spec order.
+    # The meaning of one request emitted along an edge is the completed
+    # request's original nibble masked and or-ed with the emitted part, so a
+    # one-request mode is that mask: _M_ONE clears the part and the virus
+    # flag, pass_through the part only. The compiled routes carry no masks.
+    pass_through = -15
     specs: list[list[list[tuple]]] = [[[] for _ in PART_KINDS] for _ in arch.services]
     for e in arch.pipeline:
         q = PART_KINDS.index(e.part)
@@ -512,7 +508,7 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
             if q == P_REPORT:
                 mode = _M_ONE
             elif q == p:
-                mode = _M_PASS
+                mode = pass_through
             elif p == P_EMAIL and q in (P_HEADER, P_LINKS, P_TEXT):
                 mode = _M_ONE
             elif p == P_EMAIL and q == P_ATTACHMENT:
@@ -735,6 +731,9 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     iv_dropped = 0
     iv_latency_ticks = 0
     interval_start_tick = 0
+    # The next ticks at whose end the monitor fires and the interval closes.
+    monitor_tick = period - 1
+    rollup_tick = min(tps, duration) - 1
 
     entry_dispatch = entry_balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
@@ -803,7 +802,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                         iv_completed += 1
 
         # 3. Monitors.
-        if (tick + 1) % period == 0:
+        if tick == monitor_tick:
+            monitor_tick += period
             if is_global:
                 global_monitor(tick)
             else:
@@ -811,7 +811,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
         # 4. Interval rollup. A drained instance (draining, with no current
         # request) takes nothing in ``process_tick``, so it leaves here.
-        if (tick + 1) % tps == 0 or tick + 1 == duration:
+        if tick == rollup_tick:
+            rollup_tick = min(tick + tps, duration - 1)
             for st in svc_states:
                 st.insts[:] = [i for i in st.insts if not i.draining or i.cur_req >= 0]
             start_s = interval_start_tick // tps

@@ -157,3 +157,43 @@ def test_cold_commands_never_import_numpy():
     assert done.returncode == 0, done.stderr
     direct = generate_arrivals(WorkloadSpec(Steps(((0, 40.0), (150, 90.0)))), 3, 300, 30)
     assert json.loads(done.stdout) == direct.tolist()
+
+
+LAZY_START = """
+import contextlib, io, sys
+import archscale
+
+def heavy():
+    return [m for m in ("archscale.planner", "archscale.simulator") if m in sys.modules]
+
+assert heavy() == [], "import archscale"
+import archscale.cli
+for argv in (["validate"], ["ladder"], ["plan", "--delta-index", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert archscale.cli.main(argv) == 0, argv
+    assert heavy() == (["archscale.planner"] if argv[0] == "plan" else []), (argv, heavy())
+for name in archscale.__all__:
+    getattr(archscale, name)
+assert set(archscale.__all__) <= set(dir(archscale))
+assert archscale.simulator.Policy is archscale.Policy
+try:
+    archscale.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("archscale.no_such_name resolved")
+original, marker = archscale.capacity.system_mcl, object()
+archscale.capacity.system_mcl = marker
+assert archscale.system_mcl is marker, "a patched export reads back through the package"
+archscale.capacity.system_mcl = original
+assert archscale.system_mcl is original
+"""
+
+
+def test_cold_commands_load_only_what_they_run():
+    # The set-up commands never compile the simulator or the planner, and
+    # the package reads each export from its module on every access.
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LAZY_START], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr

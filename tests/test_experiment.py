@@ -205,6 +205,20 @@ def test_spec_number_must_be_json_number(tmp_path, key, value):
     assert (spec.margin_K, spec.base_target_mcl, spec.scale_increments) == (20.0, 60.5, (60.0, 150.5))
 
 
+@pytest.mark.parametrize("scenario,key", [
+    ({"K": float("nan")}, "K"),
+    ({"workload": {"kind": "steps", "points": [[0, 60], [30, float("inf")]]}}, "points"),
+    ({"scale_increments": [60, float("-inf")]}, "scale_increments"),
+], ids=["K", "steps-rate", "scale_increments"])
+def test_spec_number_must_be_finite(tmp_path, scenario, key):
+    # json.loads reads NaN and Infinity. Else a NaN K fails later as an
+    # invalid Fraction literal, and an infinite rate inside numpy.
+    spec_file = write_scenario(tmp_path, **scenario)
+    assert re.search(r"NaN|Infinity", spec_file.read_text(encoding="utf-8"))
+    with pytest.raises(ExperimentError, match=rf"'{key}': expected a finite number, got"):
+        load_experiment_spec(spec_file)
+
+
 @pytest.mark.parametrize("workload,key,value", [
     ({"kind": "steps", "points": [[0, 60]], "jitter": "0.2"}, "jitter", "0.2"),
     ({"kind": "steps", "points": [[0, "60"]]}, "points", [[0, "60"]]),

@@ -10,15 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from archscale import (
+    ExperimentSpec,
     ScalerParams,
     SimConfig,
     SimulationError,
     Steps,
     WorkloadSpec,
     build_capacity_table,
+    run_experiment,
     run_simulation,
     synthesize_scale_ladder,
 )
+from archscale.cli import reference_architecture_path
 from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
 from archscale.simulator import (
@@ -492,6 +495,14 @@ def test_steady_state_below_capacity(reference_arch, reference_ladder):
     assert tl.generated == tl.completed + tl.in_flight_end
 
 
+def test_rollup_closes_a_short_last_interval(reference_arch, reference_ladder):
+    # 45 ticks at 30 per second: one full row, then a row of half a second.
+    cfg = SimConfig(duration=45, workload=WorkloadSpec(Steps(((0, 40.0),))),
+                    seed=1, policy=Policy.GLOBAL, exact_arrivals=True)
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert [(r.t_s, r.generated, r.inbound_eps) for r in tl.rows] == [(0, 40, 40.0), (1, 20, 40.0)]
+
+
 def test_conservation_under_overload(reference_arch, reference_ladder):
     # 500 emails/s against the base deployment: heavy loss, strict accounting.
     cfg = SimConfig(duration=30 * 30, workload=WorkloadSpec(Steps(((0, 500.0),))),
@@ -583,6 +594,20 @@ def test_global_refusal_names_the_covering_rule():
         "every service with a finite MCL and an MF above 0")
     local = run_simulation(arch, ladder, dataclasses.replace(cfg, policy=Policy.LOCAL))
     assert local.generated == 1
+
+
+def test_global_refuses_a_ladder_without_scales(tmp_path):
+    # A ladder with no scales has no largest scale to stack: the named
+    # refusal, not an IndexError from looking that scale up.
+    spec = ExperimentSpec(architecture=str(reference_architecture_path()),
+                          policies=(Policy.GLOBAL,), output=str(tmp_path / "g"),
+                          duration_s=2, seed=1, exact_arrivals=True,
+                          workload=WorkloadSpec(Steps(((0, 10.0),))), scale_increments=())
+    with pytest.raises(SimulationError, match="largest scale adds an instance to every service"):
+        run_experiment(spec)
+    local = run_experiment(dataclasses.replace(
+        spec, policies=(Policy.LOCAL,), output=str(tmp_path / "l"))).timelines[Policy.LOCAL]
+    assert local.generated == 20 and local.dropped_requests == 0
 
 
 def test_invalid_architecture_rejected(reference_ladder):
