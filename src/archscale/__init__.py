@@ -44,7 +44,7 @@ _EXPORTS = {
         "synthesize_undeployment", "validate_orchestration_timing",
     ),
     "scaler": (
-        "DeltaVector", "Policy", "ReconfigurationPlan", "ScalerParams", "ScalingError",
+        "DeltaVector", "Policy", "ScalerParams", "ScalingError",
         "Trigger", "delta_vector_is_canonical", "diff_reconfiguration",
         "local_target_instances", "scaling_trigger", "select_global_configuration",
     ),

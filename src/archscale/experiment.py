@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -70,9 +70,19 @@ class ExperimentSpec:
         for name in ("duration_s", "ticks_per_second", "queue_capacity", "monitoring_period_s"):
             if getattr(self, name) < 1:
                 raise ExperimentError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ExperimentError(f"seed must be at least 0, got {self.seed}")
+        for name in ("margin_K", "hysteresis_k", "base_target_mcl"):
+            if not math.isfinite(getattr(self, name)):
+                raise ExperimentError(f"{name} must be a finite number, got {getattr(self, name)}")
+        if not all(math.isfinite(x) for x in self.scale_increments):
+            raise ExperimentError(
+                f"scale_increments must be finite numbers, got {list(self.scale_increments)}")
         if self.margin_K < 0 or self.hysteresis_k < 0:
             raise ExperimentError(
                 f"K and k must be at least 0, got {self.margin_K} and {self.hysteresis_k}")
+        if self.base_target_mcl < 0:
+            raise ExperimentError(f"base_target_mcl must be at least 0, got {self.base_target_mcl}")
 
     def scaler_params(self) -> ScalerParams:
         return ScalerParams(
@@ -271,21 +281,8 @@ class ComparisonReport:
         payload = {
             "peak_rate_eps": self.peak_rate_eps,
             "peak_time_s": self.peak_time_s,
-            "policies": {
-                name: {
-                    "generated": s.generated,
-                    "completed": s.completed,
-                    "lost_emails": s.lost_emails,
-                    "dropped_requests": s.dropped_requests,
-                    "mean_latency_s": s.mean_latency_s,
-                    "p95_interval_latency_s": s.p95_interval_latency_s,
-                    "peak_hour_mean_latency_s": s.peak_hour_mean_latency_s,
-                    "ticks_to_target": s.ticks_to_target,
-                    "peak_total_instances": s.peak_total_instances,
-                    "total_vm_cost": s.total_vm_cost,
-                }
-                for name, s in sorted(self.summaries.items())
-            },
+            "policies": {name: {k: v for k, v in asdict(s).items() if k != "policy"}
+                         for name, s in sorted(self.summaries.items())},
         }
         if Policy.GLOBAL in self.summaries and Policy.LOCAL in self.summaries:
             g, l = self.summaries[Policy.GLOBAL], self.summaries[Policy.LOCAL]

@@ -174,19 +174,9 @@ class ReconfigurationStep:
     deploy: bool  # False = undeploy
 
 
-@dataclass(frozen=True)
-class ReconfigurationPlan:
-    steps: tuple[ReconfigurationStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def diff_reconfiguration(deployed: DeltaVector, target: DeltaVector) -> ReconfigurationPlan:
-    """Per-index deploy/undeploy steps turning ``deployed`` into ``target``."""
+def diff_reconfiguration(deployed: DeltaVector, target: DeltaVector) -> tuple[ReconfigurationStep, ...]:
+    """The deploy/undeploy steps turning ``deployed`` into ``target``, in
+    index order."""
     if len(deployed) != len(target):
         raise ValueError("delta vectors must have equal length")
     steps: list[ReconfigurationStep] = []
@@ -194,7 +184,7 @@ def diff_reconfiguration(deployed: DeltaVector, target: DeltaVector) -> Reconfig
         diff = want - have
         for _ in range(abs(diff)):
             steps.append(ReconfigurationStep(i, deploy=diff > 0))
-    return ReconfigurationPlan(tuple(steps))
+    return tuple(steps)
 
 
 def local_target_instances(

@@ -57,6 +57,7 @@ from .capacity import (
 )
 from .model import PART_KINDS, SystemArchitecture, validate_architecture
 from .planner import (
+    CreateInstance,
     DeploymentRegistry,
     Placement,
     TimedOrchestration,
@@ -111,6 +112,8 @@ class SimConfig:
         if self.duration < 1 or self.ticks_per_second < 1 or self.queue_capacity < 1:
             raise ValueError("duration >= 1, ticks_per_second >= 1 and queue_capacity >= 1 "
                              "required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.policy not in (Policy.GLOBAL, Policy.LOCAL):
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -346,20 +349,6 @@ class _ServiceState:
         return sum(1 for i in self.insts if not i.draining)
 
 
-@dataclass(frozen=True)
-class _Unit:
-    """One enacted deployment: when it comes online, its orchestration and
-    the instances it created."""
-
-    ready_tick: int
-    orch: TimedOrchestration
-    insts: list[InstanceRuntime]
-
-
-def _delta_dict(names: tuple[str, ...], counts: tuple[int, ...]) -> dict[str, int]:
-    return {name: c for name, c in zip(names, counts) if c > 0}
-
-
 def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     """The function from a service's completions to what they emit to one
     destination, in completion order, then spec order: per completion, one
@@ -558,10 +547,14 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         raise SimulationError("scale ladder does not match the architecture")
 
     table = build_capacity_table(arch)
-    if config.policy == Policy.GLOBAL and not ladder.last_scale_covers_finite_services(table):
-        raise SimulationError(
-            "the global policy needs a ladder whose largest scale adds an instance to "
-            "every service with a finite MCL and an MF above 0")
+    if config.policy == Policy.GLOBAL:
+        if not ladder.last_scale_covers_finite_services(table):
+            raise SimulationError(
+                "the global policy needs a ladder whose largest scale adds an instance to "
+                "every service with a finite MCL and an MF above 0")
+        for i, delta in enumerate(ladder.deltas, 1):
+            if not any(delta.counts):
+                raise SimulationError(f"the global policy cannot deploy D{i}: it adds no instance")
     tps = config.ticks_per_second
     duration = config.duration
     period = config.params.monitoring_period
@@ -594,39 +587,36 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
 
-    def launch(placement: Placement, orch: TimedOrchestration, ready_at: int) -> list[InstanceRuntime]:
-        """Record an applied deployment and start its instances at ``ready_at``."""
-        timeline.orchestrations.append(orch)
-        timeline.total_vm_cost += placement.total_cost
-        insts = []
-        for iid in orch.created_instance_ids():
-            st = svc_states[arch.service_index(registry.instances[iid].service)]
-            inst = InstanceRuntime(iid, ready_at)
-            st.insts.append(inst)
-            insts.append(inst)
-        return insts
+    placements: dict[tuple[int, ...], Placement] = {}  # instance counts -> placement
 
-    # Base deployment: must be placeable, live from tick 0.
-    try:
-        base_placement = plan_placement(_delta_dict(names, ladder.base.counts), arch, arch.vm_catalog)
-        base_orch = synthesize_orchestration(base_placement, arch, registry)
-        registry.apply(base_orch)
-    except Exception as exc:
-        raise SimulationError(f"infeasible initial base deployment: {exc}") from exc
-    launch(base_placement, base_orch, 0)
-
-    placements: dict[tuple[int, ...], Placement] = {}  # delta counts -> placement
-
-    def deploy(counts: tuple[int, ...], now: int) -> _Unit:
-        """Place (once per distinct delta), synthesize and apply a delta."""
+    def deploy(counts: tuple[int, ...],
+               now: Optional[int]) -> tuple[TimedOrchestration, list[InstanceRuntime]]:
+        """Place (once per distinct ``counts``), synthesize, apply and record
+        a deployment of ``counts`` instances per service; returns the
+        orchestration and the instances it created, which come online when
+        its startup has elapsed from ``now``, or at tick 0 for the base
+        (``now`` None)."""
         placement = placements.get(counts)
         if placement is None:
             placement = placements[counts] = plan_placement(
-                _delta_dict(names, counts), arch, arch.vm_catalog)
+                {name: c for name, c in zip(names, counts) if c}, arch, arch.vm_catalog)
         orch = synthesize_orchestration(placement, arch, registry)
         registry.apply(orch)
-        ready_at = now + orch.startup_ticks
-        return _Unit(ready_at, orch, launch(placement, orch, ready_at))
+        timeline.orchestrations.append(orch)
+        timeline.total_vm_cost += placement.total_cost
+        ready_at = 0 if now is None else now + orch.startup_ticks
+        insts = []
+        for act in orch.actions:
+            if isinstance(act, CreateInstance):
+                inst = InstanceRuntime(act.instance_id, ready_at)
+                svc_states[arch.service_index(act.service)].insts.append(inst)
+                insts.append(inst)
+        return orch, insts
+
+    try:
+        deploy(ladder.base.counts, None)
+    except Exception as exc:
+        raise SimulationError(f"infeasible initial base deployment: {exc}") from exc
 
     def retire(removal: TimedOrchestration, victims: list[InstanceRuntime]) -> None:
         """Apply ``removal`` and drain ``victims``: each finishes its current
@@ -636,14 +626,12 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         for inst in victims:
             inst.draining = True
 
-    def warming(units: list[_Unit], now: int) -> bool:
-        return any(u.ready_tick > now for u in units)
-
     # Policy state. A monitor measures the n requests offered to a balancer
     # over a window of ``period`` ticks as the rate n * tps / period per
-    # second; only arrivals reach the entry's.
-    delta_units: list[list[_Unit]] = [[] for _ in range(ladder.num_scales)]  # stacks per index
-    local_units: list[list[_Unit]] = [[] for _ in svc_states]
+    # second; only arrivals reach the entry's. A global unit is one deployed
+    # delta, its orchestration and instances, stacked per delta index.
+    delta_units: list[list[tuple[TimedOrchestration, list[InstanceRuntime]]]] = [
+        [] for _ in range(ladder.num_scales)]
     entry_balancer = svc_states[entry_idx].balancer
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
 
@@ -653,6 +641,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     def fmt_deltas(vec) -> str:
         return "|".join(str(v) for v in vec)
 
+    # Neither policy removes capacity that is still warming: an undeploy of
+    # a delta index waits while a unit of that index has an instance not
+    # yet online, and a local scale-down while the service has one (only
+    # its own deploys add such instances, and a removal never drains one).
     def global_monitor(now: int) -> None:
         inbound = Fraction(entry_balancer.offered * tps, period)
         entry_balancer.offered = 0
@@ -662,26 +654,23 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         if trig is Trigger.NONE:
             return
         _, target, _ = select_global_configuration(inbound, config.params, ladder, table)
-        plan = diff_reconfiguration(deployed, target)
-        if not len(plan):
-            return
-        enacted = 0
         deferred = 0
-        for step in plan:
+        for step in diff_reconfiguration(deployed, target):
             units = delta_units[step.delta_index]
             if step.deploy:
                 units.append(deploy(ladder.deltas[step.delta_index].counts, now))
-            elif warming(units, now):
+            elif any(i.ready_at > now for _, insts in units for i in insts):
                 deferred += 1
-                continue
             else:
-                unit = units.pop()
-                retire(synthesize_undeployment(unit.orch), unit.insts)
-            enacted += 1
-        if enacted:
+                orch, insts = units.pop()
+                retire(synthesize_undeployment(orch), insts)
+        # The steps on one index share a sign, so the vector moves iff a
+        # step was enacted.
+        after = deployed_deltas()
+        if after != deployed:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "deploy" if trig is Trigger.UP else "undeploy",
-                f"{fmt_deltas(deployed)}->{fmt_deltas(deployed_deltas())}"))
+                f"{fmt_deltas(deployed)}->{fmt_deltas(after)}"))
         if deferred:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "defer",
@@ -691,19 +680,18 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         for st in finite_services:
             inbound = Fraction(st.balancer.offered * tps, period)
             st.balancer.offered = 0
-            total = st.mcl * st.committed
-            trig = scaling_trigger(inbound, total, config.params)
+            old = st.committed
+            trig = scaling_trigger(inbound, st.mcl * old, config.params)
             if trig is Trigger.NONE:
                 continue
-            target = local_target_instances(inbound, config.params, st.mcl, st.base_n, st.committed)
-            old = st.committed
+            target = local_target_instances(inbound, config.params, st.mcl, st.base_n, old)
             if target > old:
                 counts = [0] * len(svc_states)
                 counts[st.idx] = target - old
-                local_units[st.idx].append(deploy(tuple(counts), now))
+                deploy(tuple(counts), now)
                 action = "deploy"
             elif target < old:
-                if warming(local_units[st.idx], now):
+                if any(i.ready_at > now for i in st.insts):
                     timeline.events.append(ScalingEvent(
                         now, Policy.LOCAL, st.name, trig.value, "defer",
                         f"hold {old} while warming"))
@@ -715,7 +703,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             else:
                 continue
             timeline.events.append(ScalingEvent(
-                now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{st.committed}"))
+                now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{target}"))
 
     # Email bookkeeping, by email id: leaves yet to complete, arrival tick;
     # and the ids of the emails lost.

@@ -154,6 +154,8 @@ def test_run_of_no_seconds_rejected(tmp_path):
     ("monitoring_period_s", 0, "monitoring_period_s must be at least 1"),
     ("K", -1, "K and k must be at least 0"),
     ("k", -0.5, "K and k must be at least 0"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+    ("base_target_mcl", -60, "base_target_mcl must be at least 0, got -60"),
 ])
 def test_spec_ranges_checked(tmp_path, key, value, message):
     # Else the run writes the capacity table and the ladder, then fails on
@@ -217,6 +219,25 @@ def test_spec_number_must_be_finite(tmp_path, scenario, key):
     assert re.search(r"NaN|Infinity", spec_file.read_text(encoding="utf-8"))
     with pytest.raises(ExperimentError, match=rf"'{key}': expected a finite number, got"):
         load_experiment_spec(spec_file)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("margin_K", float("nan")),
+    ("hysteresis_k", float("inf")),
+    ("base_target_mcl", float("-inf")),
+    ("scale_increments", (60, float("nan"))),
+    ("scale_increments", (60, float("inf"))),
+])
+def test_spec_built_in_code_must_be_finite(tmp_path, field, value):
+    # Else the run fails on an invalid Fraction literal that names no field.
+    with pytest.raises(ExperimentError, match=rf"^{field} must be (a )?finite number"):
+        short_spec(tmp_path, **{field: value})
+
+
+def test_negative_seed_named_by_the_simulator():
+    # Else numpy refuses it with "expected non-negative integer".
+    with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+        SimConfig(duration=30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=-3)
 
 
 @pytest.mark.parametrize("workload,key,value", [

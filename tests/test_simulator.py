@@ -610,6 +610,40 @@ def test_global_refuses_a_ladder_without_scales(tmp_path):
     assert local.generated == 20 and local.dropped_requests == 0
 
 
+def test_global_refuses_a_delta_without_instances(reference_arch):
+    # Increments (1, 2, 330) pass the covering rule, but D2 adds no instance:
+    # a run that stacks it would fail at its first scale-up on placement.
+    table = build_capacity_table(reference_arch)
+    ladder = synthesize_scale_ladder(Fraction(60), [Fraction(x) for x in (1, 2, 330)], table)
+    assert not any(ladder.deltas[1].counts)
+    assert ladder.last_scale_covers_finite_services(table)
+    cfg = SimConfig(duration=20 * 30, workload=WorkloadSpec(Steps(((0, 100.0),))), seed=1,
+                    exact_arrivals=True)
+    with pytest.raises(SimulationError, match="cannot deploy D2: it adds no instance"):
+        run_simulation(reference_arch, ladder, cfg)
+    local = run_simulation(reference_arch, ladder, dataclasses.replace(cfg, policy=Policy.LOCAL))
+    assert any(e.action == "deploy" for e in local.events)
+    assert local.generated == local.completed + local.lost + local.in_flight_end
+
+
+def test_global_defers_an_undeploy_until_its_delta_is_online():
+    # D1 = (1, 1) is deployed at tick 29 and comes online 60 ticks later,
+    # at tick 89. The demand falls to 0 at tick 30, so the monitor at tick
+    # 59 must hold the warming delta, and the one at tick 89 undeploys it.
+    arch = tiny_arch()
+    _, ladder = ladder_for(arch, base=60, increments=(200,))
+    assert [d.counts for d in ladder.deltas] == [(1, 1)]
+    cfg = SimConfig(duration=150, workload=WorkloadSpec(Steps(((0, 200.0), (30, 0.0)))),
+                    seed=1, policy=Policy.GLOBAL, exact_arrivals=True,
+                    params=ScalerParams(monitoring_period=30))
+    tl = run_simulation(arch, ladder, cfg)
+    assert [(e.tick, e.action, e.detail) for e in tl.events] == [
+        (29, "deploy", "0->1"),
+        (59, "defer", "1 undeploys while warming"),
+        (89, "undeploy", "1->0"),
+    ]
+
+
 def test_invalid_architecture_rejected(reference_ladder):
     doc = parse_architecture_data({
         "services": [{"name": "A", "cost": {"Cores": 0, "Memory": 0}}],
