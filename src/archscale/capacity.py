@@ -321,6 +321,14 @@ class ScaleLadder:
                 counts = [c + n * x for c, x in zip(counts, d.counts)]
         return Configuration(tuple(counts))
 
+    def levels(self, table: CapacityTable) -> LadderLevels:
+        """The ladder's levels under ``table``: computed on first use and
+        kept for that table object until another table is asked for."""
+        kept = self.__dict__.get("_levels")
+        if kept is None or kept[0] is not table:
+            kept = self.__dict__["_levels"] = (table, LadderLevels(self, table))
+        return kept[1]
+
     def last_scale_covers_finite_services(self, table: CapacityTable) -> bool:
         """Whether the largest scale adds at least one instance to every
         service that bounds the system MCL: finite MCL, and requests to
@@ -330,6 +338,59 @@ class ScaleLadder:
             return False
         top = self.scale(self.num_scales)
         return all(add >= 1 for add, w in zip(top.counts, table.weights) if w is not None)
+
+
+class LadderLevels:
+    """The demand-independent constants of a ladder under one table, in
+    the table's integer units (see ``system_units``).
+
+    Level 0 is the base and level i the base plus scale i; past the last
+    level, stacks of the largest scale go under each.
+
+    - ``first``: per level, its system units (None when nothing bounds the
+      system) and the (Configuration, delta vector, system MCL) selecting
+      it returns.
+    - ``counts``: per level, its instance counts; ``top``: the largest
+      scale's.
+    - ``services``: per level, per bounding service, its units there and
+      its units in the largest scale.
+    - ``grown``: per bounding service the largest scale grows, its units at
+      the last level and in the largest scale.
+    - ``cap``: the fewest units of a bounding service the largest scale
+      does not grow, which no stack of it raises; None if it grows all.
+
+    A plain class: generating a dataclass would add ≈0.8 ms to every cold
+    import.
+    """
+
+    __slots__ = ("first", "counts", "top", "services", "grown", "cap")
+
+    def __init__(self, ladder: ScaleLadder, table: CapacityTable):
+        # The selection's closed form needs capacity never to fall along its
+        # order: no delta removes instances, and the largest scale grows no
+        # service of negative MCL/MF. A synthesized ladder always qualifies.
+        if any(c < 0 for d in ladder.deltas for c in d.counts):
+            raise CapacityError("a ladder delta removes instances; deltas may only add")
+        base = ladder.base.counts
+        num = ladder.num_scales
+        self.top = ladder.scale_counts[-1] if num else (0,) * len(base)
+        self.counts = (base,) + tuple(tuple([b + s for b, s in zip(base, scale)])
+                                      for scale in ladder.scale_counts)
+        self.services = tuple(tuple((c * w, t * w)
+                                    for c, t, w in zip(level, self.top, table.weights)
+                                    if w is not None)
+                              for level in self.counts)
+        first = []
+        for i, level in enumerate(self.counts):
+            low = system_units(level, table)
+            mcl = INFINITE if low is None else Fraction(low, table.denominator)
+            first.append((low, (Configuration(level), (1,) * i + (0,) * (num - i), mcl)))
+        self.first = tuple(first)
+        last = self.services[-1]
+        if any(t < 0 for _, t in last):
+            raise CapacityError("the largest scale adds instances to a service of negative MCL/MF")
+        self.grown = tuple((u, t) for u, t in last if t)
+        self.cap = min([u for u, t in last if not t], default=None)
 
 
 def synthesize_scale_ladder(
@@ -343,14 +404,24 @@ def synthesize_scale_ladder(
     for a target of ``base_mcl + increments[i]``; each delta is the
     difference between consecutive cumulative requirements.
     """
-    incs = [Fraction(i) for i in increments]
+    try:
+        target = Fraction(base_mcl)
+    except (ValueError, OverflowError):  # NaN, infinities
+        target = None
+    if target is None or target < 0:
+        raise CapacityError(f"base target must be a finite number at least 0, got {base_mcl!r}")
+    try:
+        incs = [Fraction(i) for i in increments]
+    except (ValueError, OverflowError):
+        raise CapacityError(
+            f"scale increments must be finite numbers, got {list(increments)!r}") from None
     if any(b <= a for a, b in zip(incs, incs[1:])) or any(i <= 0 for i in incs):
         raise CapacityError("scale increments must be positive and strictly increasing")
-    base = base_configuration(base_mcl, table)
+    base = base_configuration(target, table)
     deltas = []
     prev = base
     for inc in incs:
-        cum = base_configuration(Fraction(base_mcl) + inc, table)
+        cum = base_configuration(target + inc, table)
         delta = cum - prev
         if any(c < 0 for c in delta.counts):
             raise CapacityError(
@@ -359,7 +430,7 @@ def synthesize_scale_ladder(
         prev = cum
     return ScaleLadder(
         base=base,
-        base_mcl=Fraction(base_mcl),
+        base_mcl=target,
         deltas=tuple(deltas),
         scale_mcl_increments=tuple(incs),
     )

@@ -35,8 +35,31 @@ def _add_arch(parser: argparse.ArgumentParser) -> None:
                         help="architecture document (default: bundled reference)")
 
 
-def _parse_increments(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+def _add_ladder_rates(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--base", type=_base_rate, default="60",
+                        help="base target rate, emails/sec")
+    parser.add_argument("--increments", type=_increments,
+                        default=",".join(str(i) for i in DEFAULT_INCREMENTS),
+                        help="comma-separated scale increments, emails/sec")
+
+
+def _rate(text: str) -> Fraction:
+    """A finite rate in emails/sec, read exactly."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):  # nan, inf, 1/0, not a number
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+def _base_rate(text: str) -> Fraction:
+    rate = _rate(text)
+    if rate < 0:
+        raise argparse.ArgumentTypeError(f"expected a number at least 0, got {text!r}")
+    return rate
+
+
+def _increments(text: str) -> list[Fraction]:
+    return [_rate(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -53,7 +76,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_ladder(args: argparse.Namespace) -> int:
     arch = load_architecture(args.arch)
     table = build_capacity_table(arch)
-    ladder = synthesize_scale_ladder(Fraction(args.base), _parse_increments(args.increments), table)
+    ladder = synthesize_scale_ladder(args.base, args.increments, table)
     print(table.to_text(), end="")
     print()
     print(ladder_to_text(ladder, table), end="")
@@ -77,7 +100,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             delta[name.strip()] = int(count)
     else:
         table = build_capacity_table(arch)
-        ladder = synthesize_scale_ladder(Fraction(args.base), _parse_increments(args.increments), table)
+        ladder = synthesize_scale_ladder(args.base, args.increments, table)
         if not 1 <= args.delta_index <= ladder.num_scales:
             print(f"error: delta index must lie in 1..{ladder.num_scales}", file=sys.stderr)
             return 1
@@ -152,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladder", help="print the capacity table and scale ladder")
     _add_arch(p)
-    p.add_argument("--base", default="60", help="base target rate, emails/sec")
-    p.add_argument("--increments", default=",".join(str(i) for i in DEFAULT_INCREMENTS),
-                   help="comma-separated scale increments, emails/sec")
+    _add_ladder_rates(p)
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("plan", help="plan a placement and dump its orchestrations")
@@ -163,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit increment, e.g. 'VirusScanner=2,MessageAnalyser=1'")
     p.add_argument("--delta-index", type=int, default=1,
                    help="ladder delta to plan when --delta is not given (1-based)")
-    p.add_argument("--base", default="60")
-    p.add_argument("--increments", default=",".join(str(i) for i in DEFAULT_INCREMENTS))
+    _add_ladder_rates(p)
     p.set_defaults(func=cmd_plan)
 
     for name, fn, help_text in (

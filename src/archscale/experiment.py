@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -68,6 +69,11 @@ class ExperimentSpec:
         if len(set(self.policies)) < len(self.policies):
             raise ExperimentError(f"a policy is selected more than once: {list(self.policies)}")
         for name in ("duration_s", "ticks_per_second", "queue_capacity", "monitoring_period_s"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ExperimentError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
             if getattr(self, name) < 1:
                 raise ExperimentError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:

@@ -7,7 +7,11 @@ hysteresis band k, scale down in the symmetric case.
 The global policy re-derives the whole target configuration from the scale
 ladder; the resulting delta vector always has the shape "base, or base plus
 n copies of the largest scale plus at most one further scale", so repeated
-stacking only ever happens with the largest (balanced) scale.
+stacking only ever happens with the largest (balanced) scale. It reads the
+ladder's demand-independent levels (``ScaleLadder.levels``): a demand
+within the first cycle returns a precomputed result, and a larger one finds
+n with one integer ceiling per bounding service, so a decision's cost does
+not grow with the demand.
 
 Every decision is exact and computes on integers: a rate, a capacity, an
 MCL and the margins enter as (numerator, denominator) pairs
@@ -18,6 +22,7 @@ caches K and the trigger's bands as such pairs on first use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,9 +34,8 @@ from .capacity import (
     ScaleLadder,
     is_infinite,
     ratio,
-    system_units,
 )
-from .model import INFINITE, Rational
+from .model import Rational
 
 
 class Policy:
@@ -51,6 +55,18 @@ class ScalerParams:
     monitoring_period: int = 300
 
     def __post_init__(self):
+        for name in ("K", "k"):
+            value = getattr(self, name)
+            try:
+                ratio(value)
+            except (ValueError, OverflowError):  # NaN, infinities
+                raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+        try:
+            operator.index(self.monitoring_period)
+        except TypeError:
+            # Else no tick would ever equal the monitor's due tick.
+            raise ValueError(
+                f"monitoring_period must be an integer, got {self.monitoring_period!r}") from None
         if self.K < 0 or self.k < 0 or self.monitoring_period < 1:
             raise ValueError("require K >= 0, k >= 0, monitoring_period >= 1")
 
@@ -130,42 +146,47 @@ def select_global_configuration(
 ) -> tuple[Configuration, DeltaVector, Rational]:
     """Pick the smallest reachable configuration covering inbound + K.
 
-    Starting from the base, repeatedly add the first scale whose addition
-    satisfies the demand; if none does, add the largest scale and retry.
-    This ends when the largest scale grows every service that bounds the
-    system MCL (``ScaleLadder.last_scale_covers_finite_services``), so that
-    capacity strictly increases each round; a round of the largest scale
-    that does not raise it raises ``ScalingError`` instead, as no later
-    round would. Capacities are compared in the table's integer units.
+    The configurations the ladder reaches, smallest first, are the base,
+    base + scale i for i = 1..n (the first cycle), then base + r stacks of
+    the largest scale + scale i for r = 1, 2, ...; the first one whose
+    system MCL covers the demand wins. Its delta vector is r + 1 for the
+    first i deltas and r for the rest. Capacities are compared in the
+    table's integer units, against the precomputed ``ScaleLadder.levels``:
+
+    - a demand inside the first cycle returns the first level covering it;
+    - past it, r is the fewest stacks under which the last level covers
+      the demand: the largest ``ceil((need - A_j) / t_j)`` over the
+      bounding services j the largest scale grows, with A_j service j's
+      units at the last level and t_j its units in the largest scale.
+      Then i is the first scale that covers the demand at r stacks.
+
+    So a decision's cost does not grow with the demand. A bounding service
+    the largest scale does not grow caps every stack
+    (``ScaleLadder.last_scale_covers_finite_services``): a demand above
+    that cap raises ``ScalingError``. A ladder along which capacity could
+    fall raises ``CapacityError`` (see ``LadderLevels``).
     """
     a, b = ratio(inbound)
     Kn, Kd = params.margin
     d = table.denominator
+    levels = ladder.levels(table)
     # The demand inbound + K is (a*Kd + Kn*b) / (b*Kd) emails/s.
     need = -(-(a * Kd + Kn * b) * d // (b * Kd))
-    num = ladder.num_scales
-    scales = ladder.scale_counts
-    deltas = [0] * num
-    counts = ladder.base.counts
-    low = system_units(counts, table)
-    found = low is None or low >= need
-    while not found:
-        below = low  # the system MCL of ``counts``
-        i = -1
-        while i < num - 1 and not found:
-            i += 1
-            candidate = tuple([c + s for c, s in zip(counts, scales[i])])
-            low = system_units(candidate, table)
-            found = low >= need
-        if not found and low <= below:
-            demand = Fraction(a * Kd + Kn * b, b * Kd)
-            raise ScalingError(
-                f"the largest scale adds no capacity at system MCL {Fraction(low, d)}, "
-                f"below the demand {demand}: it adds no instance to a bounding service")
-        counts = candidate
-        for j in range(i + 1):
-            deltas[j] += 1
-    return Configuration(counts), tuple(deltas), INFINITE if low is None else Fraction(low, d)
+    for low, result in levels.first:
+        if low is None or low >= need:
+            return result
+    if levels.cap is not None and levels.cap < need:
+        demand = Fraction(a * Kd + Kn * b, b * Kd)
+        raise ScalingError(
+            f"the largest scale adds no capacity at system MCL {Fraction(levels.cap, d)}, "
+            f"below the demand {demand}: it adds no instance to a bounding service")
+    r = max(1, max([-((last - need) // t) for last, t in levels.grown]))
+    for i in range(1, len(levels.services)):
+        low = min([u + r * t for u, t in levels.services[i]])
+        if low >= need:
+            break
+    counts = tuple([c + r * t for c, t in zip(levels.counts[i], levels.top)])
+    return Configuration(counts), (r + 1,) * i + (r,) * (ladder.num_scales - i), Fraction(low, d)
 
 
 @dataclass(frozen=True)
@@ -177,6 +198,8 @@ class ReconfigurationStep:
 def diff_reconfiguration(deployed: DeltaVector, target: DeltaVector) -> tuple[ReconfigurationStep, ...]:
     """The deploy/undeploy steps turning ``deployed`` into ``target``, in
     index order."""
+    if deployed == target:
+        return ()
     if len(deployed) != len(target):
         raise ValueError("delta vectors must have equal length")
     steps: list[ReconfigurationStep] = []

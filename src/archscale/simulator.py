@@ -42,6 +42,7 @@ completes. The per-email state is two flat lists indexed by email id
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import TopologicalSorter
@@ -109,6 +110,11 @@ class SimConfig:
     exact_arrivals: bool = False
 
     def __post_init__(self):
+        for name in ("duration", "ticks_per_second", "queue_capacity"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.duration < 1 or self.ticks_per_second < 1 or self.queue_capacity < 1:
             raise ValueError("duration >= 1, ticks_per_second >= 1 and queue_capacity >= 1 "
                              "required")

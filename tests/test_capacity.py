@@ -371,6 +371,26 @@ def test_ladder_rejects_non_monotone_increments(reference_table):
         synthesize_scale_ladder(Fraction(60), [Fraction(100), Fraction(100)], reference_table)
 
 
+@pytest.mark.parametrize("base", [Fraction(-60), -1, -0.5, math.nan, math.inf, -math.inf])
+def test_ladder_rejects_negative_or_non_finite_base(base, reference_table):
+    # Else a negative base builds a ladder whose D1 adds no instance, and a
+    # NaN fails on an invalid Fraction that names no argument.
+    with pytest.raises(CapacityError, match=r"^base target must be a finite number at least 0"):
+        synthesize_scale_ladder(base, [Fraction(60)], reference_table)
+
+
+@pytest.mark.parametrize("increments", [[Fraction(60), math.nan], [math.inf]])
+def test_ladder_rejects_non_finite_increments(increments, reference_table):
+    with pytest.raises(CapacityError, match=r"^scale increments must be finite numbers"):
+        synthesize_scale_ladder(Fraction(60), increments, reference_table)
+
+
+def test_ladder_accepts_base_zero(reference_table):
+    ladder = synthesize_scale_ladder(0, [Fraction(60)], reference_table)
+    assert ladder.base_mcl == 0
+    assert ladder.base.counts == (1,) * len(reference_table.entries)
+
+
 def test_last_scale_covers_all_finite_services(reference_ladder, reference_table):
     assert reference_ladder.last_scale_covers_finite_services(reference_table)
 

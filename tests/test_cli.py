@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from archscale import Steps, WorkloadSpec, generate_arrivals
 from archscale.cli import main, reference_architecture_path
 
@@ -134,6 +136,29 @@ def test_compare_byte_identical(tmp_path):
 def test_cli_error_is_nonzero(tmp_path, capsys):
     assert main(["simulate", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ladder", "plan"])
+@pytest.mark.parametrize("option,value,expected", [
+    ("--base", "-60", "a number at least 0"),
+    ("--base", "nan", "a finite number"),
+    ("--base", "inf", "a finite number"),
+    ("--increments", "60,nan", "a finite number"),
+    ("--increments", "60,1/0", "a finite number"),
+])
+def test_ladder_rates_named_by_option(capsys, command, option, value, expected):
+    # Else a negative base prints a ladder whose D1 adds no instance, and a
+    # NaN fails as an invalid Fraction literal that names no option.
+    with pytest.raises(SystemExit) as exited:
+        main([command, option, value])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected {expected}, got " in err
+
+
+def test_ladder_accepts_base_zero(capsys):
+    assert main(["ladder", "--base", "0", "--increments", "60"]) == 0
+    assert "Scale1 (+60 emails/sec) = D1" in capsys.readouterr().out
 
 
 COLD_START = """

@@ -234,6 +234,30 @@ def test_spec_built_in_code_must_be_finite(tmp_path, field, value):
         short_spec(tmp_path, **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("monitoring_period_s", 2.51),
+    ("duration_s", 10.5),
+    ("ticks_per_second", 30.0),
+    ("queue_capacity", 2.5),
+])
+def test_spec_built_in_code_counts_must_be_integers(tmp_path, field, value):
+    # Else a fractional monitoring period never fires the monitor.
+    with pytest.raises(ExperimentError, match=rf"^{field} must be an integer, got {value}$"):
+        short_spec(tmp_path, **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ticks_per_second", 30.5),
+    ("queue_capacity", 2.5),
+    ("duration", 30.0),
+])
+def test_sim_config_counts_must_be_integers(field, value):
+    settings = dict(duration=30, workload=WorkloadSpec(Steps(((0, 50.0),))))
+    settings[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+        SimConfig(**settings)
+
+
 def test_negative_seed_named_by_the_simulator():
     # Else numpy refuses it with "expected non-negative integer".
     with pytest.raises(ValueError, match="seed must be at least 0, got -3"):

@@ -6,12 +6,15 @@ import random
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archscale import (
     INFINITE,
+    CapacityError,
+    CapacityTable,
     Configuration,
     ExperimentSpec,
     ScaleLadder,
@@ -31,7 +34,7 @@ from archscale import (
     synthesize_scale_ladder,
     system_mcl,
 )
-from archscale.capacity import ceil_frac
+from archscale.capacity import ServiceCapacity, ceil_frac
 from archscale.document import parse_architecture_data
 from test_capacity import capacity_tables, reference_system_mcl
 from test_golden import ROUTE_SHAPES_ARCH
@@ -126,6 +129,29 @@ def test_params_invariants():
         ScalerParams(K=Fraction(-1))
     with pytest.raises(ValueError):
         ScalerParams(monitoring_period=0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("K", float("nan"), "K must be a finite number"),
+    ("K", float("inf"), "K must be a finite number"),
+    ("k", float("inf"), "k must be a finite number"),
+    ("k", float("-inf"), "k must be a finite number"),
+    ("monitoring_period", 299.5, "monitoring_period must be an integer"),
+    ("monitoring_period", 300.0, "monitoring_period must be an integer"),
+])
+def test_params_named_when_not_finite_or_not_integer(field, value, message):
+    # Else a NaN or infinite margin fails at the first decision naming no
+    # field, and a period of 299.5 ticks never fires the monitor.
+    with pytest.raises(ValueError, match=rf"^{message}, got"):
+        ScalerParams(**{field: value})
+
+
+def test_params_accept_integer_types():
+    params = ScalerParams(K=5, k=0.25, monitoring_period=np.int64(300))
+    assert params.monitoring_period == 300
+    assert scaling_trigger(Fraction(300), Fraction(300), params) is Trigger.UP
+    with pytest.raises(ValueError, match=">= 1"):
+        ScalerParams(monitoring_period=np.int64(0))
 
 
 def test_select_base_when_demand_low(reference_ladder, reference_table):
@@ -287,6 +313,57 @@ def test_select_matches_reference_on_random_ladders(data, drawn, K):
         cap = reference_system_mcl(ladder.configuration_for(vector).counts, table)
         inbound = 0 if cap == INFINITE else max(cap - params.K, 0)
     assert_selects_as_reference(inbound, params, ladder, table)
+
+
+def previous_in_walk_order(deltas):
+    """The canonical delta vector the walk tries just before ``deltas``:
+    its last scale one smaller, or one stack fewer plus every scale but
+    the largest."""
+    top = max(deltas)
+    prev = list(deltas)
+    prev[deltas.count(top) - 1] -= 1
+    return tuple(prev)
+
+
+def test_select_far_past_the_first_cycle_is_immediate(reference_ladder, reference_table):
+    # One round per stack of the largest scale would take hours here.
+    for inbound in (Fraction(10 ** 12), 10 ** 12 + 0.5, Fraction(10 ** 15 + 1, 3)):
+        config, deltas, mcl = within(10, select_global_configuration,
+                                     inbound, PARAMS, reference_ladder, reference_table)
+        demand = Fraction(inbound) + PARAMS.K
+        assert delta_vector_is_canonical(deltas)
+        assert config == reference_ladder.configuration_for(deltas)
+        assert mcl == system_mcl(config, reference_table) >= demand
+        before = reference_ladder.configuration_for(previous_in_walk_order(deltas))
+        assert system_mcl(before, reference_table) < demand
+
+
+def test_select_follows_each_table_a_ladder_is_used_with(reference_table, all_virus_arch):
+    # The levels are kept for one table object at a time: switching tables
+    # back and forth must answer for the table given.
+    virus_table = build_capacity_table(all_virus_arch)
+    assert virus_table.weights != reference_table.weights
+    ladder = synthesize_scale_ladder(
+        Fraction(60), [Fraction(x) for x in (60, 150, 240, 330)], reference_table)
+    for inbound in (Fraction(30), Fraction(150), Fraction(300), Fraction(800), 2000, 12345.5):
+        for table in (reference_table, virus_table, reference_table, virus_table):
+            assert_selects_as_reference(inbound, PARAMS, ladder, table)
+
+
+def test_select_refuses_a_ladder_along_which_capacity_can_fall():
+    # Synthesis never builds these. In each, a configuration later in the
+    # selection's order can carry less than an earlier one, so no closed
+    # form finds the first that covers the demand.
+    one = CapacityTable((ServiceCapacity("a", Fraction(1), Fraction(0), Fraction(100)),))
+    removes = ScaleLadder(Configuration((1,)), Fraction(0), (Configuration((3,)), Configuration((-2,))),
+                          (Fraction(1), Fraction(2)))
+    two = CapacityTable(one.entries + (ServiceCapacity("b", Fraction(-1), Fraction(0), Fraction(100)),))
+    grows_negative = ScaleLadder(Configuration((1, 1)), Fraction(0), (Configuration((1, 1)),),
+                                 (Fraction(1),))
+    for ladder, table, message in ((removes, one, "removes instances"),
+                                   (grows_negative, two, "negative MCL/MF")):
+        with pytest.raises(CapacityError, match=message):
+            select_global_configuration(Fraction(400), PARAMS, ladder, table)
 
 
 def test_select_raises_as_reference_when_largest_scale_misses_a_bounding_service():
@@ -560,3 +637,33 @@ def test_trigger_and_local_target_build_no_fraction(monkeypatch, reference_table
     assert Fraction(2, 4) == Fraction(1, 2)  # the constructor is back
     assert set(triggers) == {Trigger.UP, Trigger.DOWN, Trigger.NONE}
     assert max(targets) > 1
+
+
+def test_first_cycle_select_builds_no_fraction_or_configuration(monkeypatch, reference_table):
+    # Once a ladder has answered for a table, a demand its first cycle
+    # covers returns a precomputed result: counted, not timed.
+    ladder = synthesize_scale_ladder(
+        Fraction(60), [Fraction(x) for x in (60, 150, 240, 330)], reference_table)
+    params = ScalerParams(K=Fraction(7, 3), k=Fraction(1, 2))
+    select_global_configuration(Fraction(1), params, ladder, reference_table)
+    inbounds = [Fraction(3 * i + 1, 7) if i % 2 else 7 * i for i in range(56)]
+    built = []
+    original_new = Fraction.__new__
+    original_init = Configuration.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Configuration, "__init__", counting_init)
+    picked = [select_global_configuration(inbound, params, ladder, reference_table)[1]
+              for inbound in inbounds]
+    monkeypatch.undo()
+    assert built == []
+    assert Fraction(2, 4) == Fraction(1, 2)  # the constructor is back
+    assert len(set(picked)) == ladder.num_scales + 1  # every first-cycle level
