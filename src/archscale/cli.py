@@ -62,6 +62,24 @@ def _increments(text: str) -> list[Fraction]:
     return [_rate(part) for part in text.split(",") if part.strip()]
 
 
+def _delta(text: str) -> dict[str, int]:
+    """Comma-separated ``Service=count`` pairs, each service named once."""
+    delta: dict[str, int] = {}
+    for part in text.split(","):
+        name, eq, count = part.partition("=")
+        name = name.strip()
+        if not eq or not name:
+            raise argparse.ArgumentTypeError(f"expected 'Service=count', got {part!r}")
+        if name in delta:
+            raise argparse.ArgumentTypeError(f"{name} is given more than once")
+        try:
+            delta[name] = int(count)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer count for {name}, got {count!r}") from None
+    return delta
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     arch = load_architecture(args.arch)
     report = validate_architecture(arch)
@@ -93,12 +111,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     )
 
     arch = load_architecture(args.arch)
-    if args.delta:
-        delta: dict[str, int] = {}
-        for part in args.delta.split(","):
-            name, _, count = part.partition("=")
-            delta[name.strip()] = int(count)
-    else:
+    delta = args.delta
+    if delta is None:
         table = build_capacity_table(arch)
         ladder = synthesize_scale_ladder(args.base, args.increments, table)
         if not 1 <= args.delta_index <= ladder.num_scales:
@@ -180,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a placement and dump its orchestrations")
     _add_arch(p)
-    p.add_argument("--delta", default=None,
+    p.add_argument("--delta", type=_delta, default=None,
                    help="explicit increment, e.g. 'VirusScanner=2,MessageAnalyser=1'")
     p.add_argument("--delta-index", type=int, default=1,
                    help="ladder delta to plan when --delta is not given (1-based)")

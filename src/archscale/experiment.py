@@ -387,19 +387,13 @@ def summarize_metrics_rows(
     )
 
 
-def _workload_peak(spec: ExperimentSpec) -> tuple[float, Optional[float]]:
+def _workload_peak(spec: ExperimentSpec) -> tuple[float, float]:
     """(peak rate, time of first peak in seconds) of the scenario workload."""
-    import numpy as np
-
     from .workload import rate_curve
 
-    ticks = spec.duration_s * spec.ticks_per_second
+    ticks = spec.duration_s * spec.ticks_per_second  # at least 1
     rates = rate_curve(spec.workload, ticks, spec.ticks_per_second)
-    if not len(rates):
-        return 0.0, None
-    peak = float(np.max(rates))
-    peak_tick = int(np.argmax(rates))
-    return peak, peak_tick / spec.ticks_per_second
+    return float(rates.max()), int(rates.argmax()) / spec.ticks_per_second
 
 
 def build_reference_ladder(arch: SystemArchitecture, spec: ExperimentSpec) -> tuple[CapacityTable, ScaleLadder]:

@@ -1,6 +1,10 @@
 """Deterministic discrete-time execution of the email pipeline.
 
-Each tick: the generator emits emails, balancers accept or drop requests
+The traffic is drawn before the first tick by ``workload.draw_traffic``:
+per-tick arrival counts, the run's distinct email shapes and each email's
+index into them. This module neither splits the seed nor imports NumPy.
+
+Each tick: the arrivals emit emails, balancers accept or drop requests
 against bounded queues, ready instances spend their per-tick compute budget
 on queued requests (completions forward downstream in the same tick but
 become processable the next one), monitors fire on their period, and
@@ -20,10 +24,9 @@ The routes are compiled in pipeline order, and an edge keeps a request's
 wire whenever its destination gives that wire no other meaning, so most
 single-part edges forward a service's completions as they are. The routes
 are tables indexed by the wire and the shape of the email (its blocks,
-attachments and virus mask, all sampled before the run), so the requests a
-service's completions emit to a destination are the completions, a filter
-of them or one comprehension over them, in completion order, then spec
-order. A service has one emitter per destination, and its output is
+attachments and virus mask), so the requests a service's completions emit
+to a destination are the completions, a filter of them or one
+comprehension over them, in completion order, then spec order. A service has one emitter per destination, and its output is
 admitted as soon as it is made, with a single call: it keeps exactly the
 requests that one call per completion would have kept.
 
@@ -56,7 +59,7 @@ from .capacity import (
     request_cost,
     system_mcl,
 )
-from .model import PART_KINDS, SystemArchitecture, validate_architecture
+from .model import PART_KINDS, Rational, SystemArchitecture, validate_architecture
 from .planner import (
     CreateInstance,
     DeploymentRegistry,
@@ -76,7 +79,7 @@ from .scaler import (
     scaling_trigger,
     select_global_configuration,
 )
-from .workload import EmailBatch, WorkloadSpec, generate_arrivals, sample_email_batch
+from .workload import Shape, WorkloadSpec, draw_traffic
 
 
 class SimulationError(RuntimeError):
@@ -338,16 +341,14 @@ class MetricsTimeline:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(slots=True)
 class _ServiceState:
-    __slots__ = ("idx", "name", "balancer", "insts", "mcl", "base_n")
-
-    def __init__(self, idx: int, name: str, capacity: int):
-        self.idx = idx
-        self.name = name
-        self.balancer = Balancer(capacity)
-        self.insts: list[InstanceRuntime] = []
-        self.mcl = None  # Rational, set at build
-        self.base_n = 0
+    idx: int
+    name: str
+    mcl: Rational
+    base_n: int
+    balancer: Balancer
+    insts: list[InstanceRuntime] = field(default_factory=list)
 
     @property
     def committed(self) -> int:
@@ -382,7 +383,7 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     return lambda done: [r & -16 | o for r in done for o in fixed[r & 15]]
 
 
-def _emitted(mode: int, bits: int, shape: tuple[int, int, int]) -> tuple[int, ...]:
+def _emitted(mode: int, bits: int, shape: Shape) -> tuple[int, ...]:
     """The low nibbles that one completion emits along one compiled edge,
     for an email of ``shape`` = (blocks, attachments, virus mask). They do
     not depend on the completion's nibble: an edge emits on its own wires."""
@@ -394,8 +395,7 @@ def _emitted(mode: int, bits: int, shape: tuple[int, int, int]) -> tuple[int, ..
     return tuple(bits | (mask >> j) & 1 for j in range(attachments))
 
 
-def _leaves(routes: list[tuple], svc: int, nib: int, shape: tuple[int, int, int],
-            memo: dict[int, int]) -> int:
+def _leaves(routes: list[tuple], svc: int, nib: int, shape: Shape, memo: dict[int, int]) -> int:
     """The completions that emit nothing (leaves) in the expansion of one
     request at ``nib`` to service ``svc``, for an email of ``shape``;
     ``memo`` caches them per (service, nibble) for that shape."""
@@ -408,23 +408,7 @@ def _leaves(routes: list[tuple], svc: int, nib: int, shape: tuple[int, int, int]
     return n
 
 
-def _email_shapes(batch: EmailBatch) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """The distinct (blocks, attachments, virus mask) of a run's emails, in
-    order of first appearance, and each email's index into them."""
-    att_bits = int(batch.attachments.max(initial=0)).bit_length()
-    mask_bits = int(batch.virus_masks.max(initial=0)).bit_length()
-    codes = (batch.blocks << att_bits | batch.attachments) << mask_bits | batch.virus_masks
-    ids: dict[int, int] = {}  # code -> shape index
-    shape_of: list[int] = []
-    # In chunks, so that the codes never all exist as Python ints at once.
-    for start in range(0, len(codes), 1 << 14):
-        shape_of += [ids.setdefault(c, len(ids)) for c in codes[start:start + (1 << 14)].tolist()]
-    shapes = [(code >> mask_bits >> att_bits, code >> mask_bits & (1 << att_bits) - 1,
-               code & (1 << mask_bits) - 1) for code in ids]
-    return shapes, shape_of
-
-
-def _service_routes(fires: tuple, arriving: list[int], shapes: list[tuple[int, int, int]],
+def _service_routes(fires: tuple, arriving: list[int], shapes: list[Shape],
                     shape_of: list[int]) -> tuple[list[tuple], Optional[Callable]]:
     """``(emitters, leaf)`` of one service: each destination paired with the
     function from the service's completions to what they emit to it (see
@@ -543,8 +527,6 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
 
 def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimConfig) -> MetricsTimeline:
     """Execute the pipeline under the configured workload and policy."""
-    import numpy as np  # here, not at module level: see the workload module
-
     report = validate_architecture(arch)
     if not report.ok:
         raise SimulationError(
@@ -571,25 +553,15 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         raise SimulationError("cannot simulate an architecture without services")
 
     # Traffic, pre-generated for determinism and speed.
-    ss = np.random.SeedSequence(config.seed)
-    arr_seed, email_seed = ss.spawn(2)
-    arrivals = generate_arrivals(config.workload, arr_seed, duration, tps, config.exact_arrivals)
-    total_emails = int(arrivals.sum())
-    email_rng = np.random.Generator(np.random.PCG64(email_seed))
-    shapes, shape_of = _email_shapes(sample_email_batch(arch.profile, email_rng, total_emails))
-    arrivals_l = arrivals.tolist()
+    arrivals, shapes, shape_of = draw_traffic(config, arch.profile)
     # An email settles when its last leaf completes.
     leaves = [_leaves(routes, entry_idx, P_EMAIL << 1, shape, {}) for shape in shapes]
 
     # Deployment state.
     registry = DeploymentRegistry(arch)
-    svc_states = [
-        _ServiceState(i, s.name, config.queue_capacity)
-        for i, s in enumerate(arch.services)
-    ]
-    for st, entry, base_n in zip(svc_states, table.entries, ladder.base.counts):
-        st.mcl = entry.mcl
-        st.base_n = base_n
+    svc_states = [_ServiceState(i, s.name, entry.mcl, base_n, Balancer(config.queue_capacity))
+                  for i, (s, entry, base_n)
+                  in enumerate(zip(arch.services, table.entries, ladder.base.counts))]
 
     timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
 
@@ -713,8 +685,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     # Email bookkeeping, by email id: leaves yet to complete, arrival tick;
     # and the ids of the emails lost.
-    outstanding = [0] * total_emails
-    born = [0] * total_emails
+    outstanding = [0] * len(shape_of)
+    born = [0] * len(shape_of)
     lost: set[int] = set()
     next_email = 0
 
@@ -748,7 +720,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     for tick in range(duration):
         # 1. Workload arrivals.
-        n_arr = arrivals_l[tick]
+        n_arr = arrivals[tick]
         if n_arr:
             first = next_email
             next_email += n_arr

@@ -5,9 +5,9 @@ stochastically (Poisson counts from a seeded generator) or exactly
 (deterministic rounding of the cumulative rate integral), so acceptance
 runs can be reproduced bit for bit.
 
-NumPy is imported inside the functions that draw or shape traffic, never
-at module level: a process that draws none (``validate``, ``ladder``,
-``plan``) does not pay its import.
+``draw_traffic`` is the one source of a simulation's traffic, and this is
+the only module that imports NumPy: inside the functions that draw, so a
+process that draws nothing (``validate``, ``ladder``, ``plan``) never does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .model import EmailProfile
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .simulator import SimConfig
 
 
 class WorkloadError(ValueError):
@@ -152,32 +154,49 @@ def generate_arrivals(
     return rng.poisson(per_tick).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class EmailBatch:
-    """Pre-sampled structures for a run's emails, indexable by email id."""
-
-    blocks: np.ndarray  # int per email
-    attachments: np.ndarray  # int per email
-    virus_masks: np.ndarray  # bitmask over attachment slots
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+Shape = tuple[int, int, int]  # blocks, attachments, virus mask (bit j: attachment j)
 
 
-def sample_email_batch(profile: EmailProfile, rng: np.random.Generator, count: int) -> EmailBatch:
-    """Vectorized structure sampling for ``count`` emails."""
+def sample_email_batch(profile: EmailProfile, rng: np.random.Generator,
+                       count: int) -> tuple[list[Shape], list[int]]:
+    """The distinct shapes of ``count`` emails, in order of first appearance,
+    and each email's index into them. After the block and attachment counts,
+    one uniform per email and attachment slot is drawn (none without slots)
+    and packed into the email's int64 code, 2^16 emails at a time: the same
+    uniforms as one whole-array draw, never all held at once."""
     import numpy as np
 
-    b_lo, b_hi = profile.block_count_support
-    a_lo, a_hi = profile.attachment_count_support
+    (b_lo, b_hi), (a_lo, a_hi) = profile.block_count_support, profile.attachment_count_support
+    limit = max((a for a in range(64) if b_hi.bit_length() + a.bit_length() + a <= 63), default=-1)
+    if a_hi > limit:
+        raise WorkloadError(f"attachment_count_support upper bound {a_hi} exceeds {limit}, the "
+                            f"most whose shape codes fit in 63 bits with block_count_support "
+                            f"{profile.block_count_support}")
     blocks = rng.integers(b_lo, b_hi + 1, size=count, dtype=np.int64)
     attachments = rng.integers(a_lo, a_hi + 1, size=count, dtype=np.int64)
-    max_att = int(a_hi)
-    if max_att > 0:
-        draws = rng.random(size=(count, max_att)) < float(profile.p_virus)
-        within = np.arange(max_att)[None, :] < attachments[:, None]
-        bits = (draws & within).astype(np.int64)
-        masks = (bits << np.arange(max_att)[None, :]).sum(axis=1)
-    else:
-        masks = np.zeros(count, dtype=np.int64)
-    return EmailBatch(blocks=blocks, attachments=attachments, virus_masks=masks)
+    att_bits, slots = a_hi.bit_length(), np.arange(a_hi)
+    ids: dict[int, int] = {}  # code -> shape index
+    shape_of: list[int] = []
+    for start in range(0, count, 1 << 16):
+        atts = attachments[start:start + (1 << 16)]
+        codes = (blocks[start:start + (1 << 16)] << att_bits | atts) << a_hi
+        infected = rng.random((len(atts), a_hi)) < float(profile.p_virus)
+        infected &= slots < atts[:, None]
+        codes |= (infected << slots).sum(axis=1)
+        shape_of += [ids.setdefault(c, len(ids)) for c in codes.tolist()]
+    return [(c >> a_hi >> att_bits, c >> a_hi & (1 << att_bits) - 1, c & (1 << a_hi) - 1)
+            for c in ids], shape_of
+
+
+def draw_traffic(config: SimConfig, profile: EmailProfile) -> tuple[list[int], list[Shape], list[int]]:
+    """A run's per-tick arrival counts, its email shapes and each email's
+    index into them. The seed's first child draws the arrivals and its
+    second the emails, so every policy sees the same traffic."""
+    import numpy as np
+
+    arrival_seed, email_seed = np.random.SeedSequence(config.seed).spawn(2)
+    arrivals = generate_arrivals(config.workload, arrival_seed, config.duration,
+                                 config.ticks_per_second, config.exact_arrivals)
+    email_rng = np.random.Generator(np.random.PCG64(email_seed))
+    shapes, shape_of = sample_email_batch(profile, email_rng, int(arrivals.sum()))
+    return arrivals.tolist(), shapes, shape_of

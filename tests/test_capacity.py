@@ -78,13 +78,12 @@ def test_mf_matches_sampled_request_rates(reference_arch, reference_table):
     from archscale.workload import sample_email_batch
 
     rng = np.random.Generator(np.random.PCG64(123))
-    batch = sample_email_batch(reference_arch.profile, rng, 200_000)
-    n = len(batch)
-    blocks = batch.blocks
-    atts = batch.attachments
+    shapes, shape_of = sample_email_batch(reference_arch.profile, rng, 200_000)
+    n = len(shape_of)
+    blocks, atts, masks = np.array([shapes[i] for i in shape_of], dtype=np.int64).T
     clean = np.zeros(n)
     for j in range(int(reference_arch.profile.attachment_count_support[1])):
-        clean += ((batch.virus_masks >> j) & 1 == 0) & (atts > j)
+        clean += ((masks >> j) & 1 == 0) & (atts > j)
     observed = {
         "MessageReceiver": n, "MessageParser": n, "HeaderAnalyser": n,
         "LinkAnalyser": n, "TextAnalyser": n,

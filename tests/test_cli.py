@@ -156,6 +156,21 @@ def test_ladder_rates_named_by_option(capsys, command, option, value, expected):
     assert f"argument {option}: expected {expected}, got " in err
 
 
+@pytest.mark.parametrize("value,expected", [
+    ("VirusScanner=x", "expected an integer count for VirusScanner, got 'x'"),
+    ("VirusScanner", "expected 'Service=count', got 'VirusScanner'"),
+    ("VirusScanner=2,", "expected 'Service=count', got ''"),
+    ("VirusScanner=1,VirusScanner=2", "VirusScanner is given more than once"),
+])
+def test_plan_delta_named_by_option(capsys, value, expected):
+    # Else the first three fail as an int() literal that names no option,
+    # and a repeated service silently keeps its last count.
+    with pytest.raises(SystemExit) as exited:
+        main(["plan", "--delta", value])
+    assert exited.value.code == 2
+    assert f"argument --delta: {expected}" in capsys.readouterr().err
+
+
 def test_ladder_accepts_base_zero(capsys):
     assert main(["ladder", "--base", "0", "--increments", "60"]) == 0
     assert "Scale1 (+60 emails/sec) = D1" in capsys.readouterr().out

@@ -5,7 +5,6 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,13 +29,12 @@ from archscale.simulator import (
     InstanceRuntime,
     Policy,
     _compile_routes,
-    _email_shapes,
     _emitted,
     _leaves,
     _service_routes,
     process_tick,
 )
-from archscale.workload import Diurnal, EmailBatch
+from archscale.workload import Diurnal
 from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, WIRES_ARCH
 
 
@@ -358,8 +356,7 @@ def email_batches(draw, profile):
     (b_lo, b_hi), (a_lo, a_hi) = profile.block_count_support, profile.attachment_count_support
     rows = draw(st.lists(st.tuples(st.integers(b_lo, b_hi), st.integers(a_lo, a_hi),
                                    st.integers(0, 2 ** a_hi - 1)), min_size=1, max_size=20))
-    rows = [(b, a, m & (1 << a) - 1) for b, a, m in rows]
-    return EmailBatch(*(np.array(col, dtype=np.int64) for col in zip(*rows)))
+    return [(b, a, m & (1 << a) - 1) for b, a, m in rows]
 
 
 ARCHS = {"reference": None, "route_shapes": ROUTE_SHAPES_ARCH,
@@ -371,12 +368,9 @@ def test_leaf_count_matches_per_request_expansion(name, reference_arch):
     arch = reference_arch if ARCHS[name] is None else parse_architecture_data(ARCHS[name])
     routes, entry = _compile_routes(arch)
 
-    @given(batch=email_batches(arch.profile))
-    def check(batch):
-        shapes, shape_of = _email_shapes(batch)
-        for i, sid in enumerate(shape_of):
-            email = (int(batch.blocks[i]), int(batch.attachments[i]), int(batch.virus_masks[i]))
-            assert shapes[sid] == email
+    @given(emails=email_batches(arch.profile))
+    def check(emails):
+        for email in emails:
             assert _leaves(routes, entry, P_EMAIL << 1, email, {}) == expanded_leaves(arch, *email)
 
     check()
@@ -415,11 +409,10 @@ def test_wire_routes_keep_part_semantics(name, reference_arch):
     assert all(sorted(w for s, w in meanings if s == svc) == arriving
                for svc, (_, arriving) in enumerate(routes))
 
-    @given(batch=email_batches(arch.profile))
-    def check(batch):
-        for row in zip(batch.blocks.tolist(), batch.attachments.tolist(),
-                       batch.virus_masks.tolist()):
-            walk(row)
+    @given(emails=email_batches(arch.profile))
+    def check(emails):
+        for email in emails:
+            walk(email)
 
     check()
     assert all(len(parts) == 1 for parts in meanings.values())
@@ -428,8 +421,7 @@ def test_wire_routes_keep_part_semantics(name, reference_arch):
 def test_single_part_edges_forward_completions_unchanged(reference_arch):
     routes, _ = _compile_routes(reference_arch)
     index = {s.name: i for i, s in enumerate(reference_arch.services)}
-    shapes, shape_of = _email_shapes(EmailBatch(*(np.array(c, dtype=np.int64)
-                                                  for c in ((1, 3), (2, 0), (1, 0)))))
+    shapes, shape_of = [(1, 2, 1), (3, 0, 0)], [0, 1]
     done = [0 << 4, 1 << 4]  # each service's one arriving wire is 0
     forwards = {"MessageParser": {"HeaderAnalyser", "LinkAnalyser", "TextAnalyser"},
                 "HeaderAnalyser": {"MessageAnalyser"}, "LinkAnalyser": {"MessageAnalyser"},

@@ -1,5 +1,8 @@
 """Workload curves, arrival generation, email structure sampling."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -108,23 +111,52 @@ def test_steps_out_of_order_start_rejected(points, named):
 
 # -- email structure ----------------------------------------------------------
 
+def sampled_emails(profile, seed, count):
+    """Per-email (blocks, attachments, virus mask) columns of a sample, each
+    email read as ``shapes[shape_of[i]]``."""
+    shapes, shape_of = sample_email_batch(profile, np.random.Generator(np.random.PCG64(seed)),
+                                          count)
+    return np.array([shapes[i] for i in shape_of], dtype=np.int64).T
+
+
+def whole_array_emails(profile, seed, count):
+    """Per-email triples drawn from the same seeded generator in one go:
+    blocks, attachments, then one ``rng.random((count, a_hi))`` draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    (b_lo, b_hi), (a_lo, a_hi) = profile.block_count_support, profile.attachment_count_support
+    blocks = rng.integers(b_lo, b_hi + 1, size=count, dtype=np.int64).tolist()
+    atts = rng.integers(a_lo, a_hi + 1, size=count, dtype=np.int64).tolist()
+    infected = (rng.random((count, a_hi)) < float(profile.p_virus)).tolist()
+    return [(b, a, sum(1 << j for j in range(a) if row[j]))
+            for b, a, row in zip(blocks, atts, infected)]
+
+
+def assert_matches_whole_array(profile, seed, count):
+    shapes, shape_of = sample_email_batch(profile, np.random.Generator(np.random.PCG64(seed)),
+                                          count)
+    reference = whole_array_emails(profile, seed, count)
+    first_seen = list(dict.fromkeys(reference))
+    assert shapes == first_seen
+    index = {shape: i for i, shape in enumerate(first_seen)}
+    assert shape_of == [index[email] for email in reference]
+    return shapes
+
+
 def test_sample_email_zero_virus_probability():
     profile = EmailProfile(p_virus=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    batch = sample_email_batch(profile, rng, 200)
-    assert batch.attachments.sum() > 0
-    assert not batch.virus_masks.any()
+    _, attachments, masks = sampled_emails(profile, 0, 200)
+    assert attachments.sum() > 0
+    assert not masks.any()
 
 
 def test_sample_email_statistics():
     profile = EmailProfile()
-    rng = np.random.Generator(np.random.PCG64(42))
-    batch = sample_email_batch(profile, rng, 100_000)
-    assert batch.blocks.mean() == pytest.approx(2.5, abs=0.02)
-    assert batch.attachments.mean() == pytest.approx(2.0, abs=0.02)
-    total_atts = int(batch.attachments.sum())
+    blocks, attachments, masks = sampled_emails(profile, 42, 100_000)
+    assert blocks.mean() == pytest.approx(2.5, abs=0.02)
+    assert attachments.mean() == pytest.approx(2.0, abs=0.02)
+    total_atts = int(attachments.sum())
     infected = sum(
-        int(((batch.virus_masks >> j) & 1 & (batch.attachments > j)).sum())
+        int(((masks >> j) & 1 & (attachments > j)).sum())
         for j in range(4)
     )
     assert infected / total_atts == pytest.approx(0.25, abs=0.005)
@@ -132,19 +164,69 @@ def test_sample_email_statistics():
 
 def test_sample_email_zero_attachments_possible():
     profile = EmailProfile()
-    rng = np.random.Generator(np.random.PCG64(7))
-    batch = sample_email_batch(profile, rng, 10_000)
-    assert (batch.attachments == 0).any()
-    assert batch.attachments.min() >= 0
-    assert batch.attachments.max() <= 4
-    assert batch.blocks.min() >= 1
+    blocks, attachments, _ = sampled_emails(profile, 7, 10_000)
+    assert (attachments == 0).any()
+    assert attachments.min() >= 0
+    assert attachments.max() <= 4
+    assert blocks.min() >= 1
 
 
 def test_sample_email_supports_respected():
     profile = EmailProfile(
         n_blocks=3, n_attachments=1,
         block_count_support=(2, 4), attachment_count_support=(0, 2))
-    rng = np.random.Generator(np.random.PCG64(3))
-    batch = sample_email_batch(profile, rng, 5000)
-    assert set(np.unique(batch.blocks)) <= {2, 3, 4}
-    assert set(np.unique(batch.attachments)) <= {0, 1, 2}
+    blocks, attachments, _ = sampled_emails(profile, 3, 5000)
+    assert set(np.unique(blocks)) <= {2, 3, 4}
+    assert set(np.unique(attachments)) <= {0, 1, 2}
+
+
+def test_chunked_sample_equals_whole_array_draw():
+    # Three full chunks of 2^16 emails and a partial one.
+    assert_matches_whole_array(EmailProfile(), 11, 3 * 2 ** 16 + 5)
+
+
+def test_widest_attachment_support_decodes_exactly():
+    # Default blocks take 3 bits, so 54 slots fill a 63-bit shape code: every
+    # attachment is infected and each mask is all ones up to its count.
+    profile = EmailProfile(n_attachments=Fraction(27), attachment_count_support=(0, 54),
+                           p_virus=Fraction(1))
+    shapes = assert_matches_whole_array(profile, 5, 3000)
+    assert any(mask == (1 << 54) - 1 for _, _, mask in shapes)
+    assert all(mask == (1 << a) - 1 for _, a, mask in shapes)
+
+
+@pytest.mark.parametrize("a_hi", [55, 70])
+def test_attachment_support_past_the_shape_code_refused(a_hi):
+    # Else a code wider than 63 bits overflows int64: at 70 with p_virus 1,
+    # 63 of the 64 shapes decode wrongly, with no error.
+    profile = EmailProfile(n_attachments=Fraction(a_hi, 2), attachment_count_support=(0, a_hi),
+                           p_virus=Fraction(1))
+    rng = np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(WorkloadError, match=r"attachment_count_support .* exceeds 54"):
+        sample_email_batch(profile, rng, 100)
+
+
+def test_no_uniform_drawn_without_attachment_slots():
+    profile = EmailProfile(n_attachments=Fraction(0), attachment_count_support=(0, 0))
+    rng = np.random.Generator(np.random.PCG64(9))
+    shapes, shape_of = sample_email_batch(profile, rng, 1000)
+    reference = np.random.Generator(np.random.PCG64(9))
+    reference.integers(1, 5, size=1000, dtype=np.int64)
+    reference.integers(0, 1, size=1000, dtype=np.int64)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert {(a, mask) for _, a, mask in shapes} == {(0, 0)}
+    assert len(shape_of) == 1000
+
+
+def test_sample_memory_stays_below_64_bytes_per_email():
+    # The whole-array draw held N x 4 uniforms and int64 temporaries at
+    # once, about 96 B per email.
+    count = 2 ** 18
+    rng = np.random.Generator(np.random.PCG64(1))
+    tracemalloc.start()
+    try:
+        sample_email_batch(EmailProfile(), rng, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / count < 64
