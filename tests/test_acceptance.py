@@ -4,6 +4,7 @@ Each test prints a single PASS line on success; run with ``pytest -s
 tests/test_acceptance.py`` to watch them tick by.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -376,3 +377,20 @@ def test_criterion_9_determinism(reference_experiment, tmp_path):
             (second.out_dir / f"events_{policy}.csv").read_bytes()
     elapsed = time.perf_counter() - started
     report(9, "two runs of the reference scenario are byte-identical", elapsed)
+
+
+# SHA-256 of the reference run's files: the bytes of the paper's scenario.
+REFERENCE_DIGESTS = {
+    "metrics_global.csv": "dd87fbcc0e6416f60dc2efbdd27c33821cd807463c8c78e8e0e560893f0469fd",
+    "events_global.csv": "34f383f3887cffd6ed24cdc425c20cdc543f95712c1a70082a8b494fc528c906",
+    "metrics_local.csv": "77e58a3513173cf3230072af992eee66673cf55dae4484d3e10c53c58da29b42",
+    "events_local.csv": "aae4e190550dd1fcdf2b15780ba0d9e85ffd5e219c21bc5d2cd3857532a395de",
+    "report.json": "24411842515872d0986d63baf688716a56c79b67777bba3fa4dd0dc5695579d3",
+}
+
+
+def test_reference_run_digests_unchanged(reference_experiment):
+    # Criterion 9 compares two runs with each other; this pins their bytes.
+    _, result, _ = reference_experiment
+    assert {f: hashlib.sha256((result.out_dir / f).read_bytes()).hexdigest()
+            for f in REFERENCE_DIGESTS} == REFERENCE_DIGESTS
