@@ -68,16 +68,15 @@ class ExperimentSpec:
                 raise ExperimentError(f"unknown policy {p!r}")
         if len(set(self.policies)) < len(self.policies):
             raise ExperimentError(f"a policy is selected more than once: {list(self.policies)}")
-        for name in ("duration_s", "ticks_per_second", "queue_capacity", "monitoring_period_s"):
+        for name, least in (("duration_s", 1), ("ticks_per_second", 1), ("queue_capacity", 1),
+                            ("monitoring_period_s", 1), ("seed", 0)):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ExperimentError(
                     f"{name} must be an integer, got {getattr(self, name)!r}") from None
-            if getattr(self, name) < 1:
-                raise ExperimentError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ExperimentError(f"seed must be at least 0, got {self.seed}")
+            if getattr(self, name) < least:
+                raise ExperimentError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("margin_K", "hysteresis_k", "base_target_mcl"):
             if not math.isfinite(getattr(self, name)):
                 raise ExperimentError(f"{name} must be a finite number, got {getattr(self, name)}")

@@ -113,7 +113,7 @@ class SimConfig:
     exact_arrivals: bool = False
 
     def __post_init__(self):
-        for name in ("duration", "ticks_per_second", "queue_capacity"):
+        for name in ("duration", "ticks_per_second", "queue_capacity", "seed"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:

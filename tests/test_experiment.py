@@ -258,6 +258,16 @@ def test_sim_config_counts_must_be_integers(field, value):
         SimConfig(**settings)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_non_integer_seed_is_named(tmp_path, seed):
+    # Else numpy refuses it with "SeedSequence expects int or sequence of ints".
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ExperimentError, match=message):
+        short_spec(tmp_path, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        SimConfig(duration=30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=seed)
+
+
 def test_negative_seed_named_by_the_simulator():
     # Else numpy refuses it with "expected non-negative integer".
     with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
