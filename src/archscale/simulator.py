@@ -49,6 +49,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import TopologicalSorter
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .capacity import (
@@ -132,39 +133,16 @@ class Balancer:
     """Bounded FIFO in front of a service's instances.
 
     ``queue`` holds at most ``capacity`` requests, and its first ``ready``
-    are the ones the instances may take. A request enqueued during a tick
-    becomes takeable the next tick: the engine sets ``ready`` to the queue's
-    length after the service's turn, and what a service declared after it
-    emits to it, after that turn, is admitted with ``dispatch_ready``.
-    ``offered`` counts every request dispatched to it, accepted or dropped,
-    until the monitor resets it.
+    are the ones the instances may take: a request admitted during a tick
+    becomes takeable the next tick (see ``process_window``). ``offered``
+    counts every request offered to it, accepted or dropped, until the
+    monitor resets it.
     """
 
     capacity: int
     queue: list = field(default_factory=list)
     ready: int = 0
     offered: int = 0
-
-    def dispatch(self, reqs) -> int:
-        """Enqueue as many of ``reqs``, in order, as there is room for;
-        returns how many were accepted. The rest are dropped."""
-        n = len(reqs)
-        self.offered += n
-        queue = self.queue
-        room = self.capacity - len(queue)
-        if room >= n:
-            queue.extend(reqs)
-            return n
-        if room <= 0:
-            return 0
-        queue.extend(reqs[:room])
-        return room
-
-    def dispatch_ready(self, reqs) -> int:
-        """``dispatch``, counting what it accepts as ready."""
-        accepted = self.dispatch(reqs)
-        self.ready += accepted
-        return accepted
 
 
 class InstanceRuntime:
@@ -181,56 +159,103 @@ class InstanceRuntime:
         self.left = 0
 
 
-def process_tick(insts: list[InstanceRuntime], queue: list, n: int, tick: int, budget: int,
-                 cost: int) -> list[int]:
-    """Spend this tick's ``budget`` of every instance started by ``tick``, in
-    list order, on the first ``n`` requests of the shared ``queue``, each of
-    which costs ``cost``; returns the completed requests in completion order
-    and deletes the requests taken from the queue's front. A cost of 0 takes
-    all ``n``.
+def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start: int, stop: int,
+                   budget: int, cost: int, capacity: int, before: list, after: list,
+                   out: list, drops: list) -> tuple[int, int, int]:
+    """Run one service from tick ``start`` up to ``stop``, of which the
+    first ``ready`` requests of its ``queue`` are takeable; returns the
+    takeable count at ``stop``, the requests offered and those dropped.
 
-    Idle budget is not banked: when the queue runs dry the leftover is lost.
-    A request whose cost exceeds what is left of a budget carries the rest
-    over. A draining instance finishes its current request and takes no new
-    one.
+    ``before`` and ``after`` hold, per source, the batches it offers at each
+    tick offset, ``before`` those admitted ahead of the service's turn and
+    ``after`` those admitted after it. Each tick:
+
+    1. each ``before`` batch admits its longest prefix that fits in
+       ``capacity``, in order;
+    2. every instance started by the tick spends its ``budget``, in list
+       order, on the takeable requests at the queue's front, each costing
+       ``cost``: it finishes or carries its current request, completes the
+       ``credit // cost`` fresh ones it can afford as one slice, and starts
+       the next with what is left. Idle budget is not banked, a draining
+       instance finishes its current request and takes no new one, and a
+       cost of 0 takes every takeable request;
+    3. each ``after`` batch is admitted as in 1. All that the queue then
+       holds is takeable the next tick;
+    4. the tick's completions, in completion order, are appended to
+       ``out``, and the dropped tail of each batch to ``drops[offset]``.
     """
-    completed: list[int] = []
-    head = 0  # requests taken so far
-    for inst in insts:
-        if tick < inst.ready_at:
-            continue
-        credit = budget
-        if inst.cur_req >= 0:
-            left = inst.left
-            if left > credit:
-                inst.left = left - credit
+    offered = dropped = 0
+    for i, tick in enumerate(range(start, stop)):
+        # 1. (Steps 1 and 3 are written out twice: one loop over both
+        # sides costs the run several per cent.)
+        for batches in before:
+            reqs = batches[i]
+            if reqs:
+                n = len(reqs)
+                offered += n
+                room = capacity - len(queue)
+                if room >= n:
+                    queue += reqs
+                    continue
+                if room > 0:
+                    queue += reqs[:room]
+                    reqs = reqs[room:]
+                dropped += len(reqs)
+                drops[i].append(reqs)
+        # 2.
+        completed = []
+        head = 0  # requests taken so far
+        for inst in insts:
+            if tick < inst.ready_at:
                 continue
-            credit -= left
-            completed.append(inst.cur_req)
-            inst.cur_req = -1
-            inst.left = 0
-            if not credit:
+            credit = budget
+            if inst.cur_req >= 0:
+                left = inst.left
+                if left > credit:
+                    inst.left = left - credit
+                    continue
+                credit -= left
+                completed.append(inst.cur_req)
+                inst.cur_req = -1
+                inst.left = 0
+                if not credit:
+                    continue
+            if inst.draining or head == ready:
                 continue
-        if inst.draining or head == n:
-            continue
-        # Complete credit // cost fresh requests as one slice, then start the
-        # next one with what is left, if anything is.
-        start = head
-        k = credit // cost if cost else n
-        head += k
-        if head >= n:
-            head = n
-            completed += queue[start:n]
-            continue
-        completed += queue[start:head]
-        rem = credit - k * cost
-        if rem:
-            inst.cur_req = queue[head]
-            inst.left = cost - rem
-            head += 1
-    if head:
-        del queue[:head]
-    return completed
+            first = head
+            k = credit // cost if cost else ready
+            head += k
+            if head >= ready:
+                head = ready
+                completed += queue[first:ready]
+                continue
+            completed += queue[first:head]
+            rem = credit - k * cost
+            if rem:
+                inst.cur_req = queue[head]
+                inst.left = cost - rem
+                head += 1
+        if head:
+            del queue[:head]
+        # 3.
+        for batches in after:
+            reqs = batches[i]
+            if reqs:
+                n = len(reqs)
+                offered += n
+                room = capacity - len(queue)
+                if room >= n:
+                    queue += reqs
+                    continue
+                if room > 0:
+                    queue += reqs[:room]
+                    reqs = reqs[room:]
+                dropped += len(reqs)
+                drops[i].append(reqs)
+        ready = len(queue)
+        # 4.
+        out.append(completed)
+    return ready, offered, dropped
 
 
 @dataclass
@@ -356,14 +381,19 @@ class _ServiceState:
         return sum(1 for i in self.insts if not i.draining)
 
 
+# The emitter of an edge along which every completion emits itself: the
+# completions are the emissions, and no function need be called.
+FORWARD = object()
+
+
 def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     """The function from a service's completions to what they emit to one
     destination, in completion order, then spec order: per completion, one
     ``req & -16 | o`` for each low nibble ``o`` of ``tables[nib][shape]``, at
     the request's nibble and its email's shape. A lookup that every
     arriving request answers alike is skipped; when each completion emits
-    itself, the completions are the emissions, and when each emits itself or
-    nothing, a filter of them."""
+    itself, the completions are the emissions (``FORWARD``), and when each
+    emits itself or nothing, a filter of them."""
     if any(len(set(tables[nib])) > 1 for nib in arriving):
         used = {tables[nib] for nib in arriving}
         if len(used) == 1:
@@ -373,7 +403,7 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     # Every shape emits alike.
     fixed = tuple(t[0] if t else () for t in tables)
     if all(fixed[nib] == (nib,) for nib in arriving):
-        return lambda done: done
+        return FORWARD
     if all(fixed[nib] in ((nib,), ()) for nib in arriving):
         return lambda done: [r for r in done if fixed[r & 15]]
     used = {fixed[nib] for nib in arriving}
@@ -448,6 +478,16 @@ def _claim(wires: dict[int, int], w: int, meaning: tuple[int, ...]) -> int:
     raise SimulationError("a service needs more than 16 wire nibbles")
 
 
+def _pipeline_order(arch: SystemArchitecture) -> list[int]:
+    """The services' indices in topological order: each after the sources
+    of its inbound edges."""
+    index = {s.name: i for i, s in enumerate(arch.services)}
+    preds: dict[int, set[int]] = {i: set() for i in range(len(arch.services))}
+    for e in arch.pipeline:
+        preds[index[e.dst]].add(index[e.src])
+    return list(TopologicalSorter(preds).static_order())
+
+
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     """Per service, its routes indexed by a request's wire nibble: ``(fires,
     arriving)``, and the entry service's index.
@@ -506,11 +546,8 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     wires: list[dict[int, int]] = [{} for _ in arch.services]  # wire -> original nibble
     if entry is not None:
         wires[index[entry]][0] = P_EMAIL << 1
-    preds: dict[int, set[int]] = {i: set() for i in range(len(arch.services))}
-    for e in arch.pipeline:
-        preds[index[e.dst]].add(index[e.src])
     routes: list[tuple] = [()] * len(arch.services)
-    for svc in TopologicalSorter(preds).static_order():
+    for svc in _pipeline_order(arch):
         fires = [()] * 16
         for w, nib in sorted(wires[svc].items()):
             out = []
@@ -683,10 +720,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             timeline.events.append(ScalingEvent(
                 now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{target}"))
 
-    # Email bookkeeping, by email id: leaves yet to complete, arrival tick;
-    # and the ids of the emails lost.
-    outstanding = [0] * len(shape_of)
-    born = [0] * len(shape_of)
+    # Email bookkeeping, by email id: leaves yet to complete and arrival
+    # tick, both known before the first tick; and the ids of the emails lost.
+    outstanding = list(map(leaves.__getitem__, shape_of))
+    born = list(chain.from_iterable(map(repeat, range(duration), arrivals)))
     lost: set[int] = set()
     next_email = 0
 
@@ -701,73 +738,86 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     monitor_tick = period - 1
     rollup_tick = min(tps, duration) - 1
 
-    entry_dispatch = entry_balancer.dispatch
     is_global = config.policy == Policy.GLOBAL
-    # Per service: its instances, balancer and queue, its budget and request
-    # cost, the (emitter, outlet) pair of each destination, and the filter
-    # of its completions that are leaves. Every instance of a service has the
-    # budget/cost ratio MCL/tps, whatever its VM's speed, so one exact
-    # integer pair serves them all. A destination declared before the
-    # service has had its turn when the service emits, so what it admits is
-    # takeable next tick: its outlet is ``dispatch_ready``.
-    services = []
+    capacity = config.queue_capacity
+    # Per service, in pipeline order: its index, instances, balancer and
+    # queue, its budget and request cost, and the (source, emitter) pairs
+    # of the sources declared before it and of those declared after it, in
+    # declaration order. Every instance of a service has the budget/cost
+    # ratio MCL/tps, whatever its VM's speed, so one exact integer pair
+    # serves them all. And the (service, leaf filter) pairs of the services
+    # some of whose completions are leaves.
+    inlets: list[tuple[list, list]] = [([], []) for _ in svc_states]
+    leaf_services = []
     for st, (fires, arriving) in zip(svc_states, routes):
         emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
+        for d, emit in emitters:
+            inlets[d][st.idx > d].append((st.idx, emit))
+        if leaf is not None:
+            leaf_services.append((st.idx, leaf))
+    services = []
+    for idx in _pipeline_order(arch):
+        st = svc_states[idx]
         budget, cost = request_cost(st.mcl, tps)
-        outlets = [(emit, svc_states[d].balancer.dispatch_ready if d < st.idx
-                    else svc_states[d].balancer.dispatch) for d, emit in emitters]
-        services.append((st.insts, st.balancer, st.balancer.queue, budget, cost, outlets, leaf))
+        services.append((idx, st.insts, st.balancer, st.balancer.queue, budget, cost) + inlets[idx])
 
-    for tick in range(duration):
-        # 1. Workload arrivals.
-        n_arr = arrivals[tick]
-        if n_arr:
-            first = next_email
+    # The run goes window by window, each up to the next monitor or rollup
+    # tick, and within a window service by service, in pipeline order: a
+    # service's tick reads only its instances, its queue and the batches
+    # admitted to it in that tick, and what its sources emit does not
+    # depend on it. Instances come and go only at monitor and rollup ticks.
+    start = 0
+    while start < duration:
+        stop = min(monitor_tick, rollup_tick) + 1
+        # Per tick, the arrivals' requests: part EMAIL, flag 0. An email
+        # whose request is dropped is lost.
+        first = next_email
+        entry_batches = []
+        for n_arr in arrivals[start:stop]:
+            entry_batches.append(list(range(next_email << 4, (next_email + n_arr) << 4, 16)))
             next_email += n_arr
-            # Part EMAIL, flag 0; an email whose request is dropped is lost.
-            accepted = entry_dispatch(list(range(first << 4, next_email << 4, 16)))
-            outstanding[first:first + accepted] = map(
-                leaves.__getitem__, shape_of[first:first + accepted])
-            born[first:first + accepted] = [tick] * accepted
-            n_drop = n_arr - accepted
-            if n_drop:
-                iv_dropped += n_drop
-                iv_lost += n_drop
-            iv_generated += n_arr
+        iv_generated += next_email - first
+        outs: list = [None] * len(services)
+        drops: list[list] = [[] for _ in range(stop - start)]
+        for idx, insts, bal, queue, budget, cost, early, late in services:
+            # A source's batches are its completions when it forwards them
+            # unchanged, else what its emitter makes of them, tick by tick.
+            before = [outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
+                      for src, emit in early]
+            if idx == entry_idx:
+                before.insert(0, entry_batches)
+            after = [outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
+                     for src, emit in late]
+            outs[idx] = []
+            bal.ready, offered, dropped = process_window(
+                insts, queue, bal.ready, start, stop, budget, cost, capacity, before, after,
+                outs[idx], drops)
+            bal.offered += offered
+            iv_dropped += dropped
 
-        # 2. Processing, in declaration order. A service takes from the
-        # ready front of its queue, and then all it holds is ready for its
-        # next turn. What its completions emit to a destination is admitted
-        # in one call, before the next service pops its queue and so changes
-        # its room, and the emails of the dropped tail are lost. An email
-        # settles when its last leaf completes; a lost email never does, as
-        # its dropped request's leaves never complete.
-        for insts, bal, queue, budget, cost, outlets, leaf in services:
-            done = process_tick(insts, queue, bal.ready, tick, budget, cost)
-            bal.ready = len(queue)
-            if not done:
-                continue
-            for emit, dispatch in outlets:
-                out = emit(done)
-                if out:
-                    accepted = dispatch(out)
-                    if accepted < len(out):
-                        iv_dropped += len(out) - accepted
-                        # A lost email's count is never read again (it
-                        # cannot settle and is not in flight at the end).
-                        gone = {r >> 4 for r in out[accepted:]} - lost
-                        iv_lost += len(gone)
-                        lost |= gone
-            if leaf is not None:
-                for r in leaf(done):
-                    eid = r >> 4
-                    left = outstanding[eid] - 1
-                    outstanding[eid] = left
-                    if not left:
-                        iv_latency_ticks += tick - born[eid]
-                        iv_completed += 1
+        # Tick by tick: the emails of a dropped tail are lost at their first
+        # drop, and an email settles at the tick its last leaf completes; a
+        # lost email never does, as its dropped request's leaves never
+        # complete.
+        for i, tick in enumerate(range(start, stop)):
+            for tail in drops[i]:
+                gone = {r >> 4 for r in tail} - lost
+                iv_lost += len(gone)
+                lost |= gone
+            for idx, leaf in leaf_services:
+                done = outs[idx][i]
+                if done:
+                    for r in done if leaf is FORWARD else leaf(done):
+                        eid = r >> 4
+                        left = outstanding[eid] - 1
+                        outstanding[eid] = left
+                        if not left:
+                            iv_latency_ticks += tick - born[eid]
+                            iv_completed += 1
+        tick = stop - 1
+        start = stop
 
-        # 3. Monitors.
+        # Monitors.
         if tick == monitor_tick:
             monitor_tick += period
             if is_global:
@@ -775,8 +825,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             else:
                 local_monitor(tick)
 
-        # 4. Interval rollup. A drained instance (draining, with no current
-        # request) takes nothing in ``process_tick``, so it leaves here.
+        # Interval rollup. A drained instance (draining, with no current
+        # request) takes nothing in ``process_window``, so it leaves here.
         if tick == rollup_tick:
             rollup_tick = min(tick + tps, duration - 1)
             for st in svc_states:

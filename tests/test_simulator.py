@@ -31,87 +31,88 @@ from archscale.simulator import (
     _compile_routes,
     _emitted,
     _leaves,
+    FORWARD,
     _service_routes,
-    process_tick,
+    process_window,
 )
 from archscale.workload import Diurnal
 from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, WIRES_ARCH
 
 
-# -- balancer ------------------------------------------------------------------
+# -- admission ------------------------------------------------------------------
+
+def one_tick(insts, queue, n, tick, budget, cost):
+    """The completions of one tick in which the first ``n`` requests of
+    ``queue`` are takeable and no batch arrives: a one-tick window."""
+    out = []
+    assert process_window(insts, queue, n, tick, tick + 1, budget, cost, 10 ** 9, [], [], out,
+                          [[]]) == (len(queue), 0, 0)
+    return out[0]
+
 
 def test_dispatch_enqueues_until_capacity():
-    bal = Balancer(capacity=10)
-    for i in range(9):
-        assert bal.dispatch((i,)) == 1
-    # One slot left: a fan-out of three keeps its first request only.
-    assert bal.dispatch((97, 98, 99)) == 1
-    assert bal.dispatch((100,)) == 0
-    assert bal.queue == list(range(9)) + [97]
-    assert bal.ready == 0
-    bal.ready = len(bal.queue)  # the service's turn
-    assert bal.dispatch((101,)) == 0
-    assert bal.dispatch_ready((101,)) == 0
-    assert bal.offered == 15
+    # Nine single requests take nine of ten slots, and a fan-out of three
+    # keeps its first request only. What comes later drops whole, before
+    # the service's turn or after it. Nothing admitted in the tick is taken.
+    inst = InstanceRuntime("i", 0)
+    queue, out, drops = [], [], [[]]
+    before = [[[i]] for i in range(9)] + [[[97, 98, 99]], [[100]]]
+    after = [[[101]], [[101]]]
+    assert process_window([inst], queue, 0, 0, 1, 10, 5, 10, before, after, out,
+                          drops) == (10, 15, 5)
+    assert queue == list(range(9)) + [97]
+    assert drops == [[[98, 99], [100], [101], [101]]]
+    assert out == [[]]
 
 
 def test_dispatch_empty_queue_enqueues_front():
-    bal = Balancer(capacity=10)
-    assert bal.dispatch((5,)) == 1
-    assert (bal.queue, bal.ready) == ([5], 0)
     inst = InstanceRuntime("i", 0)
+    queue, out = [], []
     # Not takeable before the service's turn ends, then first in line.
-    assert process_tick([inst], bal.queue, bal.ready, 0, 10, 5) == []
-    bal.ready = len(bal.queue)
-    assert process_tick([inst], bal.queue, bal.ready, 1, 10, 5) == [5]
+    assert process_window([inst], queue, 0, 0, 1, 10, 5, 10, [[[5]]], [], out, [[]]) == (1, 1, 0)
+    assert (queue, out) == ([5], [[]])
+    assert process_window([inst], queue, 1, 1, 2, 10, 5, 10, [], [], out, [[]]) == (0, 0, 0)
+    assert out == [[], [5]]
 
 
 def test_dispatch_ready_counts_what_it_admits_as_ready():
     # What a service emits to one declared before it arrives after that
     # destination's turn: it is takeable on the destination's next turn.
-    bal = Balancer(capacity=4)
-    bal.dispatch((1,))
-    bal.ready = len(bal.queue)
-    assert bal.dispatch_ready((2, 3, 4, 5)) == 3
-    assert (bal.queue, bal.ready, bal.offered) == ([1, 2, 3, 4], 4, 5)
-    assert bal.dispatch_ready((6,)) == 0
-    assert (bal.ready, bal.offered) == (4, 6)
+    queue, drops = [1], [[]]
+    after = [[[2, 3, 4, 5]], [[6]]]
+    assert process_window([], queue, 1, 0, 1, 10, 5, 4, [], after, [], drops) == (4, 5, 2)
+    assert (queue, drops) == ([1, 2, 3, 4], [[[5], [6]]])
+    assert one_tick([InstanceRuntime("i", 0)], queue, 4, 1, 20, 5) == [1, 2, 3, 4]
 
 
 @given(capacity=st.integers(1, 20), n_ready=st.integers(0, 25), n_pending=st.integers(0, 25),
-       batches=st.lists(st.lists(st.integers(0, 999), max_size=6).map(tuple), max_size=10))
+       batches=st.lists(st.lists(st.integers(0, 999), max_size=6), max_size=10))
 def test_one_dispatch_of_a_concatenation_equals_one_per_request_tuple(
         capacity, n_ready, n_pending, batches):
-    # The engine admits a service's emissions to each destination in one call.
-    def prefilled():
-        bal = Balancer(capacity=capacity)
-        bal.queue.extend(range(-n_ready - n_pending, 0))
-        bal.ready = n_ready
-        return bal
+    # The engine admits a source's emissions to a destination in one batch
+    # a tick: what one batch of them keeps, a batch per completion keeps.
+    def admit(batches, late):
+        queue, drops = list(range(-n_ready - n_pending, 0)), [[]]
+        sources = [[reqs] for reqs in batches]
+        counts = process_window([], queue, n_ready, 0, 1, 1, 1, capacity,
+                                [] if late else sources, sources if late else [], [], drops)
+        return counts, queue, [r for tail in drops[0] for r in tail]
 
-    for outlet in (Balancer.dispatch, Balancer.dispatch_ready):
-        whole, each = prefilled(), prefilled()
-        accepted = outlet(whole, [r for reqs in batches for r in reqs])
-        assert accepted == sum(outlet(each, reqs) for reqs in batches)
-        assert whole.queue == each.queue
-        assert whole.ready == each.ready
-        assert whole.offered == each.offered
+    for late in (False, True):
+        assert admit([[r for reqs in batches for r in reqs]], late) == admit(batches, late)
 
 
 def test_promotion_preserves_fifo():
     # Requests admitted during a tick queue behind the ready ones and are
     # taken after them, in admission order, once the service's turn has
     # made them ready.
-    bal = Balancer(capacity=10)
-    bal.dispatch([0, 1])
-    bal.ready = len(bal.queue)
-    bal.dispatch([2, 3])
+    queue, out = [0, 1], []
     inst = InstanceRuntime("i", 0)
-    assert process_tick([inst], bal.queue, bal.ready, 0, 10, 4) == [0, 1]
+    assert process_window([inst], queue, 2, 0, 1, 10, 4, 10, [[[2, 3]]], [], out, [[]]) == (2, 2, 0)
+    assert out == [[0, 1]]
     assert (inst.cur_req, inst.left) == (-1, 0)
-    bal.ready = len(bal.queue)
-    assert bal.queue == [2, 3]
-    assert process_tick([inst], bal.queue, bal.ready, 1, 10, 4) == [2, 3]
+    assert queue == [2, 3]
+    assert one_tick([inst], queue, 2, 1, 10, 4) == [2, 3]
 
 
 def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
@@ -135,8 +136,8 @@ def test_two_instances_split_four_requests():
     ready = [1, 2, 3, 4]
     a = InstanceRuntime("a", 0)
     b = InstanceRuntime("b", 0)
-    assert process_tick([a], ready, len(ready), 0, 10, 5) == [1, 2]
-    assert process_tick([b], ready, len(ready), 0, 10, 5) == [3, 4]
+    assert one_tick([a], ready, len(ready), 0, 10, 5) == [1, 2]
+    assert one_tick([b], ready, len(ready), 0, 10, 5) == [3, 4]
 
 
 def test_shared_queue_completions_come_back_in_list_order():
@@ -145,19 +146,19 @@ def test_shared_queue_completions_come_back_in_list_order():
     b = InstanceRuntime("b", 0)
     # a takes 0 and 1 and starts 2 with 2 of its 10 left; b does the same
     # with 3, 4 and 5.
-    assert process_tick([a, b], ready, len(ready), 0, 10, 4) == [0, 1, 3, 4]
+    assert one_tick([a, b], ready, len(ready), 0, 10, 4) == [0, 1, 3, 4]
     assert list(ready) == [6]
     assert (a.cur_req, a.left) == (2, 2) and (b.cur_req, b.left) == (5, 2)
-    assert process_tick([b, a], ready, len(ready), 1, 10, 4) == [5, 6, 2]
+    assert one_tick([b, a], ready, len(ready), 1, 10, 4) == [5, 6, 2]
 
 
 def test_instance_not_started_is_skipped():
     ready = [1, 2, 3]
     warm = InstanceRuntime("w", 60)
     live = InstanceRuntime("l", 0)
-    assert process_tick([warm, live], ready, len(ready), 59, 10, 5) == [1, 2]
+    assert one_tick([warm, live], ready, len(ready), 59, 10, 5) == [1, 2]
     assert warm.cur_req == -1
-    assert process_tick([warm, live], ready, len(ready), 60, 10, 5) == [3]
+    assert one_tick([warm, live], ready, len(ready), 60, 10, 5) == [3]
 
 
 # -- per-tick budget accounting ---------------------------------------------------
@@ -165,18 +166,18 @@ def test_instance_not_started_is_skipped():
 def test_request_spanning_ticks_completes_on_third():
     inst = InstanceRuntime("i", 0)
     ready = [7]
-    assert process_tick([inst], ready, len(ready), 0, 10, 25) == []
-    assert process_tick([inst], ready, len(ready), 1, 10, 25) == []
-    assert process_tick([inst], ready, len(ready), 2, 10, 25) == [7]
+    assert one_tick([inst], ready, len(ready), 0, 10, 25) == []
+    assert one_tick([inst], ready, len(ready), 1, 10, 25) == []
+    assert one_tick([inst], ready, len(ready), 2, 10, 25) == [7]
 
 
 def test_budget_not_banked_when_idle():
     inst = InstanceRuntime("i", 0)
-    assert process_tick([inst], [], 0, 0, 10, 15) == []
+    assert one_tick([inst], [], 0, 0, 10, 15) == []
     ready = [3]
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
-    assert process_tick([inst], ready, len(ready), 1, 10, 15) == []
-    assert process_tick([inst], ready, len(ready), 2, 10, 15) == [3]
+    assert one_tick([inst], ready, len(ready), 1, 10, 15) == []
+    assert one_tick([inst], ready, len(ready), 2, 10, 15) == [3]
 
 
 def test_image_recognizer_cost_rate():
@@ -186,7 +187,7 @@ def test_image_recognizer_cost_rate():
     ready = list(range(10000))
     done = 0
     for tick in range(30 * 60):
-        done += len(process_tick([inst], ready, len(ready), tick, mcl.numerator,
+        done += len(one_tick([inst], ready, len(ready), tick, mcl.numerator,
                                  30 * mcl.denominator))
     assert done == 91 * 60
 
@@ -199,14 +200,14 @@ def test_saturated_instance_completes_floor_of_budget_over_cost(mcl, tps, ticks)
     ready = list(range(ticks * budget // cost + 2))
     done = 0
     for tick in range(ticks):
-        done += len(process_tick([inst], ready, len(ready), tick, budget, cost))
+        done += len(one_tick([inst], ready, len(ready), tick, budget, cost))
         assert done == (tick + 1) * budget // cost
 
 
 def test_zero_cost_drains_entire_queue():
     inst = InstanceRuntime("i", 0)
     ready = list(range(500))
-    assert len(process_tick([inst], ready, len(ready), 0, 1, 0)) == 500
+    assert len(one_tick([inst], ready, len(ready), 0, 1, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
@@ -215,9 +216,9 @@ def test_draining_instance_finishes_current_only():
     inst.cur_req = 0
     inst.left = 4
     inst.draining = True
-    assert process_tick([inst], ready, len(ready), 0, 10, 8) == [0]
+    assert one_tick([inst], ready, len(ready), 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
-    assert process_tick([inst], ready, len(ready), 1, 10, 8) == []
+    assert one_tick([inst], ready, len(ready), 1, 10, 8) == []
 
 
 def test_carried_request_costing_the_whole_budget_pops_nothing():
@@ -225,7 +226,7 @@ def test_carried_request_costing_the_whole_budget_pops_nothing():
     inst.cur_req = 0
     inst.left = 10
     ready = [1, 2]
-    assert process_tick([inst], ready, len(ready), 0, 10, 8) == [0]
+    assert one_tick([inst], ready, len(ready), 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
     assert inst.cur_req == -1
 
@@ -236,18 +237,18 @@ def test_draining_instance_carries_remainder_over_budget():
     inst.left = 25
     inst.draining = True
     ready = [1]
-    assert process_tick([inst], ready, len(ready), 0, 10, 8) == []
+    assert one_tick([inst], ready, len(ready), 0, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 15)
-    assert process_tick([inst], ready, len(ready), 1, 10, 8) == []
+    assert one_tick([inst], ready, len(ready), 1, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 5)
-    assert process_tick([inst], ready, len(ready), 2, 10, 8) == [0]
+    assert one_tick([inst], ready, len(ready), 2, 10, 8) == [0]
     assert list(ready) == [1]
 
 
 def test_fresh_request_spending_budget_to_zero_starts_no_other():
     inst = InstanceRuntime("i", 0)
     ready = [1, 2, 3]
-    assert process_tick([inst], ready, len(ready), 0, 10, 5) == [1, 2]
+    assert one_tick([inst], ready, len(ready), 0, 10, 5) == [1, 2]
     assert list(ready) == [3]
     assert (inst.cur_req, inst.left) == (-1, 0)
 
@@ -298,24 +299,57 @@ def instances(draw, budget):
     return inst
 
 
-@given(data=st.data(), budget=BUDGETS, cost=COSTS, n_ready=st.integers(0, 60),
-       ticks=st.integers(1, 3))
-def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks):
-    insts = data.draw(st.lists(instances(budget), max_size=6))
+def clones(insts):
     copies = []
     for inst in insts:
         copy = InstanceRuntime(inst.iid, inst.ready_at)
         copy.draining, copy.cur_req, copy.left = inst.draining, inst.cur_req, inst.left
         copies.append(copy)
+    return copies
+
+
+@given(data=st.data(), budget=BUDGETS, cost=COSTS, n_ready=st.integers(0, 60),
+       ticks=st.integers(1, 3))
+def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks):
+    insts = data.draw(st.lists(instances(budget), max_size=6))
+    copies = clones(insts)
     # Behind the ready requests, ones admitted this tick, which the kernel
     # must leave where they are.
     tail = data.draw(st.lists(st.integers(2000, 2999), max_size=8))
     queue, expected_ready = list(range(n_ready)) + tail, deque(range(n_ready))
     for tick in range(ticks):
-        assert (process_tick(insts, queue, len(queue) - len(tail), tick, budget, cost)
+        assert (one_tick(insts, queue, len(queue) - len(tail), tick, budget, cost)
                 == reference_tick(copies, expected_ready, tick, budget, cost))
         assert queue == list(expected_ready) + tail
         assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
+
+
+@given(data=st.data(), budget=BUDGETS, cost=COSTS, capacity=st.integers(1, 12),
+       ticks=st.integers(1, 5))
+def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity, ticks):
+    # Instances that start inside the window, a queue that fills and drops,
+    # batches before and after the service's turn.
+    insts = data.draw(st.lists(instances(budget), max_size=4))
+    copies = clones(insts)
+    per_tick = st.lists(st.lists(st.integers(0, 999), max_size=5), min_size=ticks,
+                        max_size=ticks)
+    before = data.draw(st.lists(per_tick, max_size=3))
+    after = data.draw(st.lists(per_tick, max_size=3))
+    n_ready = data.draw(st.integers(0, capacity))
+    queue, out, drops = list(range(n_ready)), [], [[] for _ in range(ticks)]
+    whole = process_window(insts, queue, n_ready, 0, ticks, budget, cost, capacity, before, after,
+                           out, drops)
+    each_queue, each_out, each_drops = list(range(n_ready)), [], []
+    ready, offered, dropped = n_ready, 0, 0
+    for tick in range(ticks):
+        each_drops.append([])
+        ready, o, d = process_window(copies, each_queue, ready, tick, tick + 1, budget, cost,
+                                     capacity, [[b[tick]] for b in before],
+                                     [[b[tick]] for b in after], each_out, each_drops[-1:])
+        offered, dropped = offered + o, dropped + d
+    assert whole == (ready, offered, dropped)
+    assert (queue, out, drops) == (each_queue, each_out, each_drops)
+    assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
 
 
 # -- leaf counts ----------------------------------------------------------------
@@ -422,15 +456,14 @@ def test_single_part_edges_forward_completions_unchanged(reference_arch):
     routes, _ = _compile_routes(reference_arch)
     index = {s.name: i for i, s in enumerate(reference_arch.services)}
     shapes, shape_of = [(1, 2, 1), (3, 0, 0)], [0, 1]
-    done = [0 << 4, 1 << 4]  # each service's one arriving wire is 0
     forwards = {"MessageParser": {"HeaderAnalyser", "LinkAnalyser", "TextAnalyser"},
                 "HeaderAnalyser": {"MessageAnalyser"}, "LinkAnalyser": {"MessageAnalyser"},
                 "TextAnalyser": {"MessageAnalyser"}}
     for src, dsts in forwards.items():
         fires, arriving = routes[index[src]]
-        assert arriving == [0]
+        assert arriving == [0]  # each service's one arriving wire is 0
         emitters = dict(_service_routes(fires, arriving, shapes, shape_of)[0])
-        assert all(emitters[index[dst]](done) is done for dst in dsts)
+        assert all(emitters[index[dst]] is FORWARD for dst in dsts)
 
 
 # -- whole-engine behavior ---------------------------------------------------------
