@@ -76,7 +76,8 @@ class ExperimentSpec:
                 raise ExperimentError(
                     f"{name} must be an integer, got {getattr(self, name)!r}") from None
             if getattr(self, name) < least:
-                raise ExperimentError(f"{name} must be at least {least}, got {getattr(self, name)}")
+                raise ExperimentError(
+                    f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("margin_K", "hysteresis_k", "base_target_mcl"):
             if not math.isfinite(getattr(self, name)):
                 raise ExperimentError(f"{name} must be a finite number, got {getattr(self, name)}")

@@ -4,21 +4,31 @@ The traffic is drawn before the first tick by ``workload.draw_traffic``:
 per-tick arrival counts, the run's distinct email shapes and each email's
 index into them. This module neither splits the seed nor imports NumPy.
 
-Each tick: the arrivals emit emails, balancers accept or drop requests
-against bounded queues, ready instances spend their per-tick compute budget
-on queued requests (completions forward downstream in the same tick but
-become processable the next one), monitors fire on their period, and
-warming orchestrations come online when their startup elapses.
+The run goes window by window. A window ends at the next tick at which the
+monitor fires or the interval rolls up, so it is at most a second long,
+and only those ticks change a service's instances. Within a window each
+service runs all the window's ticks in one call of the kernel,
+``process_window``, the services taken in pipeline (topological) order.
+That is exact: a service's tick reads only its own instances, its queue and
+the batches admitted to it in that tick, and what its sources emit does not
+depend on it. In each tick of a service, the batches of the sources
+declared before it are admitted (at the entry, the arrivals), its started
+instances spend their per-tick compute budget on the queued requests, and
+the batches of the sources declared after it are admitted; all it then
+holds is processable the next tick. So completions forward downstream in
+the same tick and become processable the next one. After a window, the
+per-email state is brought up to date tick by tick, then the monitor fires
+and the interval rolls up; warming orchestrations come online when their
+startup elapses.
 
 Requests are bit-packed ints: email id, then a wire nibble, which stands,
 at the service the request reaches, for one part kind and virus flag. The
-kernel is ``process_tick``, called once per service per tick, in exact
-integer resource units: a service's instances each get a budget of
-MCL.numerator per tick and a request costs tps * MCL.denominator, so an
-instance sustains exactly MCL requests per second. Per started instance it
-finishes or carries its current request, takes the ``credit // cost``
-fresh requests it completes as one slice of the queue, and starts the next
-one with what is left.
+kernel works in exact integer resource units: a service's instances each
+get a budget of MCL.numerator per tick and a request costs
+tps * MCL.denominator, so an instance sustains exactly MCL requests per
+second. Per started instance it finishes or carries its current request,
+takes the ``credit // cost`` fresh requests it completes as one slice of
+the queue, and starts the next one with what is left.
 
 The routes are compiled in pipeline order, and an edge keeps a request's
 wire whenever its destination gives that wire no other meaning, so most
@@ -26,21 +36,25 @@ single-part edges forward a service's completions as they are. The routes
 are tables indexed by the wire and the shape of the email (its blocks,
 attachments and virus mask), so the requests a service's completions emit
 to a destination are the completions, a filter of them or one
-comprehension over them, in completion order, then spec order. A service has one emitter per destination, and its output is
-admitted as soon as it is made, with a single call: it keeps exactly the
-requests that one call per completion would have kept.
+comprehension over them, in completion order, then spec order. A service
+has one emitter per destination, called on each tick's completions; an
+edge that forwards them as they are has none (``FORWARD``), and its
+destination reads the completions themselves. A tick's batch from one
+source is admitted as a whole: it keeps its longest prefix that fits,
+exactly what one admission per completion would keep.
 
 A balancer's queue is one FIFO list whose first ``ready`` requests are
 takeable (see ``Balancer``). A retired instance finishes its current
 request, takes no other, and leaves at the next interval rollup.
 
-An email's count is set at admission to its leaf count: the completions of
-its requests that emit nothing, known per shape before the run. Only such
-completions touch per-email state (every completion of a sink; elsewhere
-one whose edges do not fire or whose fan-out is empty), and an email
-settles when its count reaches zero, on the tick its last request
-completes. The per-email state is two flat lists indexed by email id
-(leaves left, arrival tick) and the set of lost email ids.
+An email's count is set before the first tick to its leaf count: the
+completions of its requests that emit nothing, known per shape before the
+run. Only such completions touch per-email state (every completion of a
+sink; elsewhere one whose edges do not fire or whose fan-out is empty), and
+an email settles when its count reaches zero, on the tick its last request
+completes; it is lost at its first dropped request. The per-email state is
+two flat lists indexed by email id (leaves left, arrival tick) and the set
+of lost email ids.
 """
 
 from __future__ import annotations
@@ -441,9 +455,10 @@ def _leaves(routes: list[tuple], svc: int, nib: int, shape: Shape, memo: dict[in
 def _service_routes(fires: tuple, arriving: list[int], shapes: list[Shape],
                     shape_of: list[int]) -> tuple[list[tuple], Optional[Callable]]:
     """``(emitters, leaf)`` of one service: each destination paired with the
-    function from the service's completions to what they emit to it (see
-    ``_emitter``), and the function from completions to those that emit
-    nothing (leaves), or None when no completion can be one."""
+    function from the service's completions to what they emit to it, and
+    the function from completions to those that emit nothing (leaves), or
+    None when no completion can be one. Either function is ``FORWARD``
+    when it would return the completions (see ``_emitter``)."""
     nibs = range(len(fires))
     emitters = []
     for d in sorted({dst for f in fires for dst, _, _ in f}):
@@ -745,8 +760,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     # of the sources declared before it and of those declared after it, in
     # declaration order. Every instance of a service has the budget/cost
     # ratio MCL/tps, whatever its VM's speed, so one exact integer pair
-    # serves them all. And the (service, leaf filter) pairs of the services
-    # some of whose completions are leaves.
+    # serves them all. ``leaf_services`` pairs each service some of whose
+    # completions can be leaves with the filter that picks them out.
     inlets: list[tuple[list, list]] = [([], []) for _ in svc_states]
     leaf_services = []
     for st, (fires, arriving) in zip(svc_states, routes):
@@ -759,13 +774,12 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     for idx in _pipeline_order(arch):
         st = svc_states[idx]
         budget, cost = request_cost(st.mcl, tps)
-        services.append((idx, st.insts, st.balancer, st.balancer.queue, budget, cost) + inlets[idx])
+        services.append((idx, st.insts, st.balancer, st.balancer.queue, budget, cost)
+                        + inlets[idx])
 
-    # The run goes window by window, each up to the next monitor or rollup
-    # tick, and within a window service by service, in pipeline order: a
-    # service's tick reads only its instances, its queue and the batches
-    # admitted to it in that tick, and what its sources emit does not
-    # depend on it. Instances come and go only at monitor and rollup ticks.
+    # Window by window, each up to the next monitor or rollup tick, as only
+    # those change the instances; within a window, service by service in
+    # pipeline order (see the module docstring).
     start = 0
     while start < duration:
         stop = min(monitor_tick, rollup_tick) + 1
@@ -782,12 +796,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         for idx, insts, bal, queue, budget, cost, early, late in services:
             # A source's batches are its completions when it forwards them
             # unchanged, else what its emitter makes of them, tick by tick.
-            before = [outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
-                      for src, emit in early]
+            before, after = ([outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
+                              for src, emit in sources] for sources in (early, late))
             if idx == entry_idx:
                 before.insert(0, entry_batches)
-            after = [outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
-                     for src, emit in late]
             outs[idx] = []
             bal.ready, offered, dropped = process_window(
                 insts, queue, bal.ready, start, stop, budget, cost, capacity, before, after,

@@ -45,6 +45,7 @@ from archscale.scaler import (
 from archscale.simulator import IntervalRow, MetricsTimeline, ScalingEvent
 from archscale.workload import Steps, draw_traffic
 
+from test_scaler import within
 from test_simulator import part_emissions
 
 
@@ -63,7 +64,8 @@ def oracle_run(arch, ladder, config):
     mcl = {e.name: e.mcl for e in table.entries}
     # Per tick an instance spends mcl.numerator units, a request costs
     # tps * mcl.denominator: mcl requests a second.
-    costs = {n: (1, 0) if is_infinite(m) else (Fraction(m).numerator, tps * Fraction(m).denominator)
+    costs = {n: (1, 0) if is_infinite(m) else (Fraction(m).numerator,
+                                                tps * Fraction(m).denominator)
              for n, m in mcl.items()}
     arrivals, shapes, shape_of = draw_traffic(config, arch.profile)
     registry = DeploymentRegistry(arch)
@@ -126,7 +128,8 @@ def oracle_run(arch, ladder, config):
                   "deploy" if trig is Trigger.UP else "undeploy",
                   "|".join(map(str, deployed)) + "->" + "|".join(map(str, after)))
         if deferred:
-            event(now, Policy.GLOBAL, "system", trig, "defer", f"{deferred} undeploys while warming")
+            event(now, Policy.GLOBAL, "system", trig, "defer",
+                  f"{deferred} undeploys while warming")
 
     def local_monitor(now):
         for i, name in enumerate(names):
@@ -269,8 +272,8 @@ def architectures(draw):
             mcl = {"attachments_per_request": 0, "penalty_factor": 0, "data_rate_by_cores": {}}
         else:
             mcl = {"explicit_mcl": draw(st.sampled_from(["15", "40", "90", "200/7", "45/2"]))}
-        services.append({"name": f"S{i}", "cost": {"Cores": draw(st.integers(1, 2)), "Memory": 100},
-                         "mcl": mcl, "mf_rule": "unit"})
+        services.append({"name": f"S{i}", "mcl": mcl, "mf_rule": "unit",
+                         "cost": {"Cores": draw(st.integers(1, 2)), "Memory": 100}})
     b_lo, b_hi = sorted(draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
     a_lo, a_hi = sorted(draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
     return parse_architecture_data({
@@ -314,12 +317,13 @@ def configs(draw):
 def test_engine_matches_the_one_request_oracle(arch, config, base, increments):
     table = build_capacity_table(arch)
     ladder = synthesize_scale_ladder(Fraction(base), [Fraction(i) for i in increments], table)
+    # Each run is short: one that hangs fails the suite instead of stalling it.
     try:
-        timeline = run_simulation(arch, ladder, config)
+        timeline = within(30, run_simulation, arch, ladder, config)
     except Exception as exc:  # a refusal must be one of the package's named errors
         assert type(exc).__module__.startswith("archscale."), repr(exc)
         return
-    expected = oracle_run(arch, ladder, config)
+    expected = within(30, oracle_run, arch, ladder, config)
     assert timeline.to_csv() == expected.to_csv()
     assert timeline.events_to_csv() == expected.events_to_csv()
     assert timeline.in_flight_end == expected.in_flight_end

@@ -25,7 +25,6 @@ from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
 from archscale.simulator import (
     P_EMAIL,
-    Balancer,
     InstanceRuntime,
     Policy,
     _compile_routes,
@@ -108,7 +107,8 @@ def test_promotion_preserves_fifo():
     # made them ready.
     queue, out = [0, 1], []
     inst = InstanceRuntime("i", 0)
-    assert process_window([inst], queue, 2, 0, 1, 10, 4, 10, [[[2, 3]]], [], out, [[]]) == (2, 2, 0)
+    assert process_window([inst], queue, 2, 0, 1, 10, 4, 10, [[[2, 3]]], [], out,
+                          [[]]) == (2, 2, 0)
     assert out == [[0, 1]]
     assert (inst.cur_req, inst.left) == (-1, 0)
     assert queue == [2, 3]
