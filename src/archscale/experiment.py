@@ -415,8 +415,10 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run every selected policy and write all artifacts under ``out_dir``."""
-    from .simulator import run_simulation  # here: the set-up commands never simulate
+    """Run every selected policy and write all artifacts under ``out_dir``.
+    The policies share one traffic draw and one compiled pipeline (see
+    ``simulator.compare_scope``)."""
+    from .simulator import compare_scope, run_simulation  # here: the set-up commands never simulate
 
     out = Path(out_dir if out_dir is not None else spec.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -429,15 +431,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     peak_rate, peak_time_s = _workload_peak(spec)
     timelines: dict[str, MetricsTimeline] = {}
     summaries: dict[str, PolicySummary] = {}
-    for policy in spec.policies:
-        timeline = run_simulation(arch, ladder, spec.sim_config(policy))
-        timelines[policy] = timeline
-        metrics_path = out / f"metrics_{policy}.csv"
-        metrics_path.write_text(timeline.to_csv(), encoding="utf-8")
-        (out / f"events_{policy}.csv").write_text(timeline.events_to_csv(), encoding="utf-8")
-        rows = read_metrics_csv(metrics_path)
-        summaries[policy] = summarize_metrics_rows(
-            rows, policy, spec.ticks_per_second, peak_rate, peak_time_s)
+    with compare_scope():
+        for policy in spec.policies:
+            timeline = run_simulation(arch, ladder, spec.sim_config(policy))
+            timelines[policy] = timeline
+            metrics_path = out / f"metrics_{policy}.csv"
+            metrics_path.write_text(timeline.to_csv(), encoding="utf-8")
+            (out / f"events_{policy}.csv").write_text(timeline.events_to_csv(), encoding="utf-8")
+            rows = read_metrics_csv(metrics_path)
+            summaries[policy] = summarize_metrics_rows(
+                rows, policy, spec.ticks_per_second, peak_rate, peak_time_s)
 
     report = ComparisonReport(peak_rate_eps=peak_rate, peak_time_s=peak_time_s, summaries=summaries)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

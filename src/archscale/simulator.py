@@ -3,6 +3,12 @@
 The traffic is drawn before the first tick by ``workload.draw_traffic``:
 per-tick arrival counts, the run's distinct email shapes and each email's
 index into them. This module neither splits the seed nor imports NumPy.
+The draw, each email's leaf count and arrival tick and the compiled routes
+depend only on the architecture and the traffic fields of the config, so
+they make one prepared run. Within one ``compare_scope`` (one
+``run_experiment``), the policies' runs of one architecture object and
+equal traffic fields share it: one draw and one compiled pipeline per
+compare. No run mutates it.
 
 The run goes window by window. A window ends at the next tick at which the
 monitor fires or the interval rolls up, so it is at most a second long,
@@ -60,11 +66,13 @@ of lost email ids.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import TopologicalSorter
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .capacity import (
     Configuration,
@@ -577,6 +585,91 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     return routes, (index[entry] if entry is not None else -1)
 
 
+@dataclass(frozen=True)
+class _PreparedRun:
+    """What a run draws and compiles before its first tick, whatever its
+    policy; runs that share it only read it.
+
+    ``inlets`` holds per service the ``(source, emitter)`` pairs of the
+    sources declared before it and of those declared after it, in
+    declaration order; ``leaf_services`` pairs each service some of whose
+    completions can be leaves with the filter that picks them out.
+    """
+
+    arrivals: list[int]  # per tick
+    shape_of: list[int]  # per email: its index into the shapes
+    leaves: list[int]  # per shape: the leaves of one email
+    born: list[int]  # per email: its arrival tick
+    entry: int
+    order: list[int]  # the services' indices in pipeline order
+    inlets: tuple[tuple[tuple, tuple], ...]
+    leaf_services: tuple[tuple[int, Callable], ...]
+
+
+def _prepare(arch: SystemArchitecture, config: SimConfig) -> _PreparedRun:
+    """Draw ``config``'s traffic and compile ``arch``'s pipeline for it."""
+    routes, entry = _compile_routes(arch)
+    if entry < 0:
+        raise SimulationError("cannot simulate an architecture without services")
+    arrivals, shapes, shape_of = draw_traffic(config, arch.profile)
+    inlets: list[tuple[list, list]] = [([], []) for _ in routes]
+    leaf_services = []
+    for src, (fires, arriving) in enumerate(routes):
+        emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
+        for d, emit in emitters:
+            inlets[d][src > d].append((src, emit))
+        if leaf is not None:
+            leaf_services.append((src, leaf))
+    return _PreparedRun(
+        arrivals=arrivals,
+        shape_of=shape_of,
+        # An email settles when its last leaf completes.
+        leaves=[_leaves(routes, entry, P_EMAIL << 1, shape, {}) for shape in shapes],
+        born=list(chain.from_iterable(map(repeat, range(config.duration), arrivals))),
+        entry=entry,
+        order=_pipeline_order(arch),
+        inlets=tuple((tuple(early), tuple(late)) for early, late in inlets),
+        leaf_services=tuple(leaf_services),
+    )
+
+
+# The prepared runs of the open compare scope, each with the architecture
+# and the traffic fields it was made for; None outside any scope.
+_scope: ContextVar[Optional[list[tuple[SystemArchitecture, tuple, _PreparedRun]]]] = \
+    ContextVar("archscale_compare_scope", default=None)
+
+
+@contextmanager
+def compare_scope() -> Iterator[None]:
+    """Within the block, a run reuses the prepared run made by an earlier
+    run of the same architecture object (``is``, never ``==``) with equal
+    traffic fields (seed, workload, duration, tick rate, exact arrivals),
+    so the policies of one compare draw their traffic once. The block
+    forgets them all as it exits, raising or not; outside any block, every
+    run prepares its own."""
+    token = _scope.set([])
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+
+
+def _prepared(arch: SystemArchitecture, config: SimConfig) -> _PreparedRun:
+    """The open scope's prepared run for ``arch`` and ``config``'s traffic,
+    made (and kept in the scope) if it has none."""
+    made = _scope.get()
+    if made is None:
+        return _prepare(arch, config)
+    key = (config.seed, config.workload, config.duration, config.ticks_per_second,
+           config.exact_arrivals)
+    for made_for, made_key, prepared in made:
+        if made_for is arch and made_key == key:
+            return prepared
+    prepared = _prepare(arch, config)
+    made.append((arch, key, prepared))
+    return prepared
+
+
 def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimConfig) -> MetricsTimeline:
     """Execute the pipeline under the configured workload and policy."""
     report = validate_architecture(arch)
@@ -600,14 +693,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     period = config.params.monitoring_period
     names = tuple(s.name for s in arch.services)
 
-    routes, entry_idx = _compile_routes(arch)
-    if entry_idx < 0:
-        raise SimulationError("cannot simulate an architecture without services")
-
-    # Traffic, pre-generated for determinism and speed.
-    arrivals, shapes, shape_of = draw_traffic(config, arch.profile)
-    # An email settles when its last leaf completes.
-    leaves = [_leaves(routes, entry_idx, P_EMAIL << 1, shape, {}) for shape in shapes]
+    # Traffic and routes, prepared before the first tick for determinism
+    # and speed.
+    prepared = _prepared(arch, config)
+    arrivals, born, entry_idx = prepared.arrivals, prepared.born, prepared.entry
 
     # Deployment state.
     registry = DeploymentRegistry(arch)
@@ -735,10 +824,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             timeline.events.append(ScalingEvent(
                 now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{target}"))
 
-    # Email bookkeeping, by email id: leaves yet to complete and arrival
-    # tick, both known before the first tick; and the ids of the emails lost.
-    outstanding = list(map(leaves.__getitem__, shape_of))
-    born = list(chain.from_iterable(map(repeat, range(duration), arrivals)))
+    # Email bookkeeping, by email id: leaves yet to complete (this run's
+    # own list) and arrival tick (``born``), both known before the first
+    # tick; and the ids of the emails lost.
+    outstanding = list(map(prepared.leaves.__getitem__, prepared.shape_of))
     lost: set[int] = set()
     next_email = 0
 
@@ -749,6 +838,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     iv_dropped = 0
     iv_latency_ticks = 0
     interval_start_tick = 0
+    capacities: dict[tuple[int, ...], float] = {}  # online counts -> capacity_eps
     # The next ticks at whose end the monitor fires and the interval closes.
     monitor_tick = period - 1
     rollup_tick = min(tps, duration) - 1
@@ -756,26 +846,17 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     is_global = config.policy == Policy.GLOBAL
     capacity = config.queue_capacity
     # Per service, in pipeline order: its index, instances, balancer and
-    # queue, its budget and request cost, and the (source, emitter) pairs
-    # of the sources declared before it and of those declared after it, in
-    # declaration order. Every instance of a service has the budget/cost
+    # queue, its budget and request cost, and its inlets (see
+    # ``_PreparedRun``). Every instance of a service has the budget/cost
     # ratio MCL/tps, whatever its VM's speed, so one exact integer pair
-    # serves them all. ``leaf_services`` pairs each service some of whose
-    # completions can be leaves with the filter that picks them out.
-    inlets: list[tuple[list, list]] = [([], []) for _ in svc_states]
-    leaf_services = []
-    for st, (fires, arriving) in zip(svc_states, routes):
-        emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
-        for d, emit in emitters:
-            inlets[d][st.idx > d].append((st.idx, emit))
-        if leaf is not None:
-            leaf_services.append((st.idx, leaf))
+    # serves them all.
+    leaf_services = prepared.leaf_services
     services = []
-    for idx in _pipeline_order(arch):
+    for idx in prepared.order:
         st = svc_states[idx]
         budget, cost = request_cost(st.mcl, tps)
         services.append((idx, st.insts, st.balancer, st.balancer.queue, budget, cost)
-                        + inlets[idx])
+                        + prepared.inlets[idx])
 
     # Window by window, each up to the next monitor or rollup tick, as only
     # those change the instances; within a window, service by service in
@@ -846,11 +927,24 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             start_s = interval_start_tick // tps
             span_s = (tick + 1 - interval_start_tick) / tps
             interval_start_tick = tick + 1
-            counts = tuple(st.committed for st in svc_states)
-            # The capacity of the instances online: started and not draining.
-            cap = system_mcl(Configuration(tuple(
-                sum(1 for i in st.insts if i.ready_at <= tick and not i.draining)
-                for st in svc_states)), table)
+            # Per service, its committed instances and those of them online
+            # (started), and the capacity of the online ones, once per
+            # distinct online count.
+            committed, online = [], []
+            for st in svc_states:
+                n = up = 0
+                for i in st.insts:
+                    if not i.draining:
+                        n += 1
+                        if i.ready_at <= tick:
+                            up += 1
+                committed.append(n)
+                online.append(up)
+            counts, online = tuple(committed), tuple(online)
+            cap_eps = capacities.get(online)
+            if cap_eps is None:
+                cap = system_mcl(Configuration(online), table)
+                cap_eps = capacities[online] = 1e9 if is_infinite(cap) else float(cap)
             timeline.rows.append(IntervalRow(
                 t_s=start_s,
                 inbound_eps=iv_generated / span_s,
@@ -859,7 +953,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 lost_emails=iv_lost,
                 dropped_requests=iv_dropped,
                 latency_ticks=iv_latency_ticks,
-                capacity_eps=1e9 if is_infinite(cap) else float(cap),
+                capacity_eps=cap_eps,
                 total_instances=sum(counts),
                 vm_cost_total=float(timeline.total_vm_cost),
                 deployed_deltas=fmt_deltas(deployed_deltas()) if is_global else "",
@@ -867,6 +961,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             ))
             iv_generated = iv_completed = iv_lost = iv_dropped = iv_latency_ticks = 0
 
-    timeline.in_flight_end = sum(1 for eid, n in enumerate(outstanding) if n and eid not in lost)
+    # A lost email keeps a leaf outstanding for good: its dropped request's
+    # leaves never complete.
+    timeline.in_flight_end = len(outstanding) - outstanding.count(0) - len(lost)
     return timeline
 

@@ -191,7 +191,8 @@ def sample_email_batch(profile: EmailProfile, rng: np.random.Generator,
 def draw_traffic(config: SimConfig, profile: EmailProfile) -> tuple[list[int], list[Shape], list[int]]:
     """A run's per-tick arrival counts, its email shapes and each email's
     index into them. The seed's first child draws the arrivals and its
-    second the emails, so every policy sees the same traffic."""
+    second the emails, so every policy sees the same traffic; within one
+    compare the policies share a single draw (``simulator.compare_scope``)."""
     import numpy as np
 
     arrival_seed, email_seed = np.random.SeedSequence(config.seed).spawn(2)

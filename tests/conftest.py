@@ -7,9 +7,23 @@ from archscale import (
     build_capacity_table,
     load_architecture,
     synthesize_scale_ladder,
+    workload,
 )
 from archscale.document import parse_architecture_data
 from archscale.cli import reference_architecture_path
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Calls of the two traffic draws, counted through the module attributes
+    that ``workload.draw_traffic`` reads."""
+    calls = dict.fromkeys(("generate_arrivals", "sample_email_batch"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _draw=getattr(workload, name), **kwargs):
+            calls[_name] += 1
+            return _draw(*args, **kwargs)
+        monkeypatch.setattr(workload, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

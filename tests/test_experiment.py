@@ -9,11 +9,14 @@ from archscale import (
     ExperimentError,
     ExperimentSpec,
     SimConfig,
+    SimulationError,
+    load_architecture,
     load_experiment_spec,
     run_experiment,
+    run_simulation,
 )
 from archscale.cli import reference_architecture_path
-from archscale.experiment import read_metrics_csv, summarize_metrics_rows
+from archscale.experiment import build_reference_ladder, read_metrics_csv, summarize_metrics_rows
 from archscale.workload import Diurnal, Steps, Trace, WorkloadSpec, rate_curve
 
 
@@ -350,3 +353,42 @@ def test_relative_architecture_path_resolved(tmp_path):
     }), encoding="utf-8")
     spec = load_experiment_spec(spec_file)
     run_experiment(spec, out_dir=tmp_path / "out")
+
+
+# One traffic draw per compare: the policies of one ``run_experiment``
+# share a prepared run, and nothing outlives the compare (``draws`` counts
+# the draws, see conftest).
+def bare_run(spec, policy):
+    arch = load_architecture(spec.architecture)
+    _, ladder = build_reference_ladder(arch, spec)
+    return run_simulation(arch, ladder, spec.sim_config(policy))
+
+
+def test_a_compare_draws_its_traffic_once(tmp_path, draws):
+    result = run_experiment(short_spec(tmp_path, duration_s=20))
+    assert draws == {"generate_arrivals": 1, "sample_email_batch": 1}
+    assert result.timelines["global"].generated == result.timelines["local"].generated == 1000
+
+
+def test_each_compare_draws_its_own_traffic(tmp_path, draws):
+    run_experiment(short_spec(tmp_path, duration_s=20, output=str(tmp_path / "a")))
+    run_experiment(short_spec(tmp_path, duration_s=20, output=str(tmp_path / "b")))
+    assert draws == {"generate_arrivals": 2, "sample_email_batch": 2}
+
+
+def test_bare_runs_draw_their_own_traffic(tmp_path, draws):
+    spec = short_spec(tmp_path, duration_s=20)
+    bare_run(spec, "global")
+    bare_run(spec, "local")
+    assert draws == {"generate_arrivals": 2, "sample_email_batch": 2}
+
+
+def test_a_compare_that_raises_keeps_no_prepared_run(tmp_path, draws):
+    # The local run prepares the traffic; the global run then refuses a
+    # ladder without scales. The next run, outside the compare, draws anew.
+    spec = short_spec(tmp_path, duration_s=20, policies=("local", "global"), scale_increments=())
+    with pytest.raises(SimulationError, match="largest scale adds an instance"):
+        run_experiment(spec)
+    assert draws == {"generate_arrivals": 1, "sample_email_batch": 1}
+    bare_run(spec, "local")
+    assert draws == {"generate_arrivals": 2, "sample_email_batch": 2}

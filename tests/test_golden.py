@@ -185,17 +185,20 @@ FANOUT_LEAVES_DIGESTS = {
 }
 
 
-def test_fanout_leaves_digests_unchanged(tmp_path):
-    # Poisson arrivals, 60 -> 220 -> 90 emails/s, 12-request queues: the
-    # entry queue overflows after the step, so emails are dropped at entry.
+def _fanout_leaves_spec(tmp_path, policies, out):
     arch_path = tmp_path / "arch.json"
     arch_path.write_text(json.dumps(FANOUT_LEAVES_ARCH), encoding="utf-8")
-    spec = ExperimentSpec(
-        architecture=str(arch_path), policies=("global", "local"), output=str(tmp_path / "out"),
+    return ExperimentSpec(
+        architecture=str(arch_path), policies=policies, output=str(tmp_path / out),
         duration_s=90, seed=5, queue_capacity=12, exact_arrivals=False,
         base_target_mcl=60, scale_increments=(60, 300),
         workload=WorkloadSpec(Steps(((0, 60.0), (20 * 30, 220.0), (60 * 30, 90.0)))))
-    result = run_experiment(spec)
+
+
+def test_fanout_leaves_digests_unchanged(tmp_path):
+    # Poisson arrivals, 60 -> 220 -> 90 emails/s, 12-request queues: the
+    # entry queue overflows after the step, so emails are dropped at entry.
+    result = run_experiment(_fanout_leaves_spec(tmp_path, ("global", "local"), "out"))
     assert all(tl.lost and tl.completed for tl in result.timelines.values())
     assert_conserved(result)
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
@@ -255,3 +258,20 @@ def test_wires_digests_unchanged(tmp_path):
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
                for f in WIRES_DIGESTS}
     assert digests == WIRES_DIGESTS
+
+
+def _surge_queue40_spec(tmp_path, policies, out):
+    scenario, _ = RUNS["surge_exact_queue40_seed7"]
+    return ExperimentSpec(architecture=str(reference_architecture_path()), policies=policies,
+                          output=str(tmp_path / out), **scenario)
+
+
+@pytest.mark.parametrize("make_spec", [_surge_queue40_spec, _fanout_leaves_spec])
+def test_policy_order_leaves_each_policy_unchanged(tmp_path, make_spec):
+    # The policies of one compare share its traffic and compiled routes, so
+    # a first run that mutated any of them would change the second's files.
+    for policies, out in ((("global", "local"), "gl"), (("local", "global"), "lg")):
+        assert_conserved(run_experiment(make_spec(tmp_path, policies, out)))
+    for name in ("metrics_global.csv", "events_global.csv", "metrics_local.csv",
+                 "events_local.csv"):
+        assert (tmp_path / "gl" / name).read_bytes() == (tmp_path / "lg" / name).read_bytes()

@@ -16,6 +16,7 @@ from archscale import (
     Steps,
     WorkloadSpec,
     build_capacity_table,
+    load_architecture,
     run_experiment,
     run_simulation,
     synthesize_scale_ladder,
@@ -32,6 +33,7 @@ from archscale.simulator import (
     _leaves,
     FORWARD,
     _service_routes,
+    compare_scope,
     process_window,
 )
 from archscale.workload import Diurnal
@@ -745,3 +747,23 @@ def test_services_without_requests_do_not_block_either_policy(all_virus_arch):
         assert tl.generated == 6000
         assert tl.completed > 0
         assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
+
+
+def test_a_scope_shares_only_the_same_architecture_and_traffic(reference_arch,
+                                                               reference_ladder, draws):
+    config = SimConfig(duration=20 * 30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=5,
+                       exact_arrivals=True)
+    with compare_scope():
+        first = run_simulation(reference_arch, reference_ladder, config)
+        # Another policy and queue: the same traffic, drawn once.
+        run_simulation(reference_arch, reference_ladder,
+                       dataclasses.replace(config, policy=Policy.LOCAL, queue_capacity=40))
+        assert draws == {"generate_arrivals": 1, "sample_email_batch": 1}
+        # An equal architecture that is another object, then another seed.
+        again = run_simulation(load_architecture(reference_architecture_path()),
+                               reference_ladder, config)
+        run_simulation(reference_arch, reference_ladder, dataclasses.replace(config, seed=6))
+        assert draws == {"generate_arrivals": 3, "sample_email_batch": 3}
+    assert again.to_csv() == first.to_csv()
+    run_simulation(reference_arch, reference_ladder, config)
+    assert draws == {"generate_arrivals": 4, "sample_email_batch": 4}
