@@ -201,15 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ladder_rates(p)
     p.set_defaults(func=cmd_plan)
 
-    for name, fn, help_text in (
-        ("simulate", cmd_simulate, "run the selected policy and write metrics"),
-        ("compare", cmd_compare, "run global and local policies and compare"),
+    # A compare always runs both policies, so ``both`` is its only choice.
+    for name, fn, help_text, policies in (
+        ("simulate", cmd_simulate, "run the selected policy and write metrics",
+         ["global", "local", "both"]),
+        ("compare", cmd_compare, "run global and local policies and compare", ["both"]),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--arch", default=None, help="architecture document override")
         p.add_argument("--spec", default=None, help="experiment spec file (JSON)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--policy", choices=["global", "local", "both"], default=None)
+        p.add_argument("--policy", choices=policies, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--exact-arrivals", action="store_true")
         p.set_defaults(func=fn)

@@ -133,6 +133,15 @@ def test_compare_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("policy", ["global", "local"])
+def test_compare_refuses_a_single_policy(capsys, policy):
+    # Else it ran both policies and exited 0, the option silently ignored.
+    with pytest.raises(SystemExit) as exited:
+        main(["compare", "--policy", policy])
+    assert exited.value.code == 2
+    assert f"argument --policy: invalid choice: '{policy}'" in capsys.readouterr().err
+
+
 def test_cli_error_is_nonzero(tmp_path, capsys):
     assert main(["simulate", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err
