@@ -49,7 +49,7 @@ _EXPORTS = {
         "local_target_instances", "scaling_trigger", "select_global_configuration",
     ),
     "simulator": (
-        "Balancer", "MetricsTimeline", "SimConfig", "SimulationError", "run_simulation",
+        "MetricsTimeline", "SimConfig", "SimulationError", "run_simulation",
     ),
     "workload": (
         "Diurnal", "Steps", "Trace", "WorkloadSpec", "generate_arrivals", "rate_curve",

@@ -122,13 +122,7 @@ def _parse_workload(block: dict) -> WorkloadSpec:
         raise ExperimentError("workload: expected an object")
 
     def value(key, convert, default):
-        if key not in block:
-            return default
-        try:
-            return convert(block[key])
-        except TypeError as exc:
-            raise ExperimentError(
-                f"experiment workload {key!r}: {exc}, got {block[key]!r}") from None
+        return _read("workload", block, key, convert) if key in block else default
 
     kind = block.get("kind")
     if not isinstance(kind, str) or kind not in _WORKLOAD_KEYS:

@@ -25,10 +25,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .capacity import ratio
-from .model import ServiceType, SystemArchitecture, VMType
+from .model import SystemArchitecture, VMType
 
 
 class PlacementError(ValueError):
@@ -127,7 +127,7 @@ def _pack_exact(items: list[tuple[int, int]], bins: list[tuple[int, int]]) -> li
 
 def plan_placement(
     delta: Mapping[str, int],
-    services: Union[SystemArchitecture, Iterable[ServiceType]],
+    arch: SystemArchitecture,
     catalog: Sequence[VMType],
 ) -> Placement:
     """Find the cheapest set of fresh VMs hosting ``delta`` instances.
@@ -136,13 +136,9 @@ def plan_placement(
     lexicographic names) order, seeded with a first-fit-decreasing upper
     bound, and the first multiset that admits an exact packing wins.
     """
-    if isinstance(services, SystemArchitecture):
-        service_list = list(services.services)
-    else:
-        service_list = list(services)
-    by_name = {s.name: s for s in service_list}
+    by_name = {s.name: s for s in arch.services}
     position: dict[str, int] = {}  # a name's first index: a VM's assignment order
-    for i, s in enumerate(service_list):
+    for i, s in enumerate(arch.services):
         position.setdefault(s.name, i)
 
     for name, count in delta.items():
@@ -150,7 +146,7 @@ def plan_placement(
             raise PlacementError(f"unknown service {name!r} in delta")
         if count < 0:
             raise PlacementError(f"negative instance count for {name!r}")
-    ordered = [(s.name, delta[s.name]) for s in service_list if delta.get(s.name, 0) > 0]
+    ordered = [(s.name, delta[s.name]) for s in arch.services if delta.get(s.name, 0) > 0]
     if not ordered:
         raise PlacementError("delta requests no instances")
     if not catalog:

@@ -49,9 +49,11 @@ destination reads the completions themselves. A tick's batch from one
 source is admitted as a whole: it keeps its longest prefix that fits,
 exactly what one admission per completion would keep.
 
-A balancer's queue is one FIFO list whose first ``ready`` requests are
-takeable (see ``Balancer``). A retired instance finishes its current
-request, takes no other, and leaves at the next interval rollup.
+A service's queue is one FIFO list whose first ``ready`` requests are
+takeable. One record per service holds the queue with the service's
+instances, its budget and cost and its inlets (see ``_ServiceState``). A
+retired instance finishes its current request, takes no other, and leaves
+at the next interval rollup.
 
 An email's count is set before the first tick to its leaf count: the
 completions of its requests that emit nothing, known per shape before the
@@ -148,23 +150,6 @@ class SimConfig:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.policy not in (Policy.GLOBAL, Policy.LOCAL):
             raise ValueError(f"unknown policy {self.policy!r}")
-
-
-@dataclass(slots=True)
-class Balancer:
-    """Bounded FIFO in front of a service's instances.
-
-    ``queue`` holds at most ``capacity`` requests, and its first ``ready``
-    are the ones the instances may take: a request admitted during a tick
-    becomes takeable the next tick (see ``process_window``). ``offered``
-    counts every request offered to it, accepted or dropped, until the
-    monitor resets it.
-    """
-
-    capacity: int
-    queue: list = field(default_factory=list)
-    ready: int = 0
-    offered: int = 0
 
 
 class InstanceRuntime:
@@ -390,12 +375,27 @@ class MetricsTimeline:
 
 @dataclass(slots=True)
 class _ServiceState:
+    """One service's run state: its instances and its bounded FIFO queue,
+    whose first ``ready`` requests are the ones the instances may take (a
+    request admitted during a tick becomes takeable the next tick, see
+    ``process_window``). ``offered`` counts every request offered to the
+    queue, accepted or dropped, until the monitor resets it. Every
+    instance has the budget/cost ratio MCL/tps, whatever its VM's speed, so
+    one exact integer pair serves them all; ``early`` and ``late`` are the
+    service's inlets (see ``_PreparedRun``)."""
+
     idx: int
     name: str
     mcl: Rational
     base_n: int
-    balancer: Balancer
+    budget: int
+    cost: int
+    early: tuple
+    late: tuple
     insts: list[InstanceRuntime] = field(default_factory=list)
+    queue: list = field(default_factory=list)
+    ready: int = 0
+    offered: int = 0
 
     @property
     def committed(self) -> int:
@@ -412,27 +412,25 @@ def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
     """The function from a service's completions to what they emit to one
     destination, in completion order, then spec order: per completion, one
     ``req & -16 | o`` for each low nibble ``o`` of ``tables[nib][shape]``, at
-    the request's nibble and its email's shape. A lookup that every
-    arriving request answers alike is skipped; when each completion emits
-    itself, the completions are the emissions (``FORWARD``), and when each
-    emits itself or nothing, a filter of them."""
-    if any(len(set(tables[nib])) > 1 for nib in arriving):
+    the request's nibble and its email's shape. It takes one of four forms.
+    When every shape emits alike and each completion emits itself, the
+    completions are the emissions (``FORWARD``); when each emits itself or
+    nothing, a filter of them. When the shapes differ and every arriving
+    request reads one per-shape table, only the shape is looked up; in any
+    other case, the nibble and the shape."""
+    if not any(len(set(tables[nib])) > 1 for nib in arriving):
+        # Every shape emits alike.
+        fixed = tuple(t[0] if t else () for t in tables)
+        if all(fixed[nib] == (nib,) for nib in arriving):
+            return FORWARD
+        if all(fixed[nib] in ((nib,), ()) for nib in arriving):
+            return lambda done: [r for r in done if fixed[r & 15]]
+    else:
         used = {tables[nib] for nib in arriving}
         if len(used) == 1:
             (table,) = used
             return lambda done: [r & -16 | o for r in done for o in table[shape_of[r >> 4]]]
-        return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
-    # Every shape emits alike.
-    fixed = tuple(t[0] if t else () for t in tables)
-    if all(fixed[nib] == (nib,) for nib in arriving):
-        return FORWARD
-    if all(fixed[nib] in ((nib,), ()) for nib in arriving):
-        return lambda done: [r for r in done if fixed[r & 15]]
-    used = {fixed[nib] for nib in arriving}
-    if len(used) == 1 and len(next(iter(used))) == 1:
-        ((o,),) = used
-        return lambda done: [r & -16 | o for r in done]
-    return lambda done: [r & -16 | o for r in done for o in fixed[r & 15]]
+    return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
 
 
 def _emitted(mode: int, bits: int, shape: Shape) -> tuple[int, ...]:
@@ -698,9 +696,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     prepared = _prepared(arch, config)
     arrivals, born, entry_idx = prepared.arrivals, prepared.born, prepared.entry
 
-    # Deployment state.
+    # Deployment and queue state, one record per service.
     registry = DeploymentRegistry(arch)
-    svc_states = [_ServiceState(i, s.name, entry.mcl, base_n, Balancer(config.queue_capacity))
+    svc_states = [_ServiceState(i, s.name, entry.mcl, base_n, *request_cost(entry.mcl, tps),
+                                *prepared.inlets[i])
                   for i, (s, entry, base_n)
                   in enumerate(zip(arch.services, table.entries, ladder.base.counts))]
 
@@ -745,13 +744,12 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         for inst in victims:
             inst.draining = True
 
-    # Policy state. A monitor measures the n requests offered to a balancer
+    # Policy state. A monitor measures the n requests offered to a queue
     # over a window of ``period`` ticks as the rate n * tps / period per
     # second; only arrivals reach the entry's. A global unit is one deployed
     # delta, its orchestration and instances, stacked per delta index.
     delta_units: list[list[tuple[TimedOrchestration, list[InstanceRuntime]]]] = [
         [] for _ in range(ladder.num_scales)]
-    entry_balancer = svc_states[entry_idx].balancer
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
 
     def deployed_deltas() -> tuple[int, ...]:
@@ -765,8 +763,9 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     # yet online, and a local scale-down while the service has one (only
     # its own deploys add such instances, and a removal never drains one).
     def global_monitor(now: int) -> None:
-        inbound = Fraction(entry_balancer.offered * tps, period)
-        entry_balancer.offered = 0
+        entry = svc_states[entry_idx]
+        inbound = Fraction(entry.offered * tps, period)
+        entry.offered = 0
         deployed = deployed_deltas()
         committed = system_mcl(ladder.configuration_for(deployed), table)
         trig = scaling_trigger(inbound, committed, config.params)
@@ -797,8 +796,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     def local_monitor(now: int) -> None:
         for st in finite_services:
-            inbound = Fraction(st.balancer.offered * tps, period)
-            st.balancer.offered = 0
+            inbound = Fraction(st.offered * tps, period)
+            st.offered = 0
             old = st.committed
             trig = scaling_trigger(inbound, st.mcl * old, config.params)
             if trig is Trigger.NONE:
@@ -845,18 +844,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     is_global = config.policy == Policy.GLOBAL
     capacity = config.queue_capacity
-    # Per service, in pipeline order: its index, instances, balancer and
-    # queue, its budget and request cost, and its inlets (see
-    # ``_PreparedRun``). Every instance of a service has the budget/cost
-    # ratio MCL/tps, whatever its VM's speed, so one exact integer pair
-    # serves them all.
     leaf_services = prepared.leaf_services
-    services = []
-    for idx in prepared.order:
-        st = svc_states[idx]
-        budget, cost = request_cost(st.mcl, tps)
-        services.append((idx, st.insts, st.balancer, st.balancer.queue, budget, cost)
-                        + prepared.inlets[idx])
+    in_order = [svc_states[i] for i in prepared.order]
 
     # Window by window, each up to the next monitor or rollup tick, as only
     # those change the instances; within a window, service by service in
@@ -872,20 +861,20 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             entry_batches.append(list(range(next_email << 4, (next_email + n_arr) << 4, 16)))
             next_email += n_arr
         iv_generated += next_email - first
-        outs: list = [None] * len(services)
+        outs: list = [None] * len(svc_states)
         drops: list[list] = [[] for _ in range(stop - start)]
-        for idx, insts, bal, queue, budget, cost, early, late in services:
+        for st in in_order:
             # A source's batches are its completions when it forwards them
             # unchanged, else what its emitter makes of them, tick by tick.
             before, after = ([outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
-                              for src, emit in sources] for sources in (early, late))
-            if idx == entry_idx:
+                              for src, emit in sources] for sources in (st.early, st.late))
+            if st.idx == entry_idx:
                 before.insert(0, entry_batches)
-            outs[idx] = []
-            bal.ready, offered, dropped = process_window(
-                insts, queue, bal.ready, start, stop, budget, cost, capacity, before, after,
-                outs[idx], drops)
-            bal.offered += offered
+            outs[st.idx] = out = []
+            st.ready, offered, dropped = process_window(
+                st.insts, st.queue, st.ready, start, stop, st.budget, st.cost, capacity, before,
+                after, out, drops)
+            st.offered += offered
             iv_dropped += dropped
 
         # Tick by tick: the emails of a dropped tail are lost at their first

@@ -468,6 +468,83 @@ def test_single_part_edges_forward_completions_unchanged(reference_arch):
         assert all(emitters[index[dst]] is FORWARD for dst in dsts)
 
 
+def emitter_form(emit):
+    """The form of a compiled emitter, told by the names its closure reads:
+    ``forward``, ``filter``, ``table`` (one per-shape table) or
+    ``general`` (per nibble and per shape)."""
+    if emit is FORWARD:
+        return "forward"
+    return {("fixed",): "filter", ("shape_of", "table"): "table",
+            ("shape_of", "tables"): "general"}[tuple(sorted(emit.__code__.co_freevars))]
+
+
+def profile_shapes(profile):
+    """Every shape (blocks, attachments, virus mask) the profile can draw."""
+    (b_lo, b_hi), (a_lo, a_hi) = profile.block_count_support, profile.attachment_count_support
+    return [(b, a, m) for b in range(b_lo, b_hi + 1) for a in range(a_lo, a_hi + 1)
+            for m in range(2 ** a)]
+
+
+def built_forms(arch):
+    """The forms of the emitters and of the leaf filters that the services
+    of ``arch`` build when every shape the profile allows is drawn."""
+    routes, _ = _compile_routes(arch)
+    shapes = profile_shapes(arch.profile)
+    emitters, leaves = [], []
+    for fires, arriving in routes:
+        emits, leaf = _service_routes(fires, arriving, shapes, list(range(len(shapes))))
+        emitters += [emitter_form(emit) for _, emit in emits]
+        leaves += [] if leaf is None else [emitter_form(leaf)]
+    return sorted(emitters), sorted(leaves)
+
+
+def test_reference_emitter_forms(reference_arch):
+    emitters, leaves = built_forms(reference_arch)
+    assert emitters == ["filter"] * 2 + ["forward"] * 11 + ["table"] * 2
+    assert leaves == ["forward"] * 3
+    # The wire test architectures build the general form too.
+    assert all("general" in built_forms(parse_architecture_data(WIRE_ARCHS[name]))[0]
+               for name in ("route_shapes", "wires"))
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_ARCHS))
+def test_emitters_match_the_per_completion_expansion(name, reference_arch):
+    # Whatever form an emitter or a leaf filter takes, it returns, per
+    # completion in completion order, one ``req & -16 | o`` for each nibble
+    # ``o`` that the edges to its destination emit, in spec order; a leaf
+    # filter, the completions that emit nothing.
+    arch = reference_arch if WIRE_ARCHS[name] is None else parse_architecture_data(WIRE_ARCHS[name])
+    routes, _ = _compile_routes(arch)
+
+    @given(data=st.data(), emails=email_batches(arch.profile))
+    def check(data, emails):
+        shapes = sorted(set(emails))
+        shape_of = [shapes.index(email) for email in emails]
+        for fires, arriving in routes:
+            if not arriving:
+                continue
+            done = data.draw(st.lists(st.builds(lambda eid, wire: eid << 4 | wire,
+                                                st.integers(0, len(emails) - 1),
+                                                st.sampled_from(arriving))))
+
+            def emitted(r, d=None):
+                shape = shapes[shape_of[r >> 4]]
+                return [o for dst, mode, bits in fires[r & 15] if d in (None, dst)
+                        for o in _emitted(mode, bits, shape)]
+
+            emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
+            for d, emit in emitters:
+                expected = [r & -16 | o for r in done for o in emitted(r, d)]
+                assert (done if emit is FORWARD else emit(done)) == expected
+            leaves = [r for r in done if not emitted(r)]
+            if leaf is None:
+                assert leaves == []
+            else:
+                assert (done if leaf is FORWARD else leaf(done)) == leaves
+
+    check()
+
+
 # -- whole-engine behavior ---------------------------------------------------------
 
 def tiny_arch(mcl_rate=150, queue_relevant=True):
@@ -688,6 +765,44 @@ def test_cyclic_pipeline_rejected(reference_arch, reference_ladder):
     cfg = SimConfig(duration=30 * 30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=1)
     with pytest.raises(SimulationError, match=r"AttachmentManager -> VirusScanner\]\.to: closes"):
         run_simulation(arch, reference_ladder, cfg)
+
+
+def second_root(arch):
+    extra = dataclasses.replace(arch.services[0], name="Extra")
+    return dataclasses.replace(arch, services=arch.services + (extra,), pipeline=arch.pipeline
+                               + (PipelineEdge("Extra", arch.pipeline[0].dst, "email"),))
+
+
+def unmatched_edge(arch):
+    return dataclasses.replace(arch, pipeline=arch.pipeline + (
+        PipelineEdge("HeaderAnalyser", "SentimentAnalyser", "block"),))
+
+
+def oversized_entry(arch):
+    big = dataclasses.replace(arch.services[0], memory_required=max(
+        vm.memory for vm in arch.vm_catalog) + 1)
+    return dataclasses.replace(arch, services=(big,) + arch.services[1:])
+
+
+@pytest.mark.parametrize("change,policy,error,message", [
+    (lambda arch: arch, "x", ValueError, "unknown policy 'x'"),
+    (second_root, Policy.LOCAL, SimulationError, "pipeline has no unique entry service"),
+    (unmatched_edge, Policy.LOCAL, SimulationError,
+     r"pipeline edge HeaderAnalyser -> SentimentAnalyser \(block\) "
+     "matches no part arriving at HeaderAnalyser"),
+    (lambda arch: dataclasses.replace(arch, services=(), pipeline=()), Policy.LOCAL,
+     SimulationError, "cannot simulate an architecture without services"),
+    (oversized_entry, Policy.LOCAL, SimulationError,
+     "infeasible initial base deployment: service 'MessageReceiver' needs 2 cores / 64001 MB"),
+], ids=["unknown_policy", "second_root", "unmatched_edge", "no_services", "oversized_entry"])
+def test_bad_runs_refused_by_name(change, policy, error, message, reference_arch):
+    # The bundled architecture changed in one way, with a ladder synthesized
+    # for the changed services.
+    arch = change(reference_arch)
+    _, ladder = ladder_for(arch, increments=(60, 150, 240, 330))
+    with pytest.raises(error, match=message):
+        run_simulation(arch, ladder, SimConfig(
+            duration=30, workload=WorkloadSpec(Steps(((0, 1.0),))), seed=1, policy=policy))
 
 
 def test_latency_floor_one_tick_per_hop(reference_arch, reference_ladder):
