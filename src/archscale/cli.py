@@ -159,9 +159,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     result = run_experiment(spec)
-    for policy, timeline in result.timelines.items():
-        print(f"{policy}: generated={timeline.generated} completed={timeline.completed} "
-              f"lost={timeline.lost} dropped={timeline.dropped_requests}")
+    for policy, summary in result.report.summaries.items():
+        print(f"{policy}: generated={summary.generated} completed={summary.completed} "
+              f"lost={summary.lost_emails} dropped={summary.dropped_requests}")
     print(f"artifacts written to {result.out_dir}")
     return 0
 

@@ -408,13 +408,13 @@ class ExperimentResult:
     out_dir: Path
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run every selected policy and write all artifacts under ``out_dir``.
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run every selected policy and write all artifacts under ``spec.output``.
     The policies share one traffic draw and one compiled pipeline (see
     ``simulator.compare_scope``)."""
     from .simulator import compare_scope, run_simulation  # here: the set-up commands never simulate
 
-    out = Path(out_dir if out_dir is not None else spec.output)
+    out = Path(spec.output)
     out.mkdir(parents=True, exist_ok=True)
     arch = load_architecture(spec.architecture)
     table, ladder = build_reference_ladder(arch, spec)

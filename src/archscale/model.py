@@ -231,8 +231,11 @@ class ValidationReport:
 def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
     """Check every type invariant; violations are data, not failures."""
     report = ValidationReport()
-    for svc in arch.services:
+    declared = {s.name for s in arch.services}
+    for i, svc in enumerate(arch.services):
         owner = f"service {svc.name}"
+        if arch.service_index(svc.name) != i:
+            report.add(owner, "name", "duplicate service name")
         if svc.cores_required < 1:
             report.add(owner, "cores_required", "must be >= 1")
         if svc.memory_required < 0:
@@ -244,6 +247,11 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
             if dep in seen:
                 report.add(owner, "strong_requires", f"duplicate requirement {dep!r}")
             seen.add(dep)
+        for fieldname, deps in (("strong_requires", svc.strong_requires),
+                                ("weak_requires", svc.weak_requires)):
+            for dep in deps:
+                if dep not in declared:
+                    report.add(owner, fieldname, f"unknown service {dep!r}")
         p = svc.mcl_params
         if p.penalty_factor < 0:
             report.add(owner, "mcl_params.penalty_factor", "must be >= 0")
@@ -255,8 +263,12 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
         if p.explicit_mcl is not None and p.explicit_mcl <= 0:
             report.add(owner, "mcl_params.explicit_mcl", "must be > 0 when present")
 
+    vm_names: set[str] = set()
     for vm in arch.vm_catalog:
         owner = f"vm {vm.name}"
+        if vm.name in vm_names:
+            report.add(owner, "name", "duplicate VM type name")
+        vm_names.add(vm.name)
         if vm.cores < 1:
             report.add(owner, "cores", "must be >= 1")
         if vm.speed_per_core <= 0:
@@ -284,6 +296,9 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
 
     flow: dict[str, list[str]] = {}
     for e in arch.pipeline:
+        for end, fieldname in ((e.src, "from"), (e.dst, "to")):
+            if end not in declared:
+                report.add(f"pipeline[{e.src} -> {e.dst}]", fieldname, f"unknown service {end!r}")
         flow.setdefault(e.src, []).append(e.dst)
     cycle = find_cycle(flow)
     if cycle:

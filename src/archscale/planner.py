@@ -136,14 +136,11 @@ def plan_placement(
     lexicographic names) order, seeded with a first-fit-decreasing upper
     bound, and the first multiset that admits an exact packing wins.
     """
-    by_name = {s.name: s for s in arch.services}
-    position: dict[str, int] = {}  # a name's first index: a VM's assignment order
-    for i, s in enumerate(arch.services):
-        position.setdefault(s.name, i)
-
     for name, count in delta.items():
-        if name not in by_name:
-            raise PlacementError(f"unknown service {name!r} in delta")
+        try:
+            arch.service_index(name)
+        except KeyError:
+            raise PlacementError(f"unknown service {name!r} in delta") from None
         if count < 0:
             raise PlacementError(f"negative instance count for {name!r}")
     ordered = [(s.name, delta[s.name]) for s in arch.services if delta.get(s.name, 0) > 0]
@@ -155,7 +152,7 @@ def plan_placement(
     items: list[tuple[int, int]] = []
     item_services: list[str] = []
     for name, count in ordered:
-        svc = by_name[name]
+        svc = arch.service(name)
         for _ in range(count):
             items.append((svc.cores_required, svc.memory_required))
             item_services.append(name)
@@ -206,7 +203,8 @@ def plan_placement(
                 per_vm: list[list[str]] = [[] for _ in bins]
                 for item_idx, b in enumerate(assignment):
                     per_vm[b].append(item_services[item_idx])
-                assigns = tuple((vi, tuple(sorted(names_, key=position.__getitem__)))
+                # A VM's services in the order of their first declaration.
+                assigns = tuple((vi, tuple(sorted(names_, key=arch.service_index)))
                                 for vi, names_ in enumerate(per_vm))
                 return Placement(acquired_vms=acquired, assignments=assigns,
                                  total_cost=Fraction(cost, unit))
@@ -576,11 +574,15 @@ def synthesize_orchestration(
     created: dict[str, list[str]] = {}  # service -> new instance ids created so far
     existing: dict[str, list[str]] = {}  # port -> live provider ids, registry order
 
-    def candidates_for(port: str) -> list[tuple[str, int]]:
+    def bind(port: str, consumer: str) -> str:
+        """``consumer``'s provider for ``port``, counted as one more consumer."""
         if port not in existing:
             existing[port] = [inst.instance_id for inst in registry.instances.values()
                               if inst.service == port]
-        return [(pid, consumers.get(pid, 0)) for pid in existing[port] + created.get(port, [])]
+        candidates = [(pid, consumers.get(pid, 0)) for pid in existing[port] + created.get(port, [])]
+        provider = _pick_provider(port, candidates, arch.service(port).provide_capacity, consumer)
+        consumers[provider] = consumers.get(provider, 0) + 1
+        return provider
 
     order = arch.strong_order
     if len(order) < len(arch.services):  # unreachable: parser rejects strong cycles
@@ -590,26 +592,17 @@ def synthesize_orchestration(
     for svc_name in order:
         if svc_name not in new_by_service:
             continue
-        svc = arch.service(svc_name)
-        capacity = {port: arch.service(port).provide_capacity for port in svc.strong_requires}
+        ports = arch.service(svc_name).strong_requires
         for inst_id, vm_id in zip(fresh_ids[svc_name], new_by_service[svc_name]):
-            bindings = []
-            for port in svc.strong_requires:
-                provider = _pick_provider(port, candidates_for(port), capacity[port], inst_id)
-                consumers[provider] = consumers.get(provider, 0) + 1
-                bindings.append((port, provider))
-            create_actions.append(CreateInstance(inst_id, svc_name, vm_id, tuple(bindings)))
+            bindings = tuple((port, bind(port, inst_id)) for port in ports)
+            create_actions.append(CreateInstance(inst_id, svc_name, vm_id, bindings))
             created.setdefault(svc_name, []).append(inst_id)
     actions.extend(create_actions)
 
     weak_actions: list[BindWeak] = []
     for act in create_actions:
-        svc = arch.service(act.service)
-        for port in svc.weak_requires:
-            capacity = arch.service(port).provide_capacity
-            provider = _pick_provider(port, candidates_for(port), capacity, act.instance_id)
-            consumers[provider] = consumers.get(provider, 0) + 1
-            weak_actions.append(BindWeak(act.instance_id, provider, port))
+        for port in arch.service(act.service).weak_requires:
+            weak_actions.append(BindWeak(act.instance_id, bind(port, act.instance_id), port))
     actions.extend(weak_actions)
 
     # Dynamic speed: discount cores no instance uses.

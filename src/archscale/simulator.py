@@ -293,18 +293,13 @@ class IntervalRow:
     service_counts: tuple[int, ...]
 
 
-def _latency_s(latency_ticks: int, completed: int, tps: int) -> Optional[float]:
-    """Mean latency in seconds of ``completed`` emails whose latencies sum
-    to ``latency_ticks``; None when none completed."""
-    return latency_ticks / completed / tps if completed else None
-
-
 @dataclass
 class MetricsTimeline:
     """Per-second metrics rows, events and orchestrations of one run.
 
     The rows are the one record of the email metrics: the run totals are
-    sums over them.
+    sums over them. A run's summary (mean latency, VM cost and the rest)
+    is ``experiment.summarize_metrics_rows`` over the written CSV.
     """
 
     ticks_per_second: int
@@ -313,7 +308,6 @@ class MetricsTimeline:
     events: list[ScalingEvent] = field(default_factory=list)
     orchestrations: list[TimedOrchestration] = field(default_factory=list)
     in_flight_end: int = 0
-    total_vm_cost: Fraction = Fraction(0)
 
     @property
     def generated(self) -> int:
@@ -335,11 +329,6 @@ class MetricsTimeline:
     def peak_total_instances(self) -> int:
         return max((r.total_instances for r in self.rows), default=0)
 
-    @property
-    def mean_latency_s(self) -> Optional[float]:
-        return _latency_s(sum(r.latency_ticks for r in self.rows), self.completed,
-                          self.ticks_per_second)
-
     def to_csv(self) -> str:
         head = ["t_s", "inbound_eps", "generated", "completed", "lost_emails",
                 "dropped_requests", "mean_latency_s", "capacity_eps",
@@ -347,7 +336,6 @@ class MetricsTimeline:
         head += [f"n_{name}" for name in self.service_names]
         lines = [",".join(head)]
         for r in self.rows:
-            lat = _latency_s(r.latency_ticks, r.completed, self.ticks_per_second)
             cells = [
                 str(r.t_s),
                 f"{r.inbound_eps:.6f}",
@@ -355,7 +343,8 @@ class MetricsTimeline:
                 str(r.completed),
                 str(r.lost_emails),
                 str(r.dropped_requests),
-                "" if lat is None else f"{lat:.6f}",
+                f"{r.latency_ticks / r.completed / self.ticks_per_second:.6f}"
+                if r.completed else "",
                 f"{r.capacity_eps:.6f}",
                 str(r.total_instances),
                 f"{r.vm_cost_total:.6f}",
@@ -706,6 +695,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     timeline = MetricsTimeline(ticks_per_second=tps, service_names=names)
 
     placements: dict[tuple[int, ...], Placement] = {}  # instance counts -> placement
+    vm_cost = Fraction(0)  # summed cost of every placement deployed so far
 
     def deploy(counts: tuple[int, ...],
                now: Optional[int]) -> tuple[TimedOrchestration, list[InstanceRuntime]]:
@@ -714,6 +704,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         orchestration and the instances it created, which come online when
         its startup has elapsed from ``now``, or at tick 0 for the base
         (``now`` None)."""
+        nonlocal vm_cost
         placement = placements.get(counts)
         if placement is None:
             placement = placements[counts] = plan_placement(
@@ -721,7 +712,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         orch = synthesize_orchestration(placement, arch, registry)
         registry.apply(orch)
         timeline.orchestrations.append(orch)
-        timeline.total_vm_cost += placement.total_cost
+        vm_cost += placement.total_cost
         ready_at = 0 if now is None else now + orch.startup_ticks
         insts = []
         for act in orch.actions:
@@ -944,7 +935,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
                 latency_ticks=iv_latency_ticks,
                 capacity_eps=cap_eps,
                 total_instances=sum(counts),
-                vm_cost_total=float(timeline.total_vm_cost),
+                vm_cost_total=float(vm_cost),
                 deployed_deltas=fmt_deltas(deployed_deltas()) if is_global else "",
                 service_counts=counts,
             ))

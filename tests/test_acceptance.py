@@ -346,21 +346,24 @@ def _minimum_path_seconds(arch, table) -> float:
     return max(best.values()) / TPS
 
 
-def test_criterion_8_steady_state_sanity(reference_arch, reference_table, reference_ladder):
+def test_criterion_8_steady_state_sanity(reference_arch, reference_table, tmp_path):
     started = time.perf_counter()
-    cfg = SimConfig(duration=600 * TPS, workload=WorkloadSpec(Steps(((0, 50.0),))),
-                    seed=12, policy=Policy.GLOBAL, exact_arrivals=True)
-    timeline = run_simulation(reference_arch, reference_ladder, cfg)
-    assert timeline.dropped_requests == 0
-    assert timeline.lost == 0
+    spec = ExperimentSpec(architecture=str(reference_architecture_path()),
+                          policies=(Policy.GLOBAL,), output=str(tmp_path), duration_s=600,
+                          ticks_per_second=TPS, seed=12, exact_arrivals=True,
+                          workload=WorkloadSpec(Steps(((0, 50.0),))))
+    result = run_experiment(spec)
+    timeline, summary = result.timelines[Policy.GLOBAL], result.report.summaries[Policy.GLOBAL]
+    assert summary.dropped_requests == 0
+    assert summary.lost_emails == 0
     assert len(timeline.events) == 0
     floor = _minimum_path_seconds(reference_arch, reference_table)
-    assert timeline.mean_latency_s is not None
-    assert timeline.mean_latency_s <= 2 * floor, (timeline.mean_latency_s, floor)
+    assert summary.mean_latency_s is not None
+    assert summary.mean_latency_s <= 2 * floor, (summary.mean_latency_s, floor)
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     report(8, (f"zero drops, zero scaling events, mean latency "
-               f"{timeline.mean_latency_s:.4f}s <= 2x {floor:.4f}s"), elapsed)
+               f"{summary.mean_latency_s:.4f}s <= 2x {floor:.4f}s"), elapsed)
 
 
 def test_criterion_9_determinism(reference_experiment, tmp_path):

@@ -202,7 +202,9 @@ def test_validation_flags_cyclic_pipeline(reference_arch):
 @given(st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")), max_size=10))
 def test_validation_names_an_edge_on_a_cycle_iff_the_pipeline_has_one(pairs):
     edges = tuple(PipelineEdge(a, b, "email") for a, b in pairs)
-    arch = parse_architecture_data(minimal_doc(pipeline=[]))
+    doc = minimal_doc(pipeline=[])
+    doc["services"] += [dict(doc["services"][0], name=name) for name in "CDE"]
+    arch = parse_architecture_data(doc)
     report = validate_architecture(dataclasses.replace(arch, pipeline=edges))
     graph = nx.MultiDiGraph(list(pairs))
     flagged = [v for v in report if v.owner.startswith("pipeline")]
@@ -216,10 +218,28 @@ def test_every_violation_names_one_field_and_invariant():
     doc = minimal_doc()
     doc["services"][0]["cost"]["Cores"] = 0
     doc["services"][0]["cost"]["Memory"] = -1
-    doc["profile"]["p_virus"] = 2
-    doc["vm_catalog"][0]["cost"] = 0
+    doc["services"][0]["provide"] = -2
+    doc["services"][0]["mcl"] = {"attachments_per_request": -1, "penalty_factor": -1,
+                                 "data_rate_by_cores": {"2": 0}, "explicit_mcl": 0}
+    doc["profile"].update(p_virus=2, attachment_size=0, attachment_count_support=[3, 1])
+    doc["vm_catalog"][0].update(cost=0, cores=0, speed_per_core=0, startup_time=-1)
     report = validate_architecture(parse_architecture_data(doc))
-    assert len(report) == 4
+    assert [(v.owner, v.field) for v in report] == [
+        ("service A", "cores_required"),
+        ("service A", "memory_required"),
+        ("service A", "provide_capacity"),
+        ("service A", "mcl_params.penalty_factor"),
+        ("service A", "mcl_params.attachments_per_request"),
+        ("service A", "mcl_params.data_rate_by_cores[2]"),
+        ("service A", "mcl_params.explicit_mcl"),
+        ("vm small", "cores"),
+        ("vm small", "speed_per_core"),
+        ("vm small", "startup_time"),
+        ("vm small", "cost"),
+        ("profile", "p_virus"),
+        ("profile", "attachment_size"),
+        ("profile", "attachment_count_support"),
+    ]
     for v in report:
         assert v.owner and v.field and v.message
 

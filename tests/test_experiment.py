@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -68,7 +69,6 @@ def test_report_matches_in_memory_totals(tmp_path):
         assert (summary.generated, summary.completed, summary.lost_emails,
                 summary.dropped_requests, summary.peak_total_instances) == (
             tl.generated, tl.completed, tl.lost, tl.dropped_requests, tl.peak_total_instances)
-        assert abs(summary.mean_latency_s - tl.mean_latency_s) <= 1e-6
         assert summary.ticks_to_target > 0
         first = next(r for r in tl.rows if r.capacity_eps >= result.report.peak_rate_eps)
         assert summary.ticks_to_target == 30 * first.t_s
@@ -352,7 +352,7 @@ def test_relative_architecture_path_resolved(tmp_path):
                      "exact_arrivals": True},
     }), encoding="utf-8")
     spec = load_experiment_spec(spec_file)
-    run_experiment(spec, out_dir=tmp_path / "out")
+    run_experiment(replace(spec, output=str(tmp_path / "out")))
 
 
 # One traffic draw per compare: the policies of one ``run_experiment``

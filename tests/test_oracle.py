@@ -76,14 +76,16 @@ def oracle_run(arch, ladder, config):
     offered = dict.fromkeys(names, 0)
     live, born, lost = {}, {}, set()
     iv = dict.fromkeys(("gen", "done", "lost", "drop", "lat"), 0)
+    vm_cost = Fraction(0)
 
     def deploy(counts, now):
+        nonlocal vm_cost
         placement = plan_placement({n: c for n, c in zip(names, counts) if c}, arch,
                                    arch.vm_catalog)
         orch = synthesize_orchestration(placement, arch, registry)
         registry.apply(orch)
         timeline.orchestrations.append(orch)
-        timeline.total_vm_cost += placement.total_cost
+        vm_cost += placement.total_cost
         made = []
         for act in orch.actions:
             if isinstance(act, CreateInstance):
@@ -226,7 +228,7 @@ def oracle_run(arch, ladder, config):
                 generated=iv["gen"], completed=iv["done"], lost_emails=iv["lost"],
                 dropped_requests=iv["drop"], latency_ticks=iv["lat"],
                 capacity_eps=1e9 if is_infinite(cap) else float(cap),
-                total_instances=sum(counts), vm_cost_total=float(timeline.total_vm_cost),
+                total_instances=sum(counts), vm_cost_total=float(vm_cost),
                 deployed_deltas="|".join(str(len(u)) for u in units)
                 if config.policy == Policy.GLOBAL else "",
                 service_counts=counts))

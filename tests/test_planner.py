@@ -30,8 +30,10 @@ from archscale.planner import (
     CreateInstance,
     DecrementSpeed,
     DestroyInstance,
+    OrchestrationError,
     ReleaseVM,
     SetOverallStartup,
+    TimedOrchestration,
     UnbindWeak,
     VMState,
     orchestration_to_script,
@@ -466,6 +468,83 @@ def test_script_round_trip_stability(chain_arch):
     assert script.splitlines()[0].startswith("acquire")
     assert "set-startup" in script
     assert orchestration_to_script(orch) == script
+
+
+# -- refusals -------------------------------------------------------------------
+
+@pytest.fixture
+def web_arch():
+    """Web strongly requires Db (one consumer per provider) and weakly
+    Cache; Big fits a VM's cores but not what is left of its memory."""
+    return make_arch(
+        [service_block("Web", sig=["Db"], weak=["Cache"]), service_block("Db", provide=1),
+         service_block("Cache"), service_block("Big", memory=400)],
+        [vm_block("small", 4, 1.0, memory=500)],
+    )
+
+
+@pytest.mark.parametrize("action,message", [
+    (AcquireVM("vm-0", "small"), "VM id vm-0 already acquired"),
+    (SetOverallStartup(-1), "startup duration must be >= 0"),
+    (CreateInstance("Db-0", "Db", "vm-1"), "instance id Db-0 already exists"),
+    (CreateInstance("Db-1", "Db", "vm-9"), "create Db-1: undefined VM vm-9"),
+    (CreateInstance("Cache-1", "Cache", "vm-0"), "create Cache-1: VM vm-0 out of cores"),
+    (CreateInstance("Big-0", "Big", "vm-1"), "create Big-0: VM vm-1 out of memory"),
+    (CreateInstance("Web-1", "Web", "vm-1"),
+     r"create Web-1: strong bindings \[\] do not match requirements \['Db'\]"),
+    (CreateInstance("Web-1", "Web", "vm-1", (("Db", "Db-9"),)),
+     "Web-1: binding references undefined provider Db-9"),
+    (CreateInstance("Web-1", "Web", "vm-1", (("Db", "Db-0"),)),
+     "Web-1: provider Db-0 capacity 1 exhausted"),
+    (BindWeak("Web-9", "Cache-0", "Cache"), "bind-weak: undefined consumer Web-9"),
+    (BindWeak("Web-0", "Db-0", "Cache"), "Web-0: provider Db-0 provides Db, not Cache"),
+    (DecrementSpeed("vm-9", Fraction(1)), "decrement-speed: undefined VM vm-9"),
+    (DecrementSpeed("vm-1", Fraction(-1)), "decrement-speed: invalid amount -1 on vm-1"),
+    (DecrementSpeed("vm-1", Fraction(11)), "decrement-speed: invalid amount 11 on vm-1"),
+    (UnbindWeak("Web-9", "Cache-0", "Cache"), "unbind-weak: undefined consumer Web-9"),
+    (UnbindWeak("Web-0", "Db-0", "Db"), "unbind-weak: no binding Web-0 -> Db-0"),
+    (DestroyInstance("Web-9"), "destroy: undefined instance Web-9"),
+    (DestroyInstance("Web-0"), "destroy Web-0: weak bindings still present"),
+    (ReleaseVM("vm-9"), "release: undefined VM vm-9"),
+    (ReleaseVM("vm-0"), "release vm-0: instances still deployed"),
+    ("acquire vm-2 small", "unknown action 'acquire vm-2 small'"),
+])
+def test_registry_refuses_inconsistent_actions(web_arch, action, message):
+    # vm-0 holds Db-0 and Web-0 (full); vm-1 holds Cache-0, bound weakly to Web-0.
+    registry, _ = bootstrap(web_arch, {"Web": 1, "Db": 1, "Cache": 1})
+    with pytest.raises(OrchestrationError, match=f"^{message}$"):
+        registry.apply(TimedOrchestration((action,)))
+
+
+@pytest.mark.parametrize("actions,problem", [
+    ((AcquireVM("vm-0", "small"), DecrementSpeed("vm-0", Fraction(20))),
+     "expected exactly one startup action, found 0"),
+    ((SetOverallStartup(30), AcquireVM("vm-0", "small"), DecrementSpeed("vm-0", Fraction(20))),
+     "startup action precedes an acquisition"),
+    ((AcquireVM("vm-0", "small"), SetOverallStartup(3), DecrementSpeed("vm-0", Fraction(20))),
+     "startup 3 != max acquired startup 30"),
+    ((AcquireVM("vm-0", "small"), SetOverallStartup(30)),
+     "vm-0: speed decrement 0 != speed_per_core*(unused cores) 20"),
+    ((SetOverallStartup(0),), "startup action present without acquisitions"),
+])
+def test_timing_check_names_each_problem(web_arch, actions, problem):
+    assert validate_orchestration_timing(TimedOrchestration(actions), web_arch) == [problem]
+
+
+@pytest.mark.parametrize("delta,catalog,message", [
+    ({"Web": 1, "Nope": 1}, None, "unknown service 'Nope' in delta"),
+    ({"Web": 1, "Db": -1}, None, "negative instance count for 'Db'"),
+    ({"Web": 1}, (), "empty VM catalog"),
+])
+def test_placement_refusals(web_arch, delta, catalog, message):
+    with pytest.raises(PlacementError, match=f"^{message}$"):
+        plan_placement(delta, web_arch, web_arch.vm_catalog if catalog is None else catalog)
+
+
+def test_removal_of_an_unknown_instance_refused(web_arch):
+    registry, _ = bootstrap(web_arch, {"Web": 1, "Db": 1, "Cache": 1})
+    with pytest.raises(SynthesisError, match="^removal: unknown instance Web-9$"):
+        synthesize_removal(["Web-0", "Web-9"], web_arch, registry)
 
 
 # -- architecture lookups -----------------------------------------------------

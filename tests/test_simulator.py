@@ -1,6 +1,7 @@
 """Engine semantics: queues, budgets, gating, conservation, determinism."""
 
 import dataclasses
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -767,6 +768,28 @@ def test_cyclic_pipeline_rejected(reference_arch, reference_ladder):
         run_simulation(arch, reference_ladder, cfg)
 
 
+def link_as_header(name):
+    return "HeaderAnalyser" if name == "LinkAnalyser" else name
+
+
+def renamed_service(arch):
+    return dataclasses.replace(arch, services=tuple(
+        dataclasses.replace(s, name=link_as_header(s.name)) for s in arch.services))
+
+
+def renamed_service_and_edges(arch):
+    return dataclasses.replace(renamed_service(arch), pipeline=tuple(
+        dataclasses.replace(e, src=link_as_header(e.src), dst=link_as_header(e.dst))
+        for e in arch.pipeline))
+
+
+def unknown_weak_requirement(arch):
+    nsfw = arch.service_index("NSFWDetector")
+    services = list(arch.services)
+    services[nsfw] = dataclasses.replace(services[nsfw], weak_requires=("Archive",))
+    return dataclasses.replace(arch, services=tuple(services))
+
+
 def second_root(arch):
     extra = dataclasses.replace(arch.services[0], name="Extra")
     return dataclasses.replace(arch, services=arch.services + (extra,), pipeline=arch.pipeline
@@ -794,7 +817,28 @@ def oversized_entry(arch):
      SimulationError, "cannot simulate an architecture without services"),
     (oversized_entry, Policy.LOCAL, SimulationError,
      "infeasible initial base deployment: service 'MessageReceiver' needs 2 cores / 64001 MB"),
-], ids=["unknown_policy", "second_root", "unmatched_edge", "no_services", "oversized_entry"])
+    # LinkAnalyser renamed to HeaderAnalyser: two services share a name, and
+    # MessageParser strongly requires a service that no longer exists.
+    (renamed_service, Policy.LOCAL, SimulationError, re.escape(
+        "architecture fails validation: "
+        "service MessageParser.strong_requires: unknown service 'LinkAnalyser'; "
+        "service HeaderAnalyser.name: duplicate service name; "
+        "pipeline[MessageParser -> LinkAnalyser].to: unknown service 'LinkAnalyser'; "
+        "pipeline[LinkAnalyser -> MessageAnalyser].from: unknown service 'LinkAnalyser'")
+     + "$"),
+    (renamed_service_and_edges, Policy.LOCAL, SimulationError, re.escape(
+        "architecture fails validation: "
+        "service MessageParser.strong_requires: unknown service 'LinkAnalyser'; "
+        "service HeaderAnalyser.name: duplicate service name") + "$"),
+    (unknown_weak_requirement, Policy.LOCAL, SimulationError,
+     "architecture fails validation: "
+     "service NSFWDetector.weak_requires: unknown service 'Archive'$"),
+    (lambda arch: dataclasses.replace(arch, vm_catalog=arch.vm_catalog + arch.vm_catalog[:1]),
+     Policy.LOCAL, SimulationError,
+     "architecture fails validation: vm large.name: duplicate VM type name$"),
+], ids=["unknown_policy", "second_root", "unmatched_edge", "no_services", "oversized_entry",
+        "renamed_service", "renamed_service_and_edges", "unknown_weak_requirement",
+        "duplicate_vm_type"])
 def test_bad_runs_refused_by_name(change, policy, error, message, reference_arch):
     # The bundled architecture changed in one way, with a ladder synthesized
     # for the changed services.
