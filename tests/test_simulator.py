@@ -1,12 +1,13 @@
 """Engine semantics: queues, budgets, gating, conservation, determinism."""
 
+import copy
 import dataclasses
 import re
 from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from archscale import (
@@ -311,6 +312,49 @@ def clones(insts):
     return copies
 
 
+def carrying(ready_at=0, draining=False, left=0):
+    """An instance starting at ``ready_at`` that, if ``left``, carries
+    request 1000 with ``left`` of its cost owed."""
+    inst = InstanceRuntime("i", ready_at)
+    inst.draining = draining
+    if left:
+        inst.cur_req, inst.left = 1000, left
+    return inst
+
+
+class Scripted:
+    """Stands in for ``st.data()`` in an ``@example``: its draws return
+    fresh copies of ``values``, in order."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = 0
+
+    def draw(self, strategy):
+        value = copy.deepcopy(self.values[self.drawn % len(self.values)])
+        self.drawn += 1
+        return value
+
+
+def carry_exact(insts):
+    """An instance owes cost exactly when it carries a request."""
+    return all((inst.cur_req == -1) == (inst.left == 0) for inst in insts)
+
+
+# Every branch of the kernel on every run. A service that never carries a
+# request: one draining instance and one starting inside the run.
+@example(data=Scripted([carrying(draining=True), carrying(), carrying(ready_at=1)],
+                       [2000, 2001]), budget=300, cost=30, n_ready=60, ticks=3)
+# Cost 0, with carried requests: one finished with budget to spare, one
+# that costs the whole budget, one over the budget.
+@example(data=Scripted([carrying(left=4), carrying(left=10), carrying(left=25), carrying()],
+                       [2000]), budget=10, cost=0, n_ready=5, ticks=3)
+# Carried costs above the cost but at most the budget.
+@example(data=Scripted([carrying(left=50), carrying(left=91), carrying(draining=True, left=40),
+                        carrying()], []), budget=91, cost=30, n_ready=20, ticks=3)
+# Carried costs above the budget.
+@example(data=Scripted([carrying(left=200), carrying(draining=True, left=100), carrying()],
+                       [2000]), budget=91, cost=30, n_ready=12, ticks=3)
 @given(data=st.data(), budget=BUDGETS, cost=COSTS, n_ready=st.integers(0, 60),
        ticks=st.integers(1, 3))
 def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks):
@@ -325,8 +369,22 @@ def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks
                 == reference_tick(copies, expected_ready, tick, budget, cost))
         assert queue == list(expected_ready) + tail
         assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
+        assert carry_exact(insts)
 
 
+# The kernel's branches inside one window, as above; each draws the
+# instances, the batches before and after the turn and the ready count.
+@example(data=Scripted([carrying(draining=True), carrying(ready_at=2)],
+                       [[[1, 2, 3], [4], [], [5, 6, 7, 8, 9]]], [[[10], [11, 12], [], [13]]],
+                       12), budget=300, cost=30, capacity=12, ticks=4)
+@example(data=Scripted([carrying(left=3), carrying(ready_at=1, left=5), carrying()],
+                       [[[1, 2], [3], [4, 5, 6, 7]]], [[[8], [], [9, 10]]], 4),
+         budget=5, cost=0, capacity=6, ticks=3)
+@example(data=Scripted([carrying(left=60), carrying(ready_at=1), carrying(draining=True, left=31)],
+                       [[[1, 2, 3], [4, 5], [6]]], [[[7], [], [8, 9]]], 10),
+         budget=91, cost=30, capacity=12, ticks=3)
+@example(data=Scripted([carrying(left=25), carrying(ready_at=2, left=12), carrying()],
+                       [[[1], [2, 3], [4], [5]]], [], 3), budget=10, cost=8, capacity=5, ticks=4)
 @given(data=st.data(), budget=BUDGETS, cost=COSTS, capacity=st.integers(1, 12),
        ticks=st.integers(1, 5))
 def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity, ticks):
@@ -350,9 +408,11 @@ def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity,
                                      capacity, [[b[tick]] for b in before],
                                      [[b[tick]] for b in after], each_out, each_drops[-1:])
         offered, dropped = offered + o, dropped + d
+        assert carry_exact(copies)
     assert whole == (ready, offered, dropped)
     assert (queue, out, drops) == (each_queue, each_out, each_drops)
     assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
+    assert carry_exact(insts)
 
 
 # -- leaf counts ----------------------------------------------------------------
