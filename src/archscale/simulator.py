@@ -33,8 +33,16 @@ kernel works in exact integer resource units: a service's instances each
 get a budget of MCL.numerator per tick and a request costs
 tps * MCL.denominator, so an instance sustains exactly MCL requests per
 second. Per started instance it finishes or carries its current request,
-takes the ``credit // cost`` fresh requests it completes as one slice of
-the queue, and starts the next one with what is left.
+takes the fresh requests it completes as one slice of the queue, and starts
+the next one with what is left. The kernel lists the started instances once
+per window, and again only at a tick at which one starts. What an instance
+does after finishing a carried request of at most its budget is one entry of
+a step table kept per (budget, cost): the fresh requests it completes and
+the cost owed on the one it starts. A service whose cost is 0 or divides its
+budget carries no request once none is carried at a window's start (none is
+at the run's): its tick completes one slice of the queue, as many requests
+per started, non-draining instance as the budget pays for (every takeable
+one at cost 0).
 
 The routes are compiled in pipeline order, and an edge keeps a request's
 wire whenever its destination gives that wire no other meaning, so most
@@ -68,6 +76,7 @@ of lost email ids.
 from __future__ import annotations
 
 import operator
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -154,7 +163,7 @@ class SimConfig:
 
 class InstanceRuntime:
     """One deployed instance and its current work item: ``left`` is the cost
-    still owed on ``cur_req``."""
+    still owed on ``cur_req``; it is 0 exactly when ``cur_req`` is -1."""
 
     __slots__ = ("iid", "ready_at", "draining", "cur_req", "left")
 
@@ -164,6 +173,29 @@ class InstanceRuntime:
         self.draining = False
         self.cur_req = -1
         self.left = 0
+
+
+# The fresh requests a cost of 0 lets an instance complete: every takeable
+# one, as no queue holds this many.
+_ALL = sys.maxsize
+
+
+def _step(budget: int, cost: int, left: int) -> tuple[int, int]:
+    """``(k, next_left)`` of an instance that spends ``budget`` on a tick
+    after finishing a carried request that still owed ``left`` (0: none
+    carried, at most ``budget``): it completes ``k`` fresh requests as one
+    slice and then starts one owing ``next_left`` (0: it starts none)."""
+    credit = budget - left
+    if not cost:
+        return (_ALL if credit else 0), 0
+    k, rem = divmod(credit, cost)
+    return k, cost - rem if rem else 0
+
+
+# Per (budget, cost), the step table of the carried costs that runs have
+# reached: ``left -> _step(budget, cost, left)``, each entry made on first
+# use. A pure cache: every run reads the same steps from it.
+_carried_steps: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
 
 
 def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start: int, stop: int,
@@ -182,17 +214,37 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
     2. every instance started by the tick spends its ``budget``, in list
        order, on the takeable requests at the queue's front, each costing
        ``cost``: it finishes or carries its current request, completes the
-       ``credit // cost`` fresh ones it can afford as one slice, and starts
-       the next with what is left. Idle budget is not banked, a draining
-       instance finishes its current request and takes no new one, and a
-       cost of 0 takes every takeable request;
+       fresh ones it can afford as one slice, and starts the next with what
+       is left. Idle budget is not banked, a draining instance finishes its
+       current request and takes no new one, and a cost of 0 takes every
+       takeable request;
     3. each ``after`` batch is admitted as in 1. All that the queue then
        holds is takeable the next tick;
     4. the tick's completions, in completion order, are appended to
        ``out``, and the dropped tail of each batch to ``drops[offset]``.
+
+    The started instances are listed once per window, and again at each
+    tick at which one starts. A carried cost of at most ``budget`` is
+    looked up in the step table of (``budget``, ``cost``); a larger one is
+    paid down by ``budget``. When the cost is 0 or divides the budget and
+    no instance carries a request at ``start``, none ever does, and each
+    instance that takes requests completes the same number of them, so the
+    tick's completions are one slice of the queue: ``budget // cost``
+    requests per started, non-draining instance (every takeable one at cost
+    0), at most the ``ready`` ones.
     """
     offered = dropped = 0
+    fresh_k, fresh_left = _step(budget, cost, 0)
+    steps = _carried_steps.get((budget, cost))
+    if steps is None:
+        steps = _carried_steps[budget, cost] = {}
+    one_slice = (not cost or not budget % cost) and not any(inst.left for inst in insts)
+    wake = start  # the next tick at which an instance starts
     for i, tick in enumerate(range(start, stop)):
+        if tick == wake:
+            online = [inst for inst in insts if inst.ready_at <= tick]
+            wake = min((inst.ready_at for inst in insts if inst.ready_at > tick), default=stop)
+            take = fresh_k * sum(1 for inst in online if not inst.draining)
         # 1. (Steps 1 and 3 are written out twice: one loop over both
         # sides costs the run several per cent.)
         for batches in before:
@@ -210,40 +262,45 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
                 dropped += len(reqs)
                 drops[i].append(reqs)
         # 2.
-        completed = []
-        head = 0  # requests taken so far
-        for inst in insts:
-            if tick < inst.ready_at:
-                continue
-            credit = budget
-            if inst.cur_req >= 0:
+        if one_slice:
+            n = take if take < ready else ready
+            completed = queue[:n]
+            del queue[:n]
+        else:
+            completed = []
+            head = 0  # requests taken so far
+            for inst in online:
                 left = inst.left
-                if left > credit:
-                    inst.left = left - credit
+                if left:
+                    if left > budget:
+                        inst.left = left - budget
+                        continue
+                    completed.append(inst.cur_req)
+                    inst.cur_req = -1
+                    inst.left = 0
+                    if inst.draining or head == ready:
+                        continue
+                    step = steps.get(left)
+                    if step is None:
+                        step = steps[left] = _step(budget, cost, left)
+                    k, left = step
+                elif inst.draining or head == ready:
                     continue
-                credit -= left
-                completed.append(inst.cur_req)
-                inst.cur_req = -1
-                inst.left = 0
-                if not credit:
+                else:
+                    k, left = fresh_k, fresh_left
+                first = head
+                head += k
+                if head >= ready:
+                    head = ready
+                    completed += queue[first:ready]
                     continue
-            if inst.draining or head == ready:
-                continue
-            first = head
-            k = credit // cost if cost else ready
-            head += k
-            if head >= ready:
-                head = ready
-                completed += queue[first:ready]
-                continue
-            completed += queue[first:head]
-            rem = credit - k * cost
-            if rem:
-                inst.cur_req = queue[head]
-                inst.left = cost - rem
-                head += 1
-        if head:
-            del queue[:head]
+                completed += queue[first:head]
+                if left:
+                    inst.cur_req = queue[head]
+                    inst.left = left
+                    head += 1
+            if head:
+                del queue[:head]
         # 3.
         for batches in after:
             reqs = batches[i]
