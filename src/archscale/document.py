@@ -28,7 +28,7 @@ from .model import (
     ServiceType,
     SystemArchitecture,
     VMType,
-    find_cycle,
+    strong_cycle,
 )
 
 
@@ -214,7 +214,7 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
                 if dep not in declared:
                     raise ParseError(f"services[{svc.name}].{kind}: unknown service {dep!r}")
 
-    cycle = find_cycle({s.name: s.strong_requires for s in services})
+    cycle = strong_cycle(services)
     if cycle is not None:
         raise CycleError(cycle)
 

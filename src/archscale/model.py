@@ -153,7 +153,7 @@ class SystemArchitecture:
         """Service names, each after the providers of its strong
         requirements: sweeps in declaration order, each taking every service
         whose providers are taken. Services on or behind a strong cycle
-        (which the document parser rejects) are left out."""
+        (see ``strong_cycle``) are left out."""
         deps = {s.name: set(s.strong_requires) for s in self.services}
         order: list[str] = []
         taken: set[str] = set()
@@ -263,6 +263,13 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
         if p.explicit_mcl is not None and p.explicit_mcl <= 0:
             report.add(owner, "mcl_params.explicit_mcl", "must be > 0 when present")
 
+    cycle = strong_cycle(arch.services)
+    if cycle:
+        path = " -> ".join(cycle + cycle[:1])
+        report.add(f"service {cycle[-1]}", "strong_requires",
+                   f"closes the strong-dependency cycle {path}: "
+                   "no service on it can be deployed first")
+
     vm_names: set[str] = set()
     for vm in arch.vm_catalog:
         owner = f"vm {vm.name}"
@@ -306,6 +313,14 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
         report.add(f"pipeline[{cycle[-1]} -> {cycle[0]}]", "to",
                    f"closes the cycle {path}: requests would circle without end")
     return report
+
+
+def strong_cycle(services: Sequence[ServiceType]) -> list[str] | None:
+    """One cycle of the services' strong requirements, each service on it
+    strongly requiring the next and the last the first; None if they have
+    none. The one definition of that rule: the document parser refuses such
+    a document and ``validate_architecture`` reports such an architecture."""
+    return find_cycle({s.name: s.strong_requires for s in services})
 
 
 def find_cycle(deps: dict[str, Sequence[str]]) -> list[str] | None:

@@ -585,7 +585,9 @@ def synthesize_orchestration(
         return provider
 
     order = arch.strong_order
-    if len(order) < len(arch.services):  # unreachable: parser rejects strong cycles
+    # The document parser refuses a strong cycle and validate_architecture
+    # reports one, but an architecture built in code reaches this unvalidated.
+    if len(order) < len(arch.services):
         pending = [s.name for s in arch.services if s.name not in order]
         raise SynthesisError(f"strong dependencies are cyclic among {pending}")
     create_actions: list[CreateInstance] = []

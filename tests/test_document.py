@@ -214,6 +214,37 @@ def test_validation_names_an_edge_on_a_cycle_iff_the_pipeline_has_one(pairs):
         assert graph.has_edge(src, dst) and nx.has_path(graph, dst, src)
 
 
+@given(st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")), max_size=10))
+def test_validation_names_a_strong_cycle_iff_the_parser_refuses_it(pairs):
+    # The same strong requirements in a document and in an architecture
+    # built in code, which no parser checks.
+    doc = minimal_doc()
+    doc["services"] += [dict(doc["services"][0], name=name) for name in "CDE"]
+    for svc in doc["services"]:
+        svc["sig"] = sorted({b for a, b in pairs if a == svc["name"]})
+    try:
+        parse_architecture_data(doc)
+        refused = False
+    except CycleError:
+        refused = True
+    arch = parse_architecture_data(dict(doc, services=[dict(svc, sig=[]) for svc in doc["services"]]))
+    arch = dataclasses.replace(arch, services=tuple(
+        dataclasses.replace(svc, strong_requires=tuple(sorted({b for a, b in pairs if a == svc.name})))
+        for svc in arch.services))
+    flagged = [v for v in validate_architecture(arch) if "strong-dependency cycle" in v.message]
+    graph = nx.DiGraph(list(pairs))
+    has_cycle = not nx.is_directed_acyclic_graph(graph)
+    assert refused == has_cycle
+    assert len(flagged) == has_cycle
+    for v in flagged:
+        # The named service's requirement of the cycle's first service
+        # closes it.
+        assert v.field == "strong_requires"
+        owner = v.owner[len("service "):]
+        first = v.message.split("cycle ")[1].split(" -> ")[0]
+        assert graph.has_edge(owner, first) and nx.has_path(graph, first, owner)
+
+
 def test_every_violation_names_one_field_and_invariant():
     doc = minimal_doc()
     doc["services"][0]["cost"]["Cores"] = 0

@@ -861,6 +861,14 @@ def unmatched_edge(arch):
         PipelineEdge("HeaderAnalyser", "SentimentAnalyser", "block"),))
 
 
+def strong_cycle(arch):
+    # ImageRecognizer strongly requires AttachmentManager, which needs
+    # ImageAnalyser, which needs ImageRecognizer.
+    return dataclasses.replace(arch, services=tuple(
+        dataclasses.replace(s, strong_requires=("AttachmentManager",))
+        if s.name == "ImageRecognizer" else s for s in arch.services))
+
+
 def oversized_entry(arch):
     big = dataclasses.replace(arch.services[0], memory_required=max(
         vm.memory for vm in arch.vm_catalog) + 1)
@@ -896,9 +904,14 @@ def oversized_entry(arch):
     (lambda arch: dataclasses.replace(arch, vm_catalog=arch.vm_catalog + arch.vm_catalog[:1]),
      Policy.LOCAL, SimulationError,
      "architecture fails validation: vm large.name: duplicate VM type name$"),
+    (strong_cycle, Policy.GLOBAL, SimulationError, re.escape(
+        "architecture fails validation: service ImageRecognizer.strong_requires: "
+        "closes the strong-dependency cycle "
+        "AttachmentManager -> ImageAnalyser -> ImageRecognizer -> AttachmentManager: "
+        "no service on it can be deployed first") + "$"),
 ], ids=["unknown_policy", "second_root", "unmatched_edge", "no_services", "oversized_entry",
         "renamed_service", "renamed_service_and_edges", "unknown_weak_requirement",
-        "duplicate_vm_type"])
+        "duplicate_vm_type", "strong_cycle"])
 def test_bad_runs_refused_by_name(change, policy, error, message, reference_arch):
     # The bundled architecture changed in one way, with a ladder synthesized
     # for the changed services.
