@@ -180,13 +180,18 @@ def plan_placement(
     ub_q = ub * q
 
     # Best-first search over VM-type multisets, canonicalized by only adding
-    # types with index >= the largest index already present.
+    # types with index >= the largest index already present. It returns by
+    # the time it pops the multiset of the first-fit-decreasing packing,
+    # which the search reaches: that multiset holds at most one VM per
+    # instance, and no prefix of it, in canonical order, is pruned, as the
+    # rest of it costs at least p / q per core and covers the missing cores.
+    # Being a packing, it passes the exact check. So the heap never empties.
     start = tuple(0 for _ in types)
     heap: list[tuple[int, int, tuple[str, ...], tuple[int, ...], int]] = [
         (0, 0, (), start, 0)
     ]
     seen: set[tuple[int, ...]] = {start}
-    while heap:
+    while True:
         cost, nvms, names, counts, min_type = heapq.heappop(heap)
         total_cores = sum(k * vm.cores for k, vm in zip(counts, types))
         total_mem = sum(k * vm.memory for k, vm in zip(counts, types))
@@ -224,7 +229,6 @@ def plan_placement(
             seen.add(child_t)
             heapq.heappush(heap, (
                 child_cost, nvms + 1, tuple(sorted(names + (types[ti].name,))), child_t, ti))
-    raise PlacementError("no feasible VM combination found")
 
 
 # ---------------------------------------------------------------------------
