@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .capacity import ratio
-from .model import SystemArchitecture, VMType
+from .model import SystemArchitecture, VMType, strong_cycle
 
 
 class PlacementError(ValueError):
@@ -589,11 +589,17 @@ def synthesize_orchestration(
         return provider
 
     order = arch.strong_order
-    # The document parser refuses a strong cycle and validate_architecture
-    # reports one, but an architecture built in code reaches this unvalidated.
+    # The document parser refuses a strong cycle or an unknown requirement,
+    # and validate_architecture reports either, but an architecture built in
+    # code reaches this unvalidated. The order leaves out a cycle and every
+    # service behind it; only the cycle is named.
     if len(order) < len(arch.services):
-        pending = [s.name for s in arch.services if s.name not in order]
-        raise SynthesisError(f"strong dependencies are cyclic among {pending}")
+        cycle = strong_cycle(arch.services)
+        if cycle is not None:
+            raise SynthesisError(f"strong dependencies are cyclic among {cycle}")
+        names = {s.name for s in arch.services}
+        unknown = sorted({dep for s in arch.services for dep in s.strong_requires} - names)
+        raise SynthesisError(f"unknown strongly required services {unknown}")
     create_actions: list[CreateInstance] = []
     for svc_name in order:
         if svc_name not in new_by_service:

@@ -593,6 +593,26 @@ def test_synthesis_refuses_cyclic_strong_requirements():
         synthesize_orchestration(empty, arch, DeploymentRegistry(arch))
 
 
+def test_synthesis_names_the_strong_cycle_not_the_services_behind_it():
+    # D requires C, which sits on the cycle C -> E -> C; A requires nothing.
+    arch = SystemArchitecture((ServiceType("D", 1, 0, strong_requires=("C",)),
+                               ServiceType("A", 1, 0),
+                               ServiceType("C", 1, 0, strong_requires=("E",)),
+                               ServiceType("E", 1, 0, strong_requires=("C",))),
+                              (), EmailProfile())
+    assert arch.strong_order == ("A",)
+    empty = Placement(acquired_vms=(), assignments=(), total_cost=Fraction(0))
+    with pytest.raises(SynthesisError, match=r"cyclic among \['C', 'E'\]$"):
+        synthesize_orchestration(empty, arch, DeploymentRegistry(arch))
+    # Without a cycle, a service left out requires one that does not exist.
+    arch = SystemArchitecture((ServiceType("D", 1, 0, strong_requires=("C",)),
+                               ServiceType("A", 1, 0, strong_requires=("Nowhere",))),
+                              (), EmailProfile())
+    with pytest.raises(SynthesisError,
+                       match=r"unknown strongly required services \['C', 'Nowhere'\]"):
+        synthesize_orchestration(empty, arch, DeploymentRegistry(arch))
+
+
 def test_architecture_lookups_stay_out_of_equality(reference_arch):
     twin = dataclasses.replace(reference_arch)
     assert reference_arch.service("VirusScanner").name == "VirusScanner"
