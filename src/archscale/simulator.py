@@ -42,7 +42,9 @@ the cost owed on the one it starts. A service whose cost is 0 or divides its
 budget carries no request once none is carried at a window's start (none is
 at the run's): its tick completes one slice of the queue, as many requests
 per started, non-draining instance as the budget pays for (every takeable
-one at cost 0).
+one at cost 0). When such a service keeps up with its inlets, so that each
+tick completes what the tick before admitted and nothing drops, it is a
+one-tick delay line, and its window is computed at once.
 
 The routes are compiled in pipeline order, and an edge keeps a request's
 wire whenever its destination gives that wire no other meaning, so most
@@ -51,11 +53,12 @@ are tables indexed by the wire and the shape of the email (its blocks,
 attachments and virus mask), so the requests a service's completions emit
 to a destination are the completions, a filter of them or one
 comprehension over them, in completion order, then spec order. A service
-has one emitter per destination, called on each tick's completions; an
-edge that forwards them as they are has none (``FORWARD``), and its
-destination reads the completions themselves. A tick's batch from one
-source is admitted as a whole: it keeps its longest prefix that fits,
-exactly what one admission per completion would keep.
+has one emitter per destination, called once per window on the
+completions of each of its ticks; an edge that forwards them as they are
+has none (``FORWARD``), and its destination reads the completions
+themselves. A leaf filter, likewise, is called once per window. A tick's
+batch from one source is admitted as a whole: it keeps its longest prefix
+that fits, exactly what one admission per completion would keep.
 
 A service's queue is one FIFO list whose first ``ready`` requests are
 takeable. One record per service holds the queue with the service's
@@ -232,13 +235,45 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
     tick's completions are one slice of the queue: ``budget // cost``
     requests per started, non-draining instance (every takeable one at cost
     0), at most the ``ready`` ones.
+
+    Such a service with an inlet, all of whose queue is takeable (as at
+    every engine window's start), may be a delay line. Let ``take`` be what
+    the instances started at ``start`` take in a tick, a lower bound as
+    instances only start inside a window, and ``peak`` the most requests
+    offered in one tick. When ``ready`` and ``peak`` are at most ``take``,
+    and ``ready + peak`` and ``2 * peak`` at most ``capacity``, nothing
+    drops and each tick completes all that the queue held at its start:
+    tick 0 the queue, each later tick the batches of the tick before,
+    ``before`` then ``after``, in source order; the queue ends as the last
+    tick's batches. The window is then computed at once, and with one inlet
+    ``out`` holds that inlet's own batch lists. That is sound because no
+    consumer mutates a batch: the kernel, the emitters and the settle loop
+    only read them.
     """
-    offered = dropped = 0
     fresh_k, fresh_left = _step(budget, cost, 0)
+    one_slice = (not cost or not budget % cost) and not any(inst.left for inst in insts)
+    if one_slice and ready == len(queue) and (before or after):
+        inlets = before + after
+        totals = list(map(sum, zip(*[map(len, batches) for batches in inlets])))
+        peak = max(totals)
+        # Instances only start inside a window, so this is the least any
+        # tick takes.
+        take = fresh_k * sum(1 for inst in insts if inst.ready_at <= start and not inst.draining)
+        if ready <= take and peak <= take and ready + peak <= capacity and 2 * peak <= capacity:
+            # A delay line: nothing drops, and each tick completes all that
+            # the tick before admitted.
+            if len(inlets) == 1:
+                (joined,) = inlets
+            else:
+                joined = list(map(list, map(chain.from_iterable, zip(*inlets))))
+            out.append(queue[:])
+            out += joined[:-1]
+            queue[:] = joined[-1]
+            return totals[-1], sum(totals), 0
+    offered = dropped = 0
     steps = _carried_steps.get((budget, cost))
     if steps is None:
         steps = _carried_steps[budget, cost] = {}
-    one_slice = (not cost or not budget % cost) and not any(inst.left for inst in insts)
     wake = start  # the next tick at which an instance starts
     for i, tick in enumerate(range(start, stop)):
         if tick == wake:
@@ -455,28 +490,31 @@ FORWARD = object()
 
 
 def _emitter(tables: tuple, arriving: list[int], shape_of: list[int]):
-    """The function from a service's completions to what they emit to one
-    destination, in completion order, then spec order: per completion, one
-    ``req & -16 | o`` for each low nibble ``o`` of ``tables[nib][shape]``, at
-    the request's nibble and its email's shape. It takes one of four forms.
-    When every shape emits alike and each completion emits itself, the
-    completions are the emissions (``FORWARD``); when each emits itself or
-    nothing, a filter of them. When the shapes differ and every arriving
-    request reads one per-shape table, only the shape is looked up; in any
-    other case, the nibble and the shape."""
+    """The function from a service's completions in each tick of a window to
+    what they emit to one destination in each tick, in completion order,
+    then spec order: per completion, one ``req & -16 | o`` for each low
+    nibble ``o`` of ``tables[nib][shape]``, at the request's nibble and its
+    email's shape. It takes one of four forms. When every shape emits alike
+    and each completion emits itself, the completions are the emissions
+    (``FORWARD``); when each emits itself or nothing, a filter of them. When
+    the shapes differ and one wire ``w`` arrives, each completion ``r`` is
+    at ``w``, so it emits ``r + o - w`` for each ``o``: one per-shape table
+    of these offsets is looked up. In any other case, the nibble and the
+    shape are."""
     if not any(len(set(tables[nib])) > 1 for nib in arriving):
         # Every shape emits alike.
         fixed = tuple(t[0] if t else () for t in tables)
         if all(fixed[nib] == (nib,) for nib in arriving):
             return FORWARD
         if all(fixed[nib] in ((nib,), ()) for nib in arriving):
-            return lambda done: [r for r in done if fixed[r & 15]]
-    else:
-        used = {tables[nib] for nib in arriving}
-        if len(used) == 1:
-            (table,) = used
-            return lambda done: [r & -16 | o for r in done for o in table[shape_of[r >> 4]]]
-    return lambda done: [r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
+            return lambda window: [[r for r in done if fixed[r & 15]] for done in window]
+    elif len(arriving) == 1:
+        (w,) = arriving
+        offsets = tuple(tuple(o - w for o in emits) for emits in tables[w])
+        return lambda window: [[r + d for r in done for d in offsets[shape_of[r >> 4]]]
+                               for done in window]
+    return lambda window: [[r & -16 | o for r in done for o in tables[r & 15][shape_of[r >> 4]]]
+                           for done in window]
 
 
 def _emitted(mode: int, bits: int, shape: Shape) -> tuple[int, ...]:
@@ -913,8 +951,8 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         drops: list[list] = [[] for _ in range(stop - start)]
         for st in in_order:
             # A source's batches are its completions when it forwards them
-            # unchanged, else what its emitter makes of them, tick by tick.
-            before, after = ([outs[src] if emit is FORWARD else [emit(done) for done in outs[src]]
+            # unchanged, else what its emitter makes of the window's.
+            before, after = ([outs[src] if emit is FORWARD else emit(outs[src])
                               for src, emit in sources] for sources in (st.early, st.late))
             if st.idx == entry_idx:
                 before.insert(0, entry_batches)
@@ -929,15 +967,17 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         # drop, and an email settles at the tick its last leaf completes; a
         # lost email never does, as its dropped request's leaves never
         # complete.
+        leaf_windows = [outs[idx] if leaf is FORWARD else leaf(outs[idx])
+                        for idx, leaf in leaf_services]
         for i, tick in enumerate(range(start, stop)):
             for tail in drops[i]:
                 gone = {r >> 4 for r in tail} - lost
                 iv_lost += len(gone)
                 lost |= gone
-            for idx, leaf in leaf_services:
-                done = outs[idx][i]
+            for window in leaf_windows:
+                done = window[i]
                 if done:
-                    for r in done if leaf is FORWARD else leaf(done):
+                    for r in done:
                         eid = r >> 4
                         left = outstanding[eid] - 1
                         outstanding[eid] = left

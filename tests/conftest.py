@@ -3,6 +3,7 @@ from fractions import Fraction
 from importlib import metadata
 
 import pytest
+from hypothesis import settings
 
 from archscale import (
     build_capacity_table,
@@ -12,6 +13,11 @@ from archscale import (
 )
 from archscale.document import parse_architecture_data
 from archscale.cli import reference_architecture_path
+
+
+# A deeper, reproducible run of the kernel properties, chosen with
+# ``--hypothesis-profile=kernel-deep``.
+settings.register_profile("kernel-deep", max_examples=1000, derandomize=True, deadline=None)
 
 
 def pytest_report_header(config):

@@ -32,6 +32,7 @@ from archscale.simulator import (
     Policy,
     _compile_routes,
     _emitted,
+    _emitter,
     _leaves,
     FORWARD,
     _service_routes,
@@ -372,8 +373,65 @@ def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks
         assert carry_exact(insts)
 
 
+def reference_window(insts, ready, ticks, budget, cost, capacity, before, after):
+    """A window one request at a time: per tick, each batch before the turn
+    admitted request by request while the queue has room, the tick's
+    ``reference_tick``, then each batch after the turn. Returns the
+    completions and the dropped tails per tick, the queue at the end and
+    the requests offered."""
+    ready = deque(ready)
+    out, drops, offered = [], [], 0
+    for tick in range(ticks):
+        admitted, tails = [], []
+
+        def admit(batches):
+            nonlocal offered
+            for batch in batches:
+                offered += len(batch)
+                tail = []
+                for r in batch:
+                    (admitted if len(ready) + len(admitted) < capacity else tail).append(r)
+                if tail:
+                    tails.append(tail)
+
+        admit(b[tick] for b in before)
+        out.append(reference_tick(insts, ready, tick, budget, cost))
+        admit(b[tick] for b in after)
+        ready.extend(admitted)
+        drops.append(tails)
+    return out, drops, list(ready), offered
+
+
 # The kernel's branches inside one window, as above; each draws the
 # instances, the batches before and after the turn and the ready count.
+# A one-slice service that keeps up is a delay line: each tick completes
+# what the tick before admitted. It holds here with two sources before the
+# turn and one after it, and with one source, over windows of several ticks,
+# also while an instance starts inside the window.
+@example(data=Scripted([carrying(), carrying(draining=True), carrying()],
+                       [[[11, 12], [13], [], [14, 15]], [[21], [], [22], []]],
+                       [[[31], [], [32, 33], [34]]], 3), budget=300, cost=30, capacity=10, ticks=4)
+@example(data=Scripted([carrying(), carrying(ready_at=2)], [[[11, 12], [13, 14, 15], [16]]], [],
+                       5), budget=10, cost=2, capacity=10, ticks=3)
+# Each of its conditions failing alone, in a window that the delay line
+# would get wrong: more ready requests than the started instances take, a
+# tick's batches more than they take, more ready and admitted requests than
+# the queue holds, and two ticks' batches that it cannot hold.
+@example(data=Scripted([carrying()], [[[11], [12, 13]]], [[[14], []]], 3),
+         budget=10, cost=5, capacity=8, ticks=2)
+@example(data=Scripted([carrying()], [[[11, 12], [13]]], [[[14], []]], 1),
+         budget=10, cost=5, capacity=8, ticks=2)
+@example(data=Scripted([carrying()], [[[11, 12, 13], [14]]], [[[], [15]]], 4),
+         budget=7, cost=0, capacity=6, ticks=2)
+@example(data=Scripted([carrying()], [[[11, 12], [13, 14, 15, 16]]], [[[17, 18], []]], 1),
+         budget=300, cost=30, capacity=7, ticks=2)
+# A one-slice service whose second instance starts inside the window: the
+# first alone takes fewer than are ready, so the delay line does not hold.
+@example(data=Scripted([carrying(), carrying(ready_at=1)], [[[11], [12]]], [], 4),
+         budget=10, cost=5, capacity=10, ticks=2)
+# A one-slice service with no inlets.
+@example(data=Scripted([carrying(), carrying(ready_at=1)], [], [], 9),
+         budget=300, cost=30, capacity=9, ticks=3)
 @example(data=Scripted([carrying(draining=True), carrying(ready_at=2)],
                        [[[1, 2, 3], [4], [], [5, 6, 7, 8, 9]]], [[[10], [11, 12], [], [13]]],
                        12), budget=300, cost=30, capacity=12, ticks=4)
@@ -397,9 +455,17 @@ def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity,
     before = data.draw(st.lists(per_tick, max_size=3))
     after = data.draw(st.lists(per_tick, max_size=3))
     n_ready = data.draw(st.integers(0, capacity))
+    batches = copy.deepcopy((before, after))
+    one_by_one = clones(insts)
     queue, out, drops = list(range(n_ready)), [], [[] for _ in range(ticks)]
     whole = process_window(insts, queue, n_ready, 0, ticks, budget, cost, capacity, before, after,
                            out, drops)
+    # The completions may be the batches themselves, which no one mutates.
+    assert (before, after) == batches
+    ref_out, ref_drops, ref_queue, ref_offered = reference_window(
+        one_by_one, range(n_ready), ticks, budget, cost, capacity, before, after)
+    assert (out, drops, queue) == (ref_out, ref_drops, ref_queue)
+    assert whole == (len(ref_queue), ref_offered, sum(len(t) for ts in ref_drops for t in ts))
     each_queue, each_out, each_drops = list(range(n_ready)), [], []
     ready, offered, dropped = n_ready, 0, 0
     for tick in range(ticks):
@@ -412,6 +478,7 @@ def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity,
     assert whole == (ready, offered, dropped)
     assert (queue, out, drops) == (each_queue, each_out, each_drops)
     assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
+    assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in one_by_one]
     assert carry_exact(insts)
 
 
@@ -531,11 +598,11 @@ def test_single_part_edges_forward_completions_unchanged(reference_arch):
 
 def emitter_form(emit):
     """The form of a compiled emitter, told by the names its closure reads:
-    ``forward``, ``filter``, ``table`` (one per-shape table) or
-    ``general`` (per nibble and per shape)."""
+    ``forward``, ``filter``, ``offset`` (one per-shape table of offsets,
+    for one arriving wire) or ``general`` (per nibble and per shape)."""
     if emit is FORWARD:
         return "forward"
-    return {("fixed",): "filter", ("shape_of", "table"): "table",
+    return {("fixed",): "filter", ("offsets", "shape_of"): "offset",
             ("shape_of", "tables"): "general"}[tuple(sorted(emit.__code__.co_freevars))]
 
 
@@ -561,19 +628,33 @@ def built_forms(arch):
 
 def test_reference_emitter_forms(reference_arch):
     emitters, leaves = built_forms(reference_arch)
-    assert emitters == ["filter"] * 2 + ["forward"] * 11 + ["table"] * 2
+    assert emitters == ["filter"] * 2 + ["forward"] * 11 + ["offset"] * 2
     assert leaves == ["forward"] * 3
-    # The wire test architectures build the general form too.
+    # The wire test architectures build the general form too, and
+    # fanout_leaves a leaf filter of offsets.
     assert all("general" in built_forms(parse_architecture_data(WIRE_ARCHS[name]))[0]
                for name in ("route_shapes", "wires"))
+    assert "offset" in built_forms(parse_architecture_data(FANOUT_LEAVES_ARCH))[1]
+
+
+def test_an_offset_emitter_on_a_wire_other_than_0():
+    # Every built architecture's offset emitters read wire 0. On wire 3, a
+    # request of email e is e << 4 | 3 and emits e << 4 | o for each o of
+    # its shape's table, across a window of three ticks.
+    tables = ((),) * 3 + (((5,), (5, 6), ()),) + ((),) * 12
+    emit = _emitter(tables, [3], [0, 1, 2])
+    assert emitter_form(emit) == "offset"
+    assert emit([[3, 19, 35], [], [19]]) == [[5, 21, 22], [], [21, 22]]
 
 
 @pytest.mark.parametrize("name", sorted(WIRE_ARCHS))
 def test_emitters_match_the_per_completion_expansion(name, reference_arch):
-    # Whatever form an emitter or a leaf filter takes, it returns, per
-    # completion in completion order, one ``req & -16 | o`` for each nibble
-    # ``o`` that the edges to its destination emit, in spec order; a leaf
-    # filter, the completions that emit nothing.
+    # Whatever form an emitter or a leaf filter takes, it maps a window's
+    # completions tick by tick: it returns, per tick and per completion in
+    # completion order, one ``req & -16 | o`` for each nibble ``o`` that the
+    # edges to its destination emit, in spec order; a leaf filter, the
+    # completions that emit nothing. A window of several ticks maps to what
+    # a one-tick window of each of them maps to.
     arch = reference_arch if WIRE_ARCHS[name] is None else parse_architecture_data(WIRE_ARCHS[name])
     routes, _ = _compile_routes(arch)
 
@@ -584,24 +665,29 @@ def test_emitters_match_the_per_completion_expansion(name, reference_arch):
         for fires, arriving in routes:
             if not arriving:
                 continue
-            done = data.draw(st.lists(st.builds(lambda eid, wire: eid << 4 | wire,
-                                                st.integers(0, len(emails) - 1),
-                                                st.sampled_from(arriving))))
+            done = st.lists(st.builds(lambda eid, wire: eid << 4 | wire,
+                                      st.integers(0, len(emails) - 1), st.sampled_from(arriving)))
+            window = data.draw(st.lists(done, min_size=1, max_size=4))
 
             def emitted(r, d=None):
                 shape = shapes[shape_of[r >> 4]]
                 return [o for dst, mode, bits in fires[r & 15] if d in (None, dst)
                         for o in _emitted(mode, bits, shape)]
 
+            def mapped(emit, window):
+                return window if emit is FORWARD else emit(window)
+
             emitters, leaf = _service_routes(fires, arriving, shapes, shape_of)
             for d, emit in emitters:
-                expected = [r & -16 | o for r in done for o in emitted(r, d)]
-                assert (done if emit is FORWARD else emit(done)) == expected
-            leaves = [r for r in done if not emitted(r)]
+                expected = [[r & -16 | o for r in done for o in emitted(r, d)] for done in window]
+                assert mapped(emit, window) == expected
+                assert [mapped(emit, [done])[0] for done in window] == expected
+            leaves = [[r for r in done if not emitted(r)] for done in window]
             if leaf is None:
-                assert leaves == []
+                assert leaves == [[]] * len(window)
             else:
-                assert (done if leaf is FORWARD else leaf(done)) == leaves
+                assert mapped(leaf, window) == leaves
+                assert [mapped(leaf, [done])[0] for done in window] == leaves
 
     check()
 
