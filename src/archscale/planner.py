@@ -180,17 +180,16 @@ def plan_placement(
     ub_q = ub * q
 
     # Best-first search over VM-type multisets, canonicalized by only adding
-    # types with index >= the largest index already present. It returns by
+    # types with index >= the largest index already present, so each
+    # multiset has one parent and is pushed at most once. It returns by
     # the time it pops the multiset of the first-fit-decreasing packing,
     # which the search reaches: that multiset holds at most one VM per
     # instance, and no prefix of it, in canonical order, is pruned, as the
     # rest of it costs at least p / q per core and covers the missing cores.
     # Being a packing, it passes the exact check. So the heap never empties.
-    start = tuple(0 for _ in types)
     heap: list[tuple[int, int, tuple[str, ...], tuple[int, ...], int]] = [
-        (0, 0, (), start, 0)
+        (0, 0, (), tuple(0 for _ in types), 0)
     ]
-    seen: set[tuple[int, ...]] = {start}
     while True:
         cost, nvms, names, counts, min_type = heapq.heappop(heap)
         total_cores = sum(k * vm.cores for k, vm in zip(counts, types))
@@ -219,16 +218,12 @@ def plan_placement(
         for ti in range(min_type, len(types)):
             child = list(counts)
             child[ti] += 1
-            child_t = tuple(child)
-            if child_t in seen:
-                continue
             child_cost = cost + costs[ti]
             remaining = max(0, deficit - types[ti].cores)
             if child_cost * q + remaining * p > ub_q:
                 continue
-            seen.add(child_t)
             heapq.heappush(heap, (
-                child_cost, nvms + 1, tuple(sorted(names + (types[ti].name,))), child_t, ti))
+                child_cost, nvms + 1, tuple(sorted(names + (types[ti].name,))), tuple(child), ti))
 
 
 # ---------------------------------------------------------------------------

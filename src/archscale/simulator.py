@@ -23,9 +23,9 @@ instances spend their per-tick compute budget on the queued requests, and
 the batches of the sources declared after it are admitted; all it then
 holds is processable the next tick. So completions forward downstream in
 the same tick and become processable the next one. After a window, the
-per-email state is brought up to date tick by tick, then the monitor fires
-and the interval rolls up; warming orchestrations come online when their
-startup elapses.
+emails of its dropped requests are marked lost at once and the emails that
+settle are counted tick by tick, then the monitor fires and the interval
+rolls up; warming orchestrations come online when their startup elapses.
 
 Requests are bit-packed ints: email id, then a wire nibble, which stands,
 at the service the request reaches, for one part kind and virus flag. The
@@ -60,11 +60,11 @@ themselves. A leaf filter, likewise, is called once per window. A tick's
 batch from one source is admitted as a whole: it keeps its longest prefix
 that fits, exactly what one admission per completion would keep.
 
-A service's queue is one FIFO list whose first ``ready`` requests are
-takeable. One record per service holds the queue with the service's
-instances, its budget and cost and its inlets (see ``_ServiceState``). A
-retired instance finishes its current request, takes no other, and leaves
-at the next interval rollup.
+A service's queue is one FIFO list, all of it takeable at a window's
+start: what a tick admits is takeable the next tick. One record per service
+holds the queue with the service's instances, its budget and cost and its
+inlets (see ``_ServiceState``). A retired instance finishes its current
+request, takes no other, and leaves at the next interval rollup.
 
 An email's count is set before the first tick to its leaf count: the
 completions of its requests that emit nothing, known per shape before the
@@ -201,19 +201,19 @@ def _step(budget: int, cost: int, left: int) -> tuple[int, int]:
 _carried_steps: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
 
 
-def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start: int, stop: int,
-                   budget: int, cost: int, capacity: int, before: list, after: list,
-                   out: list, drops: list) -> tuple[int, int, int]:
-    """Run one service from tick ``start`` up to ``stop``, of which the
-    first ``ready`` requests of its ``queue`` are takeable; returns the
-    takeable count at ``stop``, the requests offered and those dropped.
+def process_window(insts: list[InstanceRuntime], queue: list, start: int, stop: int, budget: int,
+                   cost: int, capacity: int, before: list, after: list, out: list,
+                   drops: list) -> int:
+    """Run one service from tick ``start`` up to ``stop``, all of whose
+    ``queue`` is takeable at ``start``; returns the requests offered.
 
     ``before`` and ``after`` hold, per source, the batches it offers at each
     tick offset, ``before`` those admitted ahead of the service's turn and
     ``after`` those admitted after it. Each tick:
 
     1. each ``before`` batch admits its longest prefix that fits in
-       ``capacity``, in order;
+       ``capacity``, in order, and its dropped tail is appended to
+       ``drops``;
     2. every instance started by the tick spends its ``budget``, in list
        order, on the takeable requests at the queue's front, each costing
        ``cost``: it finishes or carries its current request, completes the
@@ -224,7 +224,7 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
     3. each ``after`` batch is admitted as in 1. All that the queue then
        holds is takeable the next tick;
     4. the tick's completions, in completion order, are appended to
-       ``out``, and the dropped tail of each batch to ``drops[offset]``.
+       ``out``.
 
     The started instances are listed once per window, and again at each
     tick at which one starts. A carried cost of at most ``budget`` is
@@ -234,25 +234,25 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
     instance that takes requests completes the same number of them, so the
     tick's completions are one slice of the queue: ``budget // cost``
     requests per started, non-draining instance (every takeable one at cost
-    0), at most the ``ready`` ones.
+    0), at most the takeable ones.
 
-    Such a service with an inlet, all of whose queue is takeable (as at
-    every engine window's start), may be a delay line. Let ``take`` be what
+    Such a service with an inlet may be a delay line. Let ``take`` be what
     the instances started at ``start`` take in a tick, a lower bound as
-    instances only start inside a window, and ``peak`` the most requests
-    offered in one tick. When ``ready`` and ``peak`` are at most ``take``,
-    and ``ready + peak`` and ``2 * peak`` at most ``capacity``, nothing
-    drops and each tick completes all that the queue held at its start:
-    tick 0 the queue, each later tick the batches of the tick before,
-    ``before`` then ``after``, in source order; the queue ends as the last
-    tick's batches. The window is then computed at once, and with one inlet
-    ``out`` holds that inlet's own batch lists. That is sound because no
-    consumer mutates a batch: the kernel, the emitters and the settle loop
-    only read them.
+    instances only start inside a window, ``ready`` the queue's length at
+    ``start`` and ``peak`` the most requests offered in one tick. When
+    ``ready`` and ``peak`` are at most ``take``, and ``ready + peak`` and
+    ``2 * peak`` at most ``capacity``, nothing drops and each tick completes
+    all that the queue held at its start: tick 0 the queue, each later tick
+    the batches of the tick before, ``before`` then ``after``, in source
+    order; the queue ends as the last tick's batches. The window is then
+    computed at once, and with one inlet ``out`` holds that inlet's own
+    batch lists. That is sound because no consumer mutates a batch: the
+    kernel, the emitters and the settle loop only read them.
     """
+    ready = len(queue)
     fresh_k, fresh_left = _step(budget, cost, 0)
-    one_slice = (not cost or not budget % cost) and not any(inst.left for inst in insts)
-    if one_slice and ready == len(queue) and (before or after):
+    one_slice = not fresh_left and not any(inst.left for inst in insts)
+    if one_slice and (before or after):
         inlets = before + after
         totals = list(map(sum, zip(*[map(len, batches) for batches in inlets])))
         peak = max(totals)
@@ -269,8 +269,8 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
             out.append(queue[:])
             out += joined[:-1]
             queue[:] = joined[-1]
-            return totals[-1], sum(totals), 0
-    offered = dropped = 0
+            return sum(totals)
+    offered = 0
     steps = _carried_steps.get((budget, cost))
     if steps is None:
         steps = _carried_steps[budget, cost] = {}
@@ -294,8 +294,7 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
                 if room > 0:
                     queue += reqs[:room]
                     reqs = reqs[room:]
-                dropped += len(reqs)
-                drops[i].append(reqs)
+                drops.append(reqs)
         # 2.
         if one_slice:
             n = take if take < ready else ready
@@ -349,12 +348,11 @@ def process_window(insts: list[InstanceRuntime], queue: list, ready: int, start:
                 if room > 0:
                     queue += reqs[:room]
                     reqs = reqs[room:]
-                dropped += len(reqs)
-                drops[i].append(reqs)
+                drops.append(reqs)
         ready = len(queue)
         # 4.
         out.append(completed)
-    return ready, offered, dropped
+    return offered
 
 
 @dataclass
@@ -457,13 +455,13 @@ class MetricsTimeline:
 @dataclass(slots=True)
 class _ServiceState:
     """One service's run state: its instances and its bounded FIFO queue,
-    whose first ``ready`` requests are the ones the instances may take (a
-    request admitted during a tick becomes takeable the next tick, see
-    ``process_window``). ``offered`` counts every request offered to the
-    queue, accepted or dropped, until the monitor resets it. Every
-    instance has the budget/cost ratio MCL/tps, whatever its VM's speed, so
-    one exact integer pair serves them all; ``early`` and ``late`` are the
-    service's inlets (see ``_PreparedRun``)."""
+    all of which is takeable at a window's start (a request admitted during
+    a tick becomes takeable the next tick, see ``process_window``).
+    ``offered`` counts every request offered to the queue, accepted or
+    dropped, until the monitor resets it. Every instance has the
+    budget/cost ratio MCL/tps, whatever its VM's speed, so one exact
+    integer pair serves them all; ``early`` and ``late`` are the service's
+    inlets (see ``_PreparedRun``)."""
 
     idx: int
     name: str
@@ -475,7 +473,6 @@ class _ServiceState:
     late: tuple
     insts: list[InstanceRuntime] = field(default_factory=list)
     queue: list = field(default_factory=list)
-    ready: int = 0
     offered: int = 0
 
     @property
@@ -948,7 +945,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             next_email += n_arr
         iv_generated += next_email - first
         outs: list = [None] * len(svc_states)
-        drops: list[list] = [[] for _ in range(stop - start)]
+        drops: list[list] = []
         for st in in_order:
             # A source's batches are its completions when it forwards them
             # unchanged, else what its emitter makes of the window's.
@@ -957,23 +954,22 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             if st.idx == entry_idx:
                 before.insert(0, entry_batches)
             outs[st.idx] = out = []
-            st.ready, offered, dropped = process_window(
-                st.insts, st.queue, st.ready, start, stop, st.budget, st.cost, capacity, before,
-                after, out, drops)
-            st.offered += offered
-            iv_dropped += dropped
+            st.offered += process_window(st.insts, st.queue, start, stop, st.budget, st.cost,
+                                         capacity, before, after, out, drops)
 
-        # Tick by tick: the emails of a dropped tail are lost at their first
-        # drop, and an email settles at the tick its last leaf completes; a
-        # lost email never does, as its dropped request's leaves never
-        # complete.
+        # The emails of a dropped tail are lost at their first drop; the
+        # window lies inside one interval, so its tails count at once. Then,
+        # tick by tick, an email settles at the tick its last leaf
+        # completes; a lost email never does, as its dropped request's
+        # leaves never complete.
+        for tail in drops:
+            iv_dropped += len(tail)
+            gone = {r >> 4 for r in tail} - lost
+            iv_lost += len(gone)
+            lost |= gone
         leaf_windows = [outs[idx] if leaf is FORWARD else leaf(outs[idx])
                         for idx, leaf in leaf_services]
         for i, tick in enumerate(range(start, stop)):
-            for tail in drops[i]:
-                gone = {r >> 4 for r in tail} - lost
-                iv_lost += len(gone)
-                lost |= gone
             for window in leaf_windows:
                 done = window[i]
                 if done:

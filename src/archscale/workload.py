@@ -90,6 +90,8 @@ def _load_trace(path: str) -> tuple[tuple[int, float], ...]:
                     tick, rate = int(row[0]), float(row[1])
                 except ValueError as exc:
                     raise WorkloadError(f"{path}:{lineno}: malformed row {row!r}") from exc
+                if not math.isfinite(rate):
+                    raise WorkloadError(f"{path}:{lineno}: rate must be finite, got {rate}")
                 if points and tick <= points[-1][0]:
                     raise WorkloadError(
                         f"{path}:{lineno}: trace ticks must strictly increase: "
@@ -109,6 +111,8 @@ def rate_curve(spec: WorkloadSpec, duration_ticks: int, ticks_per_second: int) -
     t = np.arange(duration_ticks, dtype=np.float64) / ticks_per_second
     kind = spec.kind
     if isinstance(kind, Diurnal):
+        if not all(map(math.isfinite, (kind.base, kind.peak, kind.period_s, kind.phase_s))):
+            raise WorkloadError(f"diurnal needs a finite base, peak, period and phase, got {kind}")
         if kind.base < 0 or kind.peak < kind.base or kind.period_s <= 0:
             raise WorkloadError("diurnal needs 0 <= base <= peak and period > 0")
         swing = (kind.peak - kind.base) / 2.0
@@ -116,6 +120,9 @@ def rate_curve(spec: WorkloadSpec, duration_ticks: int, ticks_per_second: int) -
         return rates
     if isinstance(kind, (Steps, Trace)):
         points = kind.points if isinstance(kind, Steps) else _load_trace(kind.path)
+        for start, rate in points:
+            if not math.isfinite(rate):
+                raise WorkloadError(f"steps rate at tick {start} must be finite, got {rate}")
         if any(r < 0 for _, r in points):
             raise WorkloadError("rates must be >= 0")
         rates = np.zeros(duration_ticks, dtype=np.float64)

@@ -1,5 +1,6 @@
 """Capacity math: multiplicities, throughput limits, counts, ladder."""
 
+import ast
 import math
 from fractions import Fraction
 
@@ -68,6 +69,18 @@ def test_mf_custom_undefined_field_errors():
     s = svc(rule=MFKind.CUSTOM, expr="n_typos + 1")
     with pytest.raises(CapacityError, match="n_typos"):
         multiplicative_factor(s, PROFILE)
+
+
+@pytest.mark.parametrize("expr, message", [
+    # ast.dump's text differs across Python versions, so it is built here.
+    ("n_blocks ** 2", "unsupported construct in custom MF expression: "
+     + ast.dump(ast.parse("n_blocks ** 2", mode="eval").body)),
+    ("n_blocks +", "invalid custom MF expression: 'n_blocks +'"),
+], ids=["power", "syntax"])
+def test_mf_custom_expression_outside_the_grammar_errors(expr, message):
+    with pytest.raises(CapacityError) as err:
+        multiplicative_factor(svc(rule=MFKind.CUSTOM, expr=expr), PROFILE)
+    assert str(err.value) == message
 
 
 def test_mf_matches_sampled_request_rates(reference_arch, reference_table):
@@ -382,6 +395,26 @@ def test_ladder_rejects_negative_or_non_finite_base(base, reference_table):
 def test_ladder_rejects_non_finite_increments(increments, reference_table):
     with pytest.raises(CapacityError, match=r"^scale increments must be finite numbers"):
         synthesize_scale_ladder(Fraction(60), increments, reference_table)
+
+
+@pytest.mark.parametrize("mcl", [Fraction(0), Fraction(-5)])
+def test_instances_for_a_non_positive_mcl_rejected(mcl):
+    with pytest.raises(CapacityError) as err:
+        instances_for_target(Fraction(60), Fraction(1), mcl)
+    assert str(err.value) == "mcl must be positive or infinite"
+
+
+def test_system_mcl_of_a_configuration_of_another_length_rejected(reference_table):
+    with pytest.raises(CapacityError) as err:
+        system_mcl(Configuration((1, 1)), reference_table)
+    assert str(err.value) == "configuration length does not match capacity table"
+
+
+@pytest.mark.parametrize("i", [0, 5])
+def test_ladder_scale_index_out_of_range_rejected(i, reference_ladder):
+    with pytest.raises(IndexError) as err:
+        reference_ladder.scale(i)
+    assert str(err.value) == f"scale index {i} out of range 1..4"
 
 
 def test_ladder_accepts_base_zero(reference_table):

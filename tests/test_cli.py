@@ -85,6 +85,12 @@ def test_plan_delta_index(capsys):
     assert "release vm-" in out
 
 
+@pytest.mark.parametrize("index", ["0", "5"])
+def test_plan_delta_index_out_of_range(capsys, index):
+    assert main(["plan", "--delta-index", index]) == 1
+    assert capsys.readouterr() == ("", "error: delta index must lie in 1..4\n")
+
+
 def test_plan_explicit_delta(capsys):
     assert main(["plan", "--delta", "VirusScanner=2,MessageAnalyser=1"]) == 0
     out = capsys.readouterr().out

@@ -137,6 +137,55 @@ def test_unknown_part_kind_rejected():
         parse_architecture_data(doc)
 
 
+def set_path(doc, path, value):
+    """``doc`` with the item at ``path`` (keys and indices) set to ``value``."""
+    *parents, last = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("services", 0, "cost", "Cores"), True,
+     "services[A].cost.Cores: expected a number, got a boolean"),
+    (("profile", "n_blocks"), "5/0", "profile.n_blocks: not a rational number: '5/0'"),
+    (("profile", "p_virus"), "a quarter", "profile.p_virus: not a rational number: 'a quarter'"),
+    (("vm_catalog", 0, "cores"), [4], "vm_catalog[small].cores: expected a number, got list"),
+    (("vm_catalog", 0, "cores"), Fraction(9, 2),
+     "vm_catalog[small].cores: expected an integer, got 9/2"),
+    (("services", 0, "name"), 5, "services[5].name: expected a string"),
+    (("services", 0, "cost"), [2, 200], "services[A].cost: expected an object"),
+    (("services", 0, "mf_rule"), "per_email",
+     "services[A].mf_rule: unknown mf_rule 'per_email' (expected one of ['email_parts_sum', "
+     "'per_attachment', 'per_block', 'per_clean_attachment', 'unit'] or a custom object)"),
+    (("services", 0, "mf_rule"), {},
+     "services[A].mf_rule: custom rule needs a 'custom' expression"),
+    (("services", 0, "mcl", "data_rate_by_cores"), [700],
+     "services[A].mcl.data_rate_by_cores: expected an object"),
+    (("services", 1, "sig"), "A", "services[B].sig: expected a list of service names"),
+    (("services", 1, "weak_requires"), None,
+     "services[B].weak_requires: expected a list of service names"),
+    (("profile", "block_count_support"), [1, 2, 4],
+     "profile.block_count_support: expected [lo, hi]"),
+    (("pipeline", 0, "when"), "always", "pipeline[B -> A].when: expected 'clean' or 'infected'"),
+    (("services",), {"A": {}}, "services: expected a list"),
+    (("vm_catalog",), {"small": {}}, "vm_catalog: expected a list"),
+    (("vm_catalog",), [{"name": "small"}, {"name": "small", "cores": 8}],
+     "duplicate VM type names in vm_catalog"),
+    (("pipeline",), {"from": "B"}, "pipeline: expected a list"),
+    (("pipeline", 0, "to"), "C", "pipeline[B -> C].to: unknown service 'C'"),
+    (("pipeline", 0, "from"), "C", "pipeline[C -> A].from: unknown service 'C'"),
+], ids=["boolean", "zero-denominator", "not-rational", "list-number", "fraction-integer",
+        "name", "cost", "mf-name", "mf-object", "data-rates", "sig", "weak", "support", "when",
+        "services", "vm-catalog", "vm-names", "pipeline", "edge-to", "edge-from"])
+def test_malformed_document_refused_by_name(path, value, message):
+    with pytest.raises(ParseError) as err:
+        parse_architecture_data(set_path(minimal_doc(), path, value))
+    assert str(err.value) == message
+
+
 def test_round_trip_identity(reference_arch):
     text = serialize_architecture(reference_arch)
     again = parse_architecture(text)

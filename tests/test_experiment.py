@@ -295,6 +295,34 @@ def test_spec_workload_values_checked(tmp_path, workload, key, value):
         load_experiment_spec(spec_file)
 
 
+@pytest.mark.parametrize("workload, message", [
+    ([{"kind": "steps"}], "workload: expected an object"),
+    ({"kind": "flat"}, "unknown workload kind 'flat'"),
+    ({"points": [[0, 60]]}, "unknown workload kind None"),
+    ({"kind": "trace"}, "trace workload needs a 'path'"),
+    ({"kind": "trace", "path": ""}, "trace workload needs a 'path'"),
+], ids=["list", "unknown-kind", "no-kind", "no-path", "empty-path"])
+def test_spec_workload_refused_by_name(tmp_path, workload, message):
+    with pytest.raises(ExperimentError) as err:
+        load_experiment_spec(write_scenario(tmp_path, workload=workload))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("spec, message", [
+    (["arch.json"], "experiment spec must be a JSON object"),
+    ({"architecture": "arch.json", "scenario": {"seed": 1, "bogus": 2, "duraton_s": 3}},
+     "experiment scenario: unknown keys ['bogus', 'duraton_s']"),
+    ({"policies": ["global"]}, "experiment spec needs an 'architecture' path"),
+    ({"architecture": ""}, "experiment spec needs an 'architecture' path"),
+], ids=["not-an-object", "scenario-keys", "no-architecture", "empty-architecture"])
+def test_spec_file_refused_by_name(tmp_path, spec, message):
+    spec_file = tmp_path / "exp.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(ExperimentError) as err:
+        load_experiment_spec(spec_file)
+    assert str(err.value) == message
+
+
 def test_spec_workload_values_loaded(tmp_path):
     spec = load_experiment_spec(write_scenario(tmp_path, workload={
         "kind": "steps", "points": [[0, 60], [90, 120.5]], "jitter": 0.2}))

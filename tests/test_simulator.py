@@ -45,12 +45,14 @@ from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, WIRES_ARCH
 
 # -- admission ------------------------------------------------------------------
 
-def one_tick(insts, queue, n, tick, budget, cost):
-    """The completions of one tick in which the first ``n`` requests of
-    ``queue`` are takeable and no batch arrives: a one-tick window."""
-    out = []
-    assert process_window(insts, queue, n, tick, tick + 1, budget, cost, 10 ** 9, [], [], out,
-                          [[]]) == (len(queue), 0, 0)
+def one_tick(insts, queue, tick, budget, cost, before=()):
+    """The completions of one tick in which all of ``queue`` is takeable
+    and only the batches ``before`` arrive, each ahead of the service's
+    turn and all of them kept: a one-tick window."""
+    out, drops = [], []
+    offered = process_window(insts, queue, tick, tick + 1, budget, cost, 10 ** 9,
+                             [[batch] for batch in before], [], out, drops)
+    assert (offered, drops) == (sum(map(len, before)), [])
     return out[0]
 
 
@@ -59,34 +61,33 @@ def test_dispatch_enqueues_until_capacity():
     # keeps its first request only. What comes later drops whole, before
     # the service's turn or after it. Nothing admitted in the tick is taken.
     inst = InstanceRuntime("i", 0)
-    queue, out, drops = [], [], [[]]
     before = [[[i]] for i in range(9)] + [[[97, 98, 99]], [[100]]]
     after = [[[101]], [[101]]]
-    assert process_window([inst], queue, 0, 0, 1, 10, 5, 10, before, after, out,
-                          drops) == (10, 15, 5)
+    queue, out, drops = [], [], []
+    assert process_window([inst], queue, 0, 1, 10, 5, 10, before, after, out, drops) == 15
     assert queue == list(range(9)) + [97]
-    assert drops == [[[98, 99], [100], [101], [101]]]
+    assert drops == [[98, 99], [100], [101], [101]]
     assert out == [[]]
 
 
 def test_dispatch_empty_queue_enqueues_front():
     inst = InstanceRuntime("i", 0)
-    queue, out = [], []
+    queue, out, drops = [], [], []
     # Not takeable before the service's turn ends, then first in line.
-    assert process_window([inst], queue, 0, 0, 1, 10, 5, 10, [[[5]]], [], out, [[]]) == (1, 1, 0)
+    assert process_window([inst], queue, 0, 1, 10, 5, 10, [[[5]]], [], out, drops) == 1
     assert (queue, out) == ([5], [[]])
-    assert process_window([inst], queue, 1, 1, 2, 10, 5, 10, [], [], out, [[]]) == (0, 0, 0)
-    assert out == [[], [5]]
+    assert process_window([inst], queue, 1, 2, 10, 5, 10, [], [], out, drops) == 0
+    assert (out, drops) == ([[], [5]], [])
 
 
 def test_dispatch_ready_counts_what_it_admits_as_ready():
     # What a service emits to one declared before it arrives after that
     # destination's turn: it is takeable on the destination's next turn.
-    queue, drops = [1], [[]]
+    queue, drops = [1], []
     after = [[[2, 3, 4, 5]], [[6]]]
-    assert process_window([], queue, 1, 0, 1, 10, 5, 4, [], after, [], drops) == (4, 5, 2)
-    assert (queue, drops) == ([1, 2, 3, 4], [[[5], [6]]])
-    assert one_tick([InstanceRuntime("i", 0)], queue, 4, 1, 20, 5) == [1, 2, 3, 4]
+    assert process_window([], queue, 0, 1, 10, 5, 4, [], after, [], drops) == 5
+    assert (queue, drops) == ([1, 2, 3, 4], [[5], [6]])
+    assert one_tick([InstanceRuntime("i", 0)], queue, 1, 20, 5) == [1, 2, 3, 4]
 
 
 @given(capacity=st.integers(1, 20), n_ready=st.integers(0, 25), n_pending=st.integers(0, 25),
@@ -95,12 +96,15 @@ def test_one_dispatch_of_a_concatenation_equals_one_per_request_tuple(
         capacity, n_ready, n_pending, batches):
     # The engine admits a source's emissions to a destination in one batch
     # a tick: what one batch of them keeps, a batch per completion keeps.
+    # The pending requests are a batch admitted earlier in the same tick.
     def admit(batches, late):
-        queue, drops = list(range(-n_ready - n_pending, 0)), [[]]
+        queue, drops = list(range(-n_ready, 0)), []
+        pending = [list(range(-n_ready - n_pending, -n_ready))]
         sources = [[reqs] for reqs in batches]
-        counts = process_window([], queue, n_ready, 0, 1, 1, 1, capacity,
-                                [] if late else sources, sources if late else [], [], drops)
-        return counts, queue, [r for tail in drops[0] for r in tail]
+        offered = process_window([], queue, 0, 1, 1, 1, capacity,
+                                 [pending] + ([] if late else sources), sources if late else [],
+                                 [], drops)
+        return offered, queue, [r for tail in drops for r in tail]
 
     for late in (False, True):
         assert admit([[r for reqs in batches for r in reqs]], late) == admit(batches, late)
@@ -110,14 +114,13 @@ def test_promotion_preserves_fifo():
     # Requests admitted during a tick queue behind the ready ones and are
     # taken after them, in admission order, once the service's turn has
     # made them ready.
-    queue, out = [0, 1], []
+    queue, out, drops = [0, 1], [], []
     inst = InstanceRuntime("i", 0)
-    assert process_window([inst], queue, 2, 0, 1, 10, 4, 10, [[[2, 3]]], [], out,
-                          [[]]) == (2, 2, 0)
-    assert out == [[0, 1]]
+    assert process_window([inst], queue, 0, 1, 10, 4, 10, [[[2, 3]]], [], out, drops) == 2
+    assert (out, drops) == ([[0, 1]], [])
     assert (inst.cur_req, inst.left) == (-1, 0)
     assert queue == [2, 3]
-    assert one_tick([inst], queue, 2, 1, 10, 4) == [2, 3]
+    assert one_tick([inst], queue, 1, 10, 4) == [2, 3]
 
 
 def test_bounded_queues_drop_under_overload(reference_arch, reference_ladder):
@@ -141,8 +144,8 @@ def test_two_instances_split_four_requests():
     ready = [1, 2, 3, 4]
     a = InstanceRuntime("a", 0)
     b = InstanceRuntime("b", 0)
-    assert one_tick([a], ready, len(ready), 0, 10, 5) == [1, 2]
-    assert one_tick([b], ready, len(ready), 0, 10, 5) == [3, 4]
+    assert one_tick([a], ready, 0, 10, 5) == [1, 2]
+    assert one_tick([b], ready, 0, 10, 5) == [3, 4]
 
 
 def test_shared_queue_completions_come_back_in_list_order():
@@ -151,19 +154,19 @@ def test_shared_queue_completions_come_back_in_list_order():
     b = InstanceRuntime("b", 0)
     # a takes 0 and 1 and starts 2 with 2 of its 10 left; b does the same
     # with 3, 4 and 5.
-    assert one_tick([a, b], ready, len(ready), 0, 10, 4) == [0, 1, 3, 4]
+    assert one_tick([a, b], ready, 0, 10, 4) == [0, 1, 3, 4]
     assert list(ready) == [6]
     assert (a.cur_req, a.left) == (2, 2) and (b.cur_req, b.left) == (5, 2)
-    assert one_tick([b, a], ready, len(ready), 1, 10, 4) == [5, 6, 2]
+    assert one_tick([b, a], ready, 1, 10, 4) == [5, 6, 2]
 
 
 def test_instance_not_started_is_skipped():
     ready = [1, 2, 3]
     warm = InstanceRuntime("w", 60)
     live = InstanceRuntime("l", 0)
-    assert one_tick([warm, live], ready, len(ready), 59, 10, 5) == [1, 2]
+    assert one_tick([warm, live], ready, 59, 10, 5) == [1, 2]
     assert warm.cur_req == -1
-    assert one_tick([warm, live], ready, len(ready), 60, 10, 5) == [3]
+    assert one_tick([warm, live], ready, 60, 10, 5) == [3]
 
 
 # -- per-tick budget accounting ---------------------------------------------------
@@ -171,18 +174,18 @@ def test_instance_not_started_is_skipped():
 def test_request_spanning_ticks_completes_on_third():
     inst = InstanceRuntime("i", 0)
     ready = [7]
-    assert one_tick([inst], ready, len(ready), 0, 10, 25) == []
-    assert one_tick([inst], ready, len(ready), 1, 10, 25) == []
-    assert one_tick([inst], ready, len(ready), 2, 10, 25) == [7]
+    assert one_tick([inst], ready, 0, 10, 25) == []
+    assert one_tick([inst], ready, 1, 10, 25) == []
+    assert one_tick([inst], ready, 2, 10, 25) == [7]
 
 
 def test_budget_not_banked_when_idle():
     inst = InstanceRuntime("i", 0)
-    assert one_tick([inst], [], 0, 0, 10, 15) == []
+    assert one_tick([inst], [], 0, 10, 15) == []
     ready = [3]
     # Fresh tick: only 10 of 15 spent despite the idle tick before.
-    assert one_tick([inst], ready, len(ready), 1, 10, 15) == []
-    assert one_tick([inst], ready, len(ready), 2, 10, 15) == [3]
+    assert one_tick([inst], ready, 1, 10, 15) == []
+    assert one_tick([inst], ready, 2, 10, 15) == [3]
 
 
 def test_image_recognizer_cost_rate():
@@ -192,8 +195,7 @@ def test_image_recognizer_cost_rate():
     ready = list(range(10000))
     done = 0
     for tick in range(30 * 60):
-        done += len(one_tick([inst], ready, len(ready), tick, mcl.numerator,
-                                 30 * mcl.denominator))
+        done += len(one_tick([inst], ready, tick, mcl.numerator, 30 * mcl.denominator))
     assert done == 91 * 60
 
 
@@ -205,14 +207,14 @@ def test_saturated_instance_completes_floor_of_budget_over_cost(mcl, tps, ticks)
     ready = list(range(ticks * budget // cost + 2))
     done = 0
     for tick in range(ticks):
-        done += len(one_tick([inst], ready, len(ready), tick, budget, cost))
+        done += len(one_tick([inst], ready, tick, budget, cost))
         assert done == (tick + 1) * budget // cost
 
 
 def test_zero_cost_drains_entire_queue():
     inst = InstanceRuntime("i", 0)
     ready = list(range(500))
-    assert len(one_tick([inst], ready, len(ready), 0, 1, 0)) == 500
+    assert len(one_tick([inst], ready, 0, 1, 0)) == 500
 
 
 def test_draining_instance_finishes_current_only():
@@ -221,9 +223,9 @@ def test_draining_instance_finishes_current_only():
     inst.cur_req = 0
     inst.left = 4
     inst.draining = True
-    assert one_tick([inst], ready, len(ready), 0, 10, 8) == [0]
+    assert one_tick([inst], ready, 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
-    assert one_tick([inst], ready, len(ready), 1, 10, 8) == []
+    assert one_tick([inst], ready, 1, 10, 8) == []
 
 
 def test_carried_request_costing_the_whole_budget_pops_nothing():
@@ -231,7 +233,7 @@ def test_carried_request_costing_the_whole_budget_pops_nothing():
     inst.cur_req = 0
     inst.left = 10
     ready = [1, 2]
-    assert one_tick([inst], ready, len(ready), 0, 10, 8) == [0]
+    assert one_tick([inst], ready, 0, 10, 8) == [0]
     assert list(ready) == [1, 2]
     assert inst.cur_req == -1
 
@@ -242,18 +244,18 @@ def test_draining_instance_carries_remainder_over_budget():
     inst.left = 25
     inst.draining = True
     ready = [1]
-    assert one_tick([inst], ready, len(ready), 0, 10, 8) == []
+    assert one_tick([inst], ready, 0, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 15)
-    assert one_tick([inst], ready, len(ready), 1, 10, 8) == []
+    assert one_tick([inst], ready, 1, 10, 8) == []
     assert (inst.cur_req, inst.left) == (0, 5)
-    assert one_tick([inst], ready, len(ready), 2, 10, 8) == [0]
+    assert one_tick([inst], ready, 2, 10, 8) == [0]
     assert list(ready) == [1]
 
 
 def test_fresh_request_spending_budget_to_zero_starts_no_other():
     inst = InstanceRuntime("i", 0)
     ready = [1, 2, 3]
-    assert one_tick([inst], ready, len(ready), 0, 10, 5) == [1, 2]
+    assert one_tick([inst], ready, 0, 10, 5) == [1, 2]
     assert list(ready) == [3]
     assert (inst.cur_req, inst.left) == (-1, 0)
 
@@ -361,14 +363,16 @@ def carry_exact(insts):
 def test_kernel_matches_one_request_at_a_time(data, budget, cost, n_ready, ticks):
     insts = data.draw(st.lists(instances(budget), max_size=6))
     copies = clones(insts)
-    # Behind the ready requests, ones admitted this tick, which the kernel
-    # must leave where they are.
+    # Behind the ready requests, a batch admitted in tick 0 ahead of the
+    # service's turn, which the kernel must leave where it is until tick 1.
     tail = data.draw(st.lists(st.integers(2000, 2999), max_size=8))
-    queue, expected_ready = list(range(n_ready)) + tail, deque(range(n_ready))
+    queue, expected_ready = list(range(n_ready)), deque(range(n_ready))
     for tick in range(ticks):
-        assert (one_tick(insts, queue, len(queue) - len(tail), tick, budget, cost)
+        assert (one_tick(insts, queue, tick, budget, cost, [] if tick else [tail])
                 == reference_tick(copies, expected_ready, tick, budget, cost))
-        assert queue == list(expected_ready) + tail
+        if not tick:
+            expected_ready.extend(tail)
+        assert queue == list(expected_ready)
         assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
         assert carry_exact(insts)
 
@@ -377,12 +381,12 @@ def reference_window(insts, ready, ticks, budget, cost, capacity, before, after)
     """A window one request at a time: per tick, each batch before the turn
     admitted request by request while the queue has room, the tick's
     ``reference_tick``, then each batch after the turn. Returns the
-    completions and the dropped tails per tick, the queue at the end and
-    the requests offered."""
+    completions per tick, the dropped tails, the queue at the end and the
+    requests offered."""
     ready = deque(ready)
-    out, drops, offered = [], [], 0
+    out, tails, offered = [], [], 0
     for tick in range(ticks):
-        admitted, tails = [], []
+        admitted = []
 
         def admit(batches):
             nonlocal offered
@@ -398,12 +402,11 @@ def reference_window(insts, ready, ticks, budget, cost, capacity, before, after)
         out.append(reference_tick(insts, ready, tick, budget, cost))
         admit(b[tick] for b in after)
         ready.extend(admitted)
-        drops.append(tails)
-    return out, drops, list(ready), offered
+    return out, tails, list(ready), offered
 
 
 # The kernel's branches inside one window, as above; each draws the
-# instances, the batches before and after the turn and the ready count.
+# instances, the batches before and after the turn and the queue's length.
 # A one-slice service that keeps up is a delay line: each tick completes
 # what the tick before admitted. It holds here with two sources before the
 # turn and one after it, and with one source, over windows of several ticks,
@@ -457,26 +460,21 @@ def test_a_window_equals_its_ticks_one_window_each(data, budget, cost, capacity,
     n_ready = data.draw(st.integers(0, capacity))
     batches = copy.deepcopy((before, after))
     one_by_one = clones(insts)
-    queue, out, drops = list(range(n_ready)), [], [[] for _ in range(ticks)]
-    whole = process_window(insts, queue, n_ready, 0, ticks, budget, cost, capacity, before, after,
-                           out, drops)
+    queue, out, drops = list(range(n_ready)), [], []
+    offered = process_window(insts, queue, 0, ticks, budget, cost, capacity, before, after, out,
+                             drops)
     # The completions may be the batches themselves, which no one mutates.
     assert (before, after) == batches
     ref_out, ref_drops, ref_queue, ref_offered = reference_window(
         one_by_one, range(n_ready), ticks, budget, cost, capacity, before, after)
-    assert (out, drops, queue) == (ref_out, ref_drops, ref_queue)
-    assert whole == (len(ref_queue), ref_offered, sum(len(t) for ts in ref_drops for t in ts))
-    each_queue, each_out, each_drops = list(range(n_ready)), [], []
-    ready, offered, dropped = n_ready, 0, 0
+    assert (out, drops, queue, offered) == (ref_out, ref_drops, ref_queue, ref_offered)
+    each_queue, each_out, each_drops, each_offered = list(range(n_ready)), [], [], 0
     for tick in range(ticks):
-        each_drops.append([])
-        ready, o, d = process_window(copies, each_queue, ready, tick, tick + 1, budget, cost,
-                                     capacity, [[b[tick]] for b in before],
-                                     [[b[tick]] for b in after], each_out, each_drops[-1:])
-        offered, dropped = offered + o, dropped + d
+        each_offered += process_window(copies, each_queue, tick, tick + 1, budget, cost, capacity,
+                                       [[b[tick]] for b in before], [[b[tick]] for b in after],
+                                       each_out, each_drops)
         assert carry_exact(copies)
-    assert whole == (ready, offered, dropped)
-    assert (queue, out, drops) == (each_queue, each_out, each_drops)
+    assert (queue, out, drops, offered) == (each_queue, each_out, each_drops, each_offered)
     assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in copies]
     assert [(i.cur_req, i.left) for i in insts] == [(c.cur_req, c.left) for c in one_by_one]
     assert carry_exact(insts)

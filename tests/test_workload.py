@@ -90,6 +90,69 @@ def test_trace_ticks_must_strictly_increase(tmp_path, rows, line, tick, before):
         f"{trace}:{line}: trace ticks must strictly increase: {tick} follows {before}")
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_trace_non_finite_rate_rejected(tmp_path, rate, exact):
+    # Else exact arrivals cast NaN to a count of about 2^63 and Poisson ones
+    # fail inside numpy ("lam value too large"), naming neither row nor file.
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"tick,rate\n0,5\n30,{rate}\n", encoding="utf-8")
+    with pytest.raises(WorkloadError) as err:
+        generate_arrivals(WorkloadSpec(Trace(str(trace))), 1, 60, 30, exact=exact)
+    assert str(err.value) == f"{trace}:3: rate must be finite, got {float(rate)}"
+
+
+@pytest.mark.parametrize("points, message", [
+    (((0, float("nan")),), "steps rate at tick 0 must be finite, got nan"),
+    (((0, 5.0), (30, float("inf"))), "steps rate at tick 30 must be finite, got inf"),
+])
+def test_steps_non_finite_rate_rejected(points, message):
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(Steps(points)), 60, 30)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", [
+    Diurnal(float("nan"), 380, 7200),
+    Diurnal(60, float("inf"), 7200),
+    Diurnal(60, 380, float("inf")),
+    Diurnal(60, 380, 7200, float("nan")),
+])
+def test_diurnal_non_finite_value_rejected(kind):
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(kind), 60, 30)
+    assert str(err.value) == f"diurnal needs a finite base, peak, period and phase, got {kind}"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("tick,rate\n0,5\n30\n", "{trace}:3: expected 'tick,rate' rows"),
+    ("tick,rate\n# nothing yet\n", "trace file {trace} holds no rate points"),
+], ids=["row-without-rate", "no-rows"])
+def test_trace_without_rates_rejected(tmp_path, rows, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(rows, encoding="utf-8")
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(Trace(str(trace))), 60, 30)
+    assert str(err.value) == message.format(trace=trace)
+
+
+@pytest.mark.parametrize("kind", [
+    Diurnal(-1, 380, 7200),
+    Diurnal(400, 380, 7200),
+    Diurnal(60, 380, 0),
+])
+def test_diurnal_out_of_range_rejected(kind):
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(kind), 60, 30)
+    assert str(err.value) == "diurnal needs 0 <= base <= peak and period > 0"
+
+
+def test_unknown_workload_kind_rejected():
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec("flat"), 60, 30)
+    assert str(err.value) == "unknown workload kind 'flat'"
+
+
 def test_negative_rate_rejected():
     with pytest.raises(WorkloadError):
         rate_curve(WorkloadSpec(Steps(((0, -5.0),))), 10, 30)
