@@ -15,6 +15,7 @@ as strings like ``"1/3"``.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -50,8 +51,10 @@ def _as_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
-        # Only reachable for documents built in memory; files parse via
-        # parse_float below and never hit binary floats.
+        # Files parse via parse_float below, so only NaN and Infinity or a
+        # document built in memory reach this as a binary float.
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: not a finite number: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
         try:
@@ -72,6 +75,17 @@ def _as_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{where}: expected a string")
     return value
+
+
+def _entry(block: Any, listname: str, index: int, *keys: str) -> str:
+    """How errors name entry ``index`` of the list ``listname``: by the
+    values of ``keys`` it holds (joined by " -> "), or by its index if it
+    holds none. Refuses an entry that is not an object."""
+    if not isinstance(block, dict):
+        raise ParseError(f"{listname}[{index}]: expected an object")
+    if not any(k in block for k in keys):
+        return f"{listname}[{index}]"
+    return f"{listname}[{' -> '.join(str(block.get(k, '?')) for k in keys)}]"
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -103,8 +117,8 @@ def _parse_mf_rule(value: Any, where: str) -> MFRule:
     return MFRule(MFKind.CUSTOM, _as_str(value["custom"], f"{where}.custom"))
 
 
-def _parse_service(block: dict) -> ServiceType:
-    where = f"services[{block.get('name', '?')}]"
+def _parse_service(block: Any, index: int) -> ServiceType:
+    where = _entry(block, "services", index, "name")
     _check_keys(block, _SERVICE_KEYS, where)
     name = _as_str(block.get("name"), f"{where}.name")
     cost = block.get("cost", {})
@@ -143,8 +157,8 @@ def _parse_service(block: dict) -> ServiceType:
     )
 
 
-def _parse_vm(block: dict) -> VMType:
-    where = f"vm_catalog[{block.get('name', '?')}]"
+def _parse_vm(block: Any, index: int) -> VMType:
+    where = _entry(block, "vm_catalog", index, "name")
     _check_keys(block, _VM_KEYS, where)
     return VMType(
         name=_as_str(block.get("name"), f"{where}.name"),
@@ -177,8 +191,8 @@ def _parse_profile(block: dict) -> EmailProfile:
     )
 
 
-def _parse_edge(block: dict) -> PipelineEdge:
-    where = f"pipeline[{block.get('from', '?')} -> {block.get('to', '?')}]"
+def _parse_edge(block: Any, index: int) -> PipelineEdge:
+    where = _entry(block, "pipeline", index, "from", "to")
     _check_keys(block, _EDGE_KEYS, where)
     part = _as_str(block.get("part"), f"{where}.part")
     if part not in PART_KINDS:
@@ -200,7 +214,7 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
     raw_services = data.get("services", [])
     if not isinstance(raw_services, list):
         raise ParseError("services: expected a list")
-    services = tuple(_parse_service(b) for b in raw_services)
+    services = tuple(_parse_service(b, i) for i, b in enumerate(raw_services))
 
     names = [s.name for s in services]
     dupes = {n for n in names if names.count(n) > 1}
@@ -221,7 +235,7 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
     raw_vms = data.get("vm_catalog", [])
     if not isinstance(raw_vms, list):
         raise ParseError("vm_catalog: expected a list")
-    vms = tuple(_parse_vm(b) for b in raw_vms)
+    vms = tuple(_parse_vm(b, i) for i, b in enumerate(raw_vms))
     vm_names = [v.name for v in vms]
     if len(set(vm_names)) != len(vm_names):
         raise ParseError("duplicate VM type names in vm_catalog")
@@ -231,7 +245,7 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
     raw_edges = data.get("pipeline", [])
     if not isinstance(raw_edges, list):
         raise ParseError("pipeline: expected a list")
-    edges = tuple(_parse_edge(b) for b in raw_edges)
+    edges = tuple(_parse_edge(b, i) for i, b in enumerate(raw_edges))
     for edge in edges:
         for end, label in ((edge.src, "from"), (edge.dst, "to")):
             if end not in declared:

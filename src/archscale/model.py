@@ -11,6 +11,7 @@ so that ceiling arithmetic never misfires at integer boundaries.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -153,7 +154,9 @@ class SystemArchitecture:
         """Service names, each after the providers of its strong
         requirements: sweeps in declaration order, each taking every service
         whose providers are taken. Services on or behind a strong cycle
-        (see ``strong_cycle``) are left out."""
+        (see ``strong_cycle``) are left out. Instances are created in this
+        order, so it is not graphlib's, which on the reference puts
+        ImageRecognizer before NSFWDetector."""
         deps = {s.name: set(s.strong_requires) for s in self.services}
         order: list[str] = []
         taken: set[str] = set()
@@ -170,6 +173,17 @@ class SystemArchitecture:
                 break
             pending = left
         return tuple(order)
+
+    @cached_property
+    def pipeline_order(self) -> tuple[int, ...]:
+        """The services' indices in topological order: each after the
+        sources of its inbound edges. Raises ``graphlib.CycleError`` on a
+        cyclic pipeline, which ``validate_architecture`` reports."""
+        index = self._service_indices
+        preds: dict[int, set[int]] = {i: set() for i in range(len(self.services))}
+        for e in self.pipeline:
+            preds[index[e.dst]].add(index[e.src])
+        return tuple(graphlib.TopologicalSorter(preds).static_order())
 
     def service(self, name: str) -> ServiceType:
         return self.services[self._service_indices[name]]
@@ -326,30 +340,11 @@ def strong_cycle(services: Sequence[ServiceType]) -> list[str] | None:
 def find_cycle(deps: dict[str, Sequence[str]]) -> list[str] | None:
     """One cycle of the directed graph ``deps`` (node -> successors), as the
     nodes along it, the last one leading back to the first; None if the
-    graph is acyclic. Iterative DFS in the order of ``deps``."""
-    color: dict[str, int] = {}  # 0 absent, 1 on stack, 2 done
-    for root in deps:
-        if color.get(root):
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path: list[str] = []
-        while stack:
-            node, idx = stack.pop()
-            if idx == 0:
-                color[node] = 1
-                path.append(node)
-            children = deps.get(node, [])
-            advanced = False
-            for j in range(idx, len(children)):
-                child = children[j]
-                if color.get(child) == 1:
-                    return path[path.index(child):]
-                if color.get(child, 0) == 0:
-                    stack.append((node, j + 1))
-                    stack.append((child, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
+    graph is acyclic. ``graphlib`` reads ``deps`` as node -> predecessors,
+    so the cycle it reports runs against the edges, its first node repeated
+    at its end."""
+    try:
+        graphlib.TopologicalSorter(deps).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1][:0:-1]
     return None

@@ -522,23 +522,15 @@ class DeploymentRegistry:
 # Orchestration synthesis
 
 
-def _pick_provider(
-    port: str,
-    candidates: list[tuple[str, int]],
-    capacity: int,
-    consumer: str,
-) -> str:
-    """Least-consumed provider first, creation order as tie-break."""
+def _pick_provider(candidates: list[tuple[str, int]], capacity: int) -> str | None:
+    """Among ``(provider, consumer count)`` pairs, the least-consumed
+    provider with room, creation order as tie-break; None if none has room."""
     eligible = [
         (count, order, pid)
         for order, (pid, count) in enumerate(candidates)
         if capacity == -1 or count < capacity
     ]
-    if not eligible:
-        raise SynthesisError(
-            f"instance {consumer}: no provider available for required port {port!r}")
-    eligible.sort(key=lambda t: (t[0], t[1]))
-    return eligible[0][2]
+    return min(eligible)[2] if eligible else None
 
 
 def synthesize_orchestration(
@@ -579,7 +571,10 @@ def synthesize_orchestration(
             existing[port] = [inst.instance_id for inst in registry.instances.values()
                               if inst.service == port]
         candidates = [(pid, consumers.get(pid, 0)) for pid in existing[port] + created.get(port, [])]
-        provider = _pick_provider(port, candidates, arch.service(port).provide_capacity, consumer)
+        provider = _pick_provider(candidates, arch.service(port).provide_capacity)
+        if provider is None:
+            raise SynthesisError(
+                f"instance {consumer}: no provider available for required port {port!r}")
         consumers[provider] = consumers.get(provider, 0) + 1
         return provider
 
@@ -644,8 +639,11 @@ def synthesize_removal(
 ) -> TimedOrchestration:
     """Tear down a chosen set of instances (for per-service scale-downs).
 
-    Unbinds their weak ports, destroys them, releases VMs left empty, and
-    decrements speed on surviving VMs so unused cores stop contributing.
+    Unbinds their weak ports, then moves each surviving weak consumer of
+    one of them to the least-consumed surviving provider of that port with
+    room (left unbound if none has room), destroys them, releases VMs left
+    empty, and decrements speed on surviving VMs so unused cores stop
+    contributing. A surviving strong consumer cannot move and is left bound.
     """
     chosen = []
     for inst_id in instance_ids:
@@ -653,14 +651,35 @@ def synthesize_removal(
         if inst is None:
             raise SynthesisError(f"removal: unknown instance {inst_id}")
         chosen.append(inst)
+    doomed = {inst.instance_id for inst in chosen}
     actions: list[Action] = []
     for inst in chosen:
         for port, provider in reversed(inst.weak_bindings):
             actions.append(UnbindWeak(inst.instance_id, provider, port))
+    consumed = {iid for iid in doomed if registry.consumer_counts.get(iid)}
+    if consumed:
+        counts = dict(registry.consumer_counts)  # as the actions so far leave them
+        for act in actions:
+            counts[act.provider_id] = counts.get(act.provider_id, 0) - 1
+        providers: dict[str, list[str]] = {}  # port -> surviving providers, registry order
+        for consumer in registry.instances.values():
+            if consumer.instance_id in doomed:
+                continue
+            for port, provider in consumer.weak_bindings:
+                if provider not in consumed:
+                    continue
+                actions.append(UnbindWeak(consumer.instance_id, provider, port))
+                if port not in providers:
+                    providers[port] = [pid for pid, other in registry.instances.items()
+                                       if other.service == port and pid not in doomed]
+                new = _pick_provider([(pid, counts.get(pid, 0)) for pid in providers[port]],
+                                     arch.service(port).provide_capacity)
+                if new is not None:
+                    counts[new] = counts.get(new, 0) + 1
+                    actions.append(BindWeak(consumer.instance_id, new, port))
     for inst in reversed(chosen):
         actions.append(DestroyInstance(inst.instance_id))
     freed_by_vm: dict[str, int] = {}
-    doomed = {inst.instance_id for inst in chosen}
     for inst in chosen:
         cores = arch.service(inst.service).cores_required
         freed_by_vm[inst.vm_id] = freed_by_vm.get(inst.vm_id, 0) + cores

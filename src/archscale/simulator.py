@@ -84,7 +84,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from graphlib import TopologicalSorter
 from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
 
@@ -580,16 +579,6 @@ def _claim(wires: dict[int, int], w: int, meaning: tuple[int, ...]) -> int:
     raise SimulationError("a service needs more than 16 wire nibbles")
 
 
-def _pipeline_order(arch: SystemArchitecture) -> list[int]:
-    """The services' indices in topological order: each after the sources
-    of its inbound edges."""
-    index = {s.name: i for i, s in enumerate(arch.services)}
-    preds: dict[int, set[int]] = {i: set() for i in range(len(arch.services))}
-    for e in arch.pipeline:
-        preds[index[e.dst]].add(index[e.src])
-    return list(TopologicalSorter(preds).static_order())
-
-
 def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     """Per service, its routes indexed by a request's wire nibble: ``(fires,
     arriving)``, and the entry service's index.
@@ -649,7 +638,7 @@ def _compile_routes(arch: SystemArchitecture) -> tuple[list[tuple], int]:
     if entry is not None:
         wires[index[entry]][0] = P_EMAIL << 1
     routes: list[tuple] = [()] * len(arch.services)
-    for svc in _pipeline_order(arch):
+    for svc in arch.pipeline_order:
         fires = [()] * 16
         for w, nib in sorted(wires[svc].items()):
             out = []
@@ -680,7 +669,7 @@ class _PreparedRun:
     leaves: list[int]  # per shape: the leaves of one email
     born: list[int]  # per email: its arrival tick
     entry: int
-    order: list[int]  # the services' indices in pipeline order
+    order: tuple[int, ...]  # the services' indices in pipeline order
     inlets: tuple[tuple[tuple, tuple], ...]
     leaf_services: tuple[tuple[int, Callable], ...]
 
@@ -706,7 +695,7 @@ def _prepare(arch: SystemArchitecture, config: SimConfig) -> _PreparedRun:
         leaves=[_leaves(routes, entry, P_EMAIL << 1, shape, {}) for shape in shapes],
         born=list(chain.from_iterable(map(repeat, range(config.duration), arrivals))),
         entry=entry,
-        order=_pipeline_order(arch),
+        order=arch.pipeline_order,
         inlets=tuple((tuple(early), tuple(late)) for early, late in inlets),
         leaf_services=tuple(leaf_services),
     )

@@ -177,9 +177,16 @@ def set_path(doc, path, value):
     (("pipeline",), {"from": "B"}, "pipeline: expected a list"),
     (("pipeline", 0, "to"), "C", "pipeline[B -> C].to: unknown service 'C'"),
     (("pipeline", 0, "from"), "C", "pipeline[C -> A].from: unknown service 'C'"),
+    (("services", 0), 5, "services[0]: expected an object"),
+    (("vm_catalog", 0), "x", "vm_catalog[0]: expected an object"),
+    (("pipeline", 0), [1], "pipeline[0]: expected an object"),
+    (("services", 1), {"sig": []}, "services[1].name: expected a string"),
+    (("profile", "p_virus"), float("nan"), "profile.p_virus: not a finite number: nan"),
+    (("vm_catalog", 0, "cost"), float("inf"), "vm_catalog[small].cost: not a finite number: inf"),
 ], ids=["boolean", "zero-denominator", "not-rational", "list-number", "fraction-integer",
         "name", "cost", "mf-name", "mf-object", "data-rates", "sig", "weak", "support", "when",
-        "services", "vm-catalog", "vm-names", "pipeline", "edge-to", "edge-from"])
+        "services", "vm-catalog", "vm-names", "pipeline", "edge-to", "edge-from",
+        "service-entry", "vm-entry", "edge-entry", "nameless", "nan", "infinity"])
 def test_malformed_document_refused_by_name(path, value, message):
     with pytest.raises(ParseError) as err:
         parse_architecture_data(set_path(minimal_doc(), path, value))

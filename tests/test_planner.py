@@ -462,6 +462,34 @@ def test_removal_decrements_surviving_vm_speed():
     assert vm_id not in registry.vms
 
 
+@pytest.mark.parametrize("provide, removed, moves, counts", [
+    # C-0 moves from P-0 to P-1, which has room for a second consumer.
+    (2, ["P-0"], [UnbindWeak("C-0", "P-0", "P"), BindWeak("C-0", "P-1", "P")], {"P-1": 2}),
+    # P-1 has room for C-1 only: C-0 is left unbound.
+    (1, ["P-0"], [UnbindWeak("C-0", "P-0", "P")], {"P-1": 1}),
+    # Removing C-1 as well makes room on P-1 before C-0 moves.
+    (1, ["C-1", "P-0"],
+     [UnbindWeak("C-1", "P-1", "P"), UnbindWeak("C-0", "P-0", "P"), BindWeak("C-0", "P-1", "P")],
+     {"P-1": 1}),
+], ids=["room", "no-room", "room-made"])
+def test_removal_moves_weak_consumers_off_removed_providers(provide, removed, moves, counts):
+    arch = make_arch(
+        [service_block("P", provide=provide), service_block("C", weak=["P"])],
+        [vm_block("big", 8, 2.0)],
+    )
+    registry, orch = bootstrap(arch, {"P": 2, "C": 2})
+    assert [a for a in orch.actions if isinstance(a, BindWeak)] == [
+        BindWeak("C-0", "P-0", "P"), BindWeak("C-1", "P-1", "P")]
+    vm_id = orch.acquired_vm_ids()[0]
+    removal = synthesize_removal(removed, arch, registry)
+    assert removal.actions == (*moves, *map(DestroyInstance, reversed(removed)),
+                               DecrementSpeed(vm_id, Fraction(10 * len(removed))))
+    registry.apply(removal)
+    assert registry.consumer_counts == counts
+    assert all(provider in registry.instances
+               for inst in registry.instances.values() for _, provider in inst.weak_bindings)
+
+
 def test_script_round_trip_stability(chain_arch):
     _, orch = bootstrap(chain_arch, {"Front": 1, "Mid": 1, "Back": 1, "Side": 1})
     script = orchestration_to_script(orch)

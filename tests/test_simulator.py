@@ -26,6 +26,7 @@ from archscale import (
 from archscale.cli import reference_architecture_path
 from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
+from archscale.planner import DeploymentRegistry
 from archscale.simulator import (
     P_EMAIL,
     InstanceRuntime,
@@ -40,7 +41,7 @@ from archscale.simulator import (
     process_window,
 )
 from archscale.workload import Diurnal
-from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, WIRES_ARCH
+from test_golden import FANOUT_LEAVES_ARCH, ROUTE_SHAPES_ARCH, SURGE_STEPS, WIRES_ARCH
 
 
 # -- admission ------------------------------------------------------------------
@@ -1048,6 +1049,28 @@ def test_scale_down_returns_to_base(reference_arch, reference_ladder):
     assert tl.rows[-1].service_counts == tuple(reference_ladder.base.counts)
     undeploys = [e for e in tl.events if e.action == "undeploy"]
     assert undeploys
+
+
+def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
+                                                               reference_ladder, monkeypatch):
+    # The Poisson surge with rate jitter at seed 1 scales MessageAnalyser
+    # down while NSFWDetector and VirusScanner instances are bound to it.
+    dangling = []
+    apply = DeploymentRegistry.apply
+
+    def checked(registry, orch):
+        apply(registry, orch)
+        dangling.extend((inst.instance_id, provider)
+                        for inst in registry.instances.values()
+                        for _, provider in (*inst.strong_bindings, *inst.weak_bindings)
+                        if provider not in registry.instances)
+
+    monkeypatch.setattr(DeploymentRegistry, "apply", checked)
+    cfg = SimConfig(duration=600 * 30, workload=WorkloadSpec(SURGE_STEPS, jitter=0.2), seed=1,
+                    policy=Policy.LOCAL, params=ScalerParams(monitoring_period=5 * 30))
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert any(e.action == "undeploy" and e.scope == "MessageAnalyser" for e in tl.events)
+    assert dangling == []
 
 
 def test_services_without_requests_do_not_block_either_policy(all_virus_arch):
