@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from archscale import (
@@ -58,9 +58,11 @@ def vm_block(name, cores, cost, memory=100000, startup=30, spc=5):
 
 # -- placement ----------------------------------------------------------------
 
-def exhaustive_optimum(items, catalog):
+def least_packable_multiset(items, catalog):
     """Oracle: enumerate every VM-type multiset up to one VM per item and
-    check packability by brute-force backtracking; return the best cost."""
+    check packability by brute-force backtracking; return the least
+    packable one by (cost, VM count, sorted type names) as its cost and
+    its sorted type names."""
     ordered = sorted(items, reverse=True)
     need_cores = sum(c for c, _ in ordered)
     need_mem = sum(m for _, m in ordered)
@@ -92,7 +94,9 @@ def exhaustive_optimum(items, catalog):
         if not 0 < sum(counts) <= n:
             continue
         cost = sum(c * vm.cost for c, vm in zip(counts, catalog))
-        if best is not None and cost >= best:
+        names = tuple(sorted(vm.name for c, vm in zip(counts, catalog) for _ in range(c)))
+        key = (cost, len(names), names)
+        if best is not None and key >= best:
             continue
         total_cores = sum(c * vm.cores for c, vm in zip(counts, catalog))
         total_mem = sum(c * vm.memory for c, vm in zip(counts, catalog))
@@ -102,8 +106,13 @@ def exhaustive_optimum(items, catalog):
         for c, vm in zip(counts, catalog):
             bins.extend([(vm.cores, vm.memory)] * c)
         if packable(bins):
-            best = cost
-    return best
+            best = key
+    return None if best is None else (best[0], best[2])
+
+
+def exhaustive_optimum(items, catalog):
+    """The oracle's least cost."""
+    return least_packable_multiset(items, catalog)[0]
 
 
 # Costs with unlike denominators, and a float as an in-memory document gives it.
@@ -137,6 +146,20 @@ def odd_cost_placements(rng, count):
     return out
 
 
+def placements_digest(cases):
+    """SHA-256 of each case's placement: VM types, assignments and cost."""
+    lines = []
+    for arch, delta in cases:
+        p = plan_placement(delta, arch, arch.vm_catalog)
+        lines.append(repr(([(t.name, i) for t, i in p.acquired_vms], p.assignments, p.total_cost)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def placed_multiset(placement):
+    """A placement's cost and sorted VM type names, as the oracle gives them."""
+    return placement.total_cost, tuple(sorted(t.name for t, _ in placement.acquired_vms))
+
+
 # SHA-256 of the 200 placements above, seed 4, recorded before placement
 # searched in integer cost units: a change to how it computes costs must
 # place every instance exactly as before.
@@ -144,11 +167,82 @@ ODD_COST_PLACEMENTS_DIGEST = "4c9b83816fa892e78fd442aedd8932573c70eb432a8ea75947
 
 
 def test_odd_cost_placements_digest_unchanged():
-    lines = []
-    for arch, delta in odd_cost_placements(random.Random(4), 200):
-        p = plan_placement(delta, arch, arch.vm_catalog)
-        lines.append(repr(([(t.name, i) for t, i in p.acquired_vms], p.assignments, p.total_cost)))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ODD_COST_PLACEMENTS_DIGEST
+    assert placements_digest(odd_cost_placements(random.Random(4), 200)) == ODD_COST_PLACEMENTS_DIGEST
+
+
+# VM type names whose name order is not the order a catalog declares them in.
+SHUFFLED_NAMES = ("m5", "c2", "x1", "a9", "b3", "c10")
+
+
+def shuffled_name_cases(rng, count):
+    """Instances whose catalogs declare up to 4 VM types out of name order,
+    about half of them a copy of an earlier type's cost and size under
+    another name, so the search's tie-break by type names decides: up to
+    4 services and 8 instances."""
+    out = []
+    while len(out) < count:
+        catalog = []
+        for name in rng.sample(SHUFFLED_NAMES, rng.randint(2, 4)):
+            if catalog and rng.random() < 0.5:
+                catalog.append(dict(rng.choice(catalog), name=name))
+            else:
+                catalog.append(vm_block(name, cores=rng.choice([2, 4, 8]),
+                                        cost=rng.choice([1, 2, 3, "7/2"]),
+                                        memory=rng.choice([4000, 16000])))
+        services = [service_block(f"S{i}", cores=rng.randint(1, 4),
+                                  memory=rng.choice([500, 1500, 3000]))
+                    for i in range(rng.randint(1, 4))]
+        arch = make_arch(services, catalog)
+        delta = {}
+        for s in arch.services:
+            c = rng.randint(0, min(3, 8 - sum(delta.values())))
+            if c:
+                delta[s.name] = c
+        if delta and all(any(vm.cores >= arch.service(n).cores_required and
+                             vm.memory >= arch.service(n).memory_required
+                             for vm in arch.vm_catalog) for n in delta):
+            out.append((arch, delta))
+    return out
+
+
+# SHA-256 of the 200 placements above, seed 25, recorded while the search
+# kept each multiset as its sorted type names: the tie-break among types of
+# equal cost and size must keep placing every instance exactly as then.
+SHUFFLED_NAME_PLACEMENTS_DIGEST = "b6bc619abb4140acbecd950a485eb99c21a0ba26582510bf3d5ee9be8dc098d9"
+
+
+def test_shuffled_name_placements_digest_unchanged():
+    assert placements_digest(shuffled_name_cases(random.Random(25), 200)) == SHUFFLED_NAME_PLACEMENTS_DIGEST
+
+
+@st.composite
+def shuffled_name_case(draw):
+    """A catalog of 1-4 VM types out of name order, some repeating an
+    earlier type's cost and size, and a delta of 1-6 instances that fit."""
+    catalog = []
+    for name in draw(st.permutations(SHUFFLED_NAMES))[:draw(st.integers(1, 4))]:
+        if catalog and draw(st.booleans()):
+            catalog.append(dict(draw(st.sampled_from(catalog)), name=name))
+        else:
+            catalog.append(vm_block(name, cores=draw(st.sampled_from([2, 4, 8])),
+                                    cost=draw(st.sampled_from([1, 2, 3, "7/2"])),
+                                    memory=draw(st.sampled_from([4000, 16000]))))
+    largest = max(vm["cores"] for vm in catalog)
+    services = [service_block(f"S{i}", cores=draw(st.integers(1, largest)),
+                              memory=draw(st.sampled_from([500, 1500, 3000])))
+                for i in range(draw(st.integers(1, 3)))]
+    delta = {s["name"]: draw(st.integers(0, 2)) for s in services}
+    assume(any(delta.values()))
+    return make_arch(services, catalog), delta
+
+
+@given(case=shuffled_name_case())
+def test_placement_tie_break_is_the_least_multiset_by_cost_count_names(case):
+    arch, delta = case
+    items = [(arch.service(name).cores_required, arch.service(name).memory_required)
+             for name, count in delta.items() for _ in range(count)]
+    placement = plan_placement(delta, arch, arch.vm_catalog)
+    assert placed_multiset(placement) == least_packable_multiset(items, arch.vm_catalog)
 
 
 def test_two_instances_prefer_one_xlarge():
@@ -242,8 +336,8 @@ def test_placement_optimal_on_randomized_instances():
                 plan_placement(delta, arch, arch.vm_catalog)
             continue
         placement = plan_placement(delta, arch, arch.vm_catalog)
-        oracle = exhaustive_optimum(items, arch.vm_catalog)
-        assert placement.total_cost == oracle, f"trial {trial}"
+        oracle = least_packable_multiset(items, arch.vm_catalog)
+        assert placed_multiset(placement) == oracle, f"trial {trial}"
         # capacity invariants per VM
         loads = {idx: [0, 0] for _, idx in placement.acquired_vms}
         for idx, svcs in placement.assignments:
