@@ -7,7 +7,8 @@ instances fit core- and memory-wise.  Instances pack only into newly
 acquired VMs, so undeploying an increment releases exactly its own VMs.
 The search orders and prunes integer costs: each call scales the catalog's
 costs by the lcm D of their denominators, and the placement's total cost is
-the winning sum over D.
+the winning sum over D. It holds each multiset as one ascending tuple of VM
+type positions in name order, its cores and memory carried beside it.
 
 ``synthesize_orchestration`` turns a placement into an ordered action
 program: acquire VMs, set the overall startup to the slowest acquired VM,
@@ -148,6 +149,12 @@ def plan_placement(
         raise PlacementError("delta requests no instances")
     if not catalog:
         raise PlacementError("empty VM catalog")
+    # The catalog's positions in name order; the ties break by type name.
+    by_name = sorted(range(len(catalog)), key=lambda i: catalog[i].name)
+    types = [catalog[i] for i in by_name]
+    for a, b in zip(types, types[1:]):
+        if a.name == b.name:
+            raise PlacementError(f"duplicate VM type name {a.name!r} in catalog")
 
     items: list[tuple[int, int]] = []
     item_services: list[str] = []
@@ -158,7 +165,7 @@ def plan_placement(
             item_services.append(name)
 
     for (cores, mem), name in zip(items, item_services):
-        if not any(vm.cores >= cores and vm.memory >= mem for vm in catalog):
+        if not any(vm.cores >= cores and vm.memory >= mem for vm in types):
             raise PlacementError(
                 f"service {name!r} needs {cores} cores / {mem} MB "
                 "but no VM type provides that much")
@@ -166,7 +173,6 @@ def plan_placement(
     n_items = len(items)
     need_cores = sum(c for c, _ in items)
     need_mem = sum(m for _, m in items)
-    types = list(catalog)
     # Costs in units of 1/D, D the lcm of the catalog's cost denominators:
     # integers that order, sum and compare as the costs do.
     pairs = [ratio(vm.cost) for vm in types]
@@ -179,51 +185,40 @@ def plan_placement(
     p, q = least.numerator, least.denominator
     ub_q = ub * q
 
-    # Best-first search over VM-type multisets, canonicalized by only adding
-    # types with index >= the largest index already present, so each
-    # multiset has one parent and is pushed at most once. It returns by
-    # the time it pops the multiset of the first-fit-decreasing packing,
-    # which the search reaches: that multiset holds at most one VM per
+    # Best-first search over VM-type multisets. A multiset is the ascending
+    # tuple of its types' positions in name order, which compares as its
+    # sorted type names do, and its entry carries its cores and memory. It
+    # grows only at its end, by a type at or after its last, so each
+    # multiset has one parent and is pushed at most once. The search
+    # returns by the time it pops the multiset of the first-fit-decreasing
+    # packing, which it reaches: that multiset holds at most one VM per
     # instance, and no prefix of it, in canonical order, is pruned, as the
     # rest of it costs at least p / q per core and covers the missing cores.
     # Being a packing, it passes the exact check. So the heap never empties.
-    heap: list[tuple[int, int, tuple[str, ...], tuple[int, ...], int]] = [
-        (0, 0, (), tuple(0 for _ in types), 0)
-    ]
+    heap: list[tuple[int, int, tuple[int, ...], int, int]] = [(0, 0, (), 0, 0)]
     while True:
-        cost, nvms, names, counts, min_type = heapq.heappop(heap)
-        total_cores = sum(k * vm.cores for k, vm in zip(counts, types))
-        total_mem = sum(k * vm.memory for k, vm in zip(counts, types))
-        if nvms and total_cores >= need_cores and total_mem >= need_mem:
-            bins: list[tuple[int, int]] = []
-            bin_types: list[int] = []
-            for ti, k in enumerate(counts):
-                for _ in range(k):
-                    bins.append((types[ti].cores, types[ti].memory))
-                    bin_types.append(ti)
-            assignment = _pack_exact(items, bins)
+        cost, nvms, picks, cores, mem = heapq.heappop(heap)
+        if nvms and cores >= need_cores and mem >= need_mem:
+            vms = sorted(by_name[t] for t in picks)  # back in catalog order
+            assignment = _pack_exact(items, [(catalog[i].cores, catalog[i].memory) for i in vms])
             if assignment is not None:
-                acquired = tuple((types[ti], vi) for vi, ti in enumerate(bin_types))
-                per_vm: list[list[str]] = [[] for _ in bins]
+                per_vm: list[list[str]] = [[] for _ in vms]
                 for item_idx, b in enumerate(assignment):
                     per_vm[b].append(item_services[item_idx])
                 # A VM's services in the order of their first declaration.
-                assigns = tuple((vi, tuple(sorted(names_, key=arch.service_index)))
-                                for vi, names_ in enumerate(per_vm))
-                return Placement(acquired_vms=acquired, assignments=assigns,
-                                 total_cost=Fraction(cost, unit))
+                assigns = tuple((vi, tuple(sorted(names, key=arch.service_index)))
+                                for vi, names in enumerate(per_vm))
+                return Placement(acquired_vms=tuple((catalog[i], vi) for vi, i in enumerate(vms)),
+                                 assignments=assigns, total_cost=Fraction(cost, unit))
         if nvms >= n_items:
             continue
-        deficit = max(0, need_cores - total_cores)
-        for ti in range(min_type, len(types)):
-            child = list(counts)
-            child[ti] += 1
-            child_cost = cost + costs[ti]
-            remaining = max(0, deficit - types[ti].cores)
-            if child_cost * q + remaining * p > ub_q:
+        deficit = max(0, need_cores - cores)
+        for t in range(picks[-1] if picks else 0, len(types)):
+            vm = types[t]
+            child_cost = cost + costs[t]
+            if child_cost * q + max(0, deficit - vm.cores) * p > ub_q:
                 continue
-            heapq.heappush(heap, (
-                child_cost, nvms + 1, tuple(sorted(names + (types[ti].name,))), tuple(child), ti))
+            heapq.heappush(heap, (child_cost, nvms + 1, picks + (t,), cores + vm.cores, mem + vm.memory))
 
 
 # ---------------------------------------------------------------------------
