@@ -22,7 +22,7 @@ from archscale import (
     validate_orchestration_timing,
 )
 from archscale.document import parse_architecture_data
-from archscale.model import EmailProfile, ServiceType, SystemArchitecture
+from archscale.model import EmailProfile, ServiceType, SystemArchitecture, VMType
 from archscale.planner import (
     AcquireVM,
     Placement,
@@ -657,6 +657,10 @@ def test_timing_check_names_each_problem(web_arch, actions, problem):
     ({"Web": 1, "Nope": 1}, None, "unknown service 'Nope' in delta"),
     ({"Web": 1, "Db": -1}, None, "negative instance count for 'Db'"),
     ({"Web": 1}, (), "empty VM catalog"),
+    # The tie-break is by type name, so a repeated name leaves it undefined.
+    ({"Web": 1}, (VMType("small", 4, 500, Fraction(5), 30, Fraction(1)),
+                  VMType("small", 8, 500, Fraction(5), 30, Fraction(1))),
+     "duplicate VM type name 'small' in catalog"),
 ])
 def test_placement_refusals(web_arch, delta, catalog, message):
     with pytest.raises(PlacementError, match=f"^{message}$"):
