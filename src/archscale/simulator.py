@@ -845,7 +845,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             return
         _, target, _ = select_global_configuration(inbound, config.params, ladder, table)
         deferred = 0
-        for step in diff_reconfiguration(deployed, target):
+        # Deploys go in index order, undeploys after them and last index
+        # first, the reverse of how a rising demand deploys: the units bound
+        # to a unit's instances are undone before it.
+        steps = diff_reconfiguration(deployed, target)
+        for step in [s for s in steps if s.deploy] + [s for s in steps[::-1] if not s.deploy]:
             units = delta_units[step.delta_index]
             if step.deploy:
                 units.append(deploy(ladder.deltas[step.delta_index].counts, now))

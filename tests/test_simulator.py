@@ -1051,25 +1051,45 @@ def test_scale_down_returns_to_base(reference_arch, reference_ladder):
     assert undeploys
 
 
-def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
-                                                               reference_ladder, monkeypatch):
-    # The Poisson surge with rate jitter at seed 1 scales MessageAnalyser
-    # down while NSFWDetector and VirusScanner instances are bound to it.
-    dangling = []
+@pytest.fixture
+def dangling(monkeypatch):
+    """(consumer, provider) of each binding to an instance no longer in the
+    registry, checked after every applied orchestration."""
+    found = []
     apply = DeploymentRegistry.apply
 
     def checked(registry, orch):
         apply(registry, orch)
-        dangling.extend((inst.instance_id, provider)
-                        for inst in registry.instances.values()
-                        for _, provider in (*inst.strong_bindings, *inst.weak_bindings)
-                        if provider not in registry.instances)
+        found.extend((inst.instance_id, provider)
+                     for inst in registry.instances.values()
+                     for _, provider in (*inst.strong_bindings, *inst.weak_bindings)
+                     if provider not in registry.instances)
 
     monkeypatch.setattr(DeploymentRegistry, "apply", checked)
+    return found
+
+
+def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
+                                                               reference_ladder, dangling):
+    # The Poisson surge with rate jitter at seed 1 scales MessageAnalyser
+    # down while NSFWDetector and VirusScanner instances are bound to it.
     cfg = SimConfig(duration=600 * 30, workload=WorkloadSpec(SURGE_STEPS, jitter=0.2), seed=1,
                     policy=Policy.LOCAL, params=ScalerParams(monitoring_period=5 * 30))
     tl = run_simulation(reference_arch, reference_ladder, cfg)
     assert any(e.action == "undeploy" and e.scope == "MessageAnalyser" for e in tl.events)
+    assert dangling == []
+
+
+def test_global_undeploys_leave_no_binding_to_a_destroyed_instance(reference_arch,
+                                                                   reference_ladder, dangling):
+    # The run of test_scale_down_returns_to_base: the fall to 20 emails/s
+    # undoes every deployed delta in one decision, and the units deployed
+    # later are bound to instances of the earlier ones.
+    cfg = SimConfig(duration=420 * 30,
+                    workload=WorkloadSpec(Steps(((0, 250.0), (120 * 30, 20.0)))),
+                    seed=17, policy=Policy.GLOBAL, exact_arrivals=True)
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert [e.detail for e in tl.events if e.action == "undeploy"] == ["1|1|1|0->0|0|0|0"]
     assert dangling == []
 
 
