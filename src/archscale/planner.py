@@ -165,7 +165,7 @@ def plan_placement(
             item_services.append(name)
 
     for (cores, mem), name in zip(items, item_services):
-        if not any(vm.cores >= cores and vm.memory >= mem for vm in types):
+        if not any(vm.cores >= cores and vm.memory >= mem for vm in catalog):
             raise PlacementError(
                 f"service {name!r} needs {cores} cores / {mem} MB "
                 "but no VM type provides that much")

@@ -1039,18 +1039,6 @@ def test_local_scaling_scales_each_service(reference_arch, reference_ladder):
     assert final["MessageAnalyser"] >= 4
 
 
-def test_scale_down_returns_to_base(reference_arch, reference_ladder):
-    cfg = SimConfig(duration=420 * 30,
-                    workload=WorkloadSpec(Steps(((0, 250.0), (120 * 30, 20.0)))),
-                    seed=17, policy=Policy.GLOBAL, exact_arrivals=True)
-    tl = run_simulation(reference_arch, reference_ladder, cfg)
-    assert tl.rows[60].deployed_deltas != "0|0|0|0"
-    assert tl.rows[-1].deployed_deltas == "0|0|0|0"
-    assert tl.rows[-1].service_counts == tuple(reference_ladder.base.counts)
-    undeploys = [e for e in tl.events if e.action == "undeploy"]
-    assert undeploys
-
-
 @pytest.fixture
 def dangling(monkeypatch):
     """(consumer, provider) of each binding to an instance no longer in the
@@ -1069,6 +1057,21 @@ def dangling(monkeypatch):
     return found
 
 
+def test_scale_down_returns_to_base(reference_arch, reference_ladder, dangling):
+    # The fall to 20 emails/s undoes every deployed delta in one decision,
+    # and the units deployed later are bound to instances of earlier ones.
+    cfg = SimConfig(duration=420 * 30,
+                    workload=WorkloadSpec(Steps(((0, 250.0), (120 * 30, 20.0)))),
+                    seed=17, policy=Policy.GLOBAL, exact_arrivals=True)
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert tl.rows[60].deployed_deltas != "0|0|0|0"
+    assert tl.rows[-1].deployed_deltas == "0|0|0|0"
+    assert tl.rows[-1].service_counts == tuple(reference_ladder.base.counts)
+    undeploys = [e for e in tl.events if e.action == "undeploy"]
+    assert [e.detail for e in undeploys] == ["1|1|1|0->0|0|0|0"]
+    assert dangling == []
+
+
 def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
                                                                reference_ladder, dangling):
     # The Poisson surge with rate jitter at seed 1 scales MessageAnalyser
@@ -1077,19 +1080,6 @@ def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
                     policy=Policy.LOCAL, params=ScalerParams(monitoring_period=5 * 30))
     tl = run_simulation(reference_arch, reference_ladder, cfg)
     assert any(e.action == "undeploy" and e.scope == "MessageAnalyser" for e in tl.events)
-    assert dangling == []
-
-
-def test_global_undeploys_leave_no_binding_to_a_destroyed_instance(reference_arch,
-                                                                   reference_ladder, dangling):
-    # The run of test_scale_down_returns_to_base: the fall to 20 emails/s
-    # undoes every deployed delta in one decision, and the units deployed
-    # later are bound to instances of the earlier ones.
-    cfg = SimConfig(duration=420 * 30,
-                    workload=WorkloadSpec(Steps(((0, 250.0), (120 * 30, 20.0)))),
-                    seed=17, policy=Policy.GLOBAL, exact_arrivals=True)
-    tl = run_simulation(reference_arch, reference_ladder, cfg)
-    assert [e.detail for e in tl.events if e.action == "undeploy"] == ["1|1|1|0->0|0|0|0"]
     assert dangling == []
 
 
