@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "planner": (
         "DeploymentRegistry", "Placement", "PlacementError", "SynthesisError",
-        "TimedOrchestration", "VMState", "effective_speed", "orchestration_to_script",
+        "TimedOrchestration", "VMState", "orchestration_to_script",
         "plan_placement", "synthesize_orchestration", "synthesize_removal",
         "synthesize_undeployment", "validate_orchestration_timing",
     ),

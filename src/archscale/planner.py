@@ -333,16 +333,6 @@ class VMState:
     used_memory: int = 0
     instances: list[str] = field(default_factory=list)
 
-    @property
-    def static_speed(self) -> Fraction:
-        return self.vm_type.speed_per_core * self.vm_type.cores
-
-
-def effective_speed(vm: VMState) -> Fraction:
-    """Speed once unused cores are discounted: only used cores contribute."""
-    spc = vm.vm_type.speed_per_core
-    return vm.static_speed - spc * (vm.vm_type.cores - vm.used_cores)
-
 
 @dataclass
 class InstanceState:

@@ -110,7 +110,6 @@ from .scaler import (
     Policy,
     ScalerParams,
     Trigger,
-    diff_reconfiguration,
     local_target_instances,
     scaling_trigger,
     select_global_configuration,
@@ -819,21 +818,26 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     # Policy state. A monitor measures the n requests offered to a queue
     # over a window of ``period`` ticks as the rate n * tps / period per
     # second; only arrivals reach the entry's. A global unit is one deployed
-    # delta, its orchestration and instances, stacked per delta index.
-    delta_units: list[list[tuple[TimedOrchestration, list[InstanceRuntime]]]] = [
-        [] for _ in range(ladder.num_scales)]
+    # delta, its orchestration and instances. The units make one stack,
+    # oldest first, in the order the ladder stacks its levels: D1 ... Dn,
+    # then D1 ... Dn again, so unit k is delta k mod n and the deployed
+    # delta vector follows from the stack's height. A rise pushes units and
+    # a fall pops the newest first, so each undeployment inverts the
+    # deployment it undoes on the state that deployment left.
+    units: list[tuple[TimedOrchestration, list[InstanceRuntime]]] = []
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
 
     def deployed_deltas() -> tuple[int, ...]:
-        return tuple(len(units) for units in delta_units)
+        q, r = divmod(len(units), ladder.num_scales)
+        return (q + 1,) * r + (q,) * (ladder.num_scales - r)
 
     def fmt_deltas(vec) -> str:
         return "|".join(str(v) for v in vec)
 
-    # Neither policy removes capacity that is still warming: an undeploy of
-    # a delta index waits while a unit of that index has an instance not
-    # yet online, and a local scale-down while the service has one (only
-    # its own deploys add such instances, and a removal never drains one).
+    # Neither policy removes capacity that is still warming: a global
+    # undeploy waits while the newest unit has an instance not yet online,
+    # and a local scale-down while the service has one (only its own deploys
+    # add such instances, and a removal never drains one).
     def global_monitor(now: int) -> None:
         entry = svc_states[entry_idx]
         inbound = Fraction(entry.offered * tps, period)
@@ -844,31 +848,21 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         if trig is Trigger.NONE:
             return
         _, target, _ = select_global_configuration(inbound, config.params, ladder, table)
-        deferred = 0
-        # Deploys go in index order, undeploys after them and last index
-        # first, the reverse of how a rising demand deploys: the units bound
-        # to a unit's instances are undone before it.
-        steps = diff_reconfiguration(deployed, target)
-        for step in [s for s in steps if s.deploy] + [s for s in steps[::-1] if not s.deploy]:
-            units = delta_units[step.delta_index]
-            if step.deploy:
-                units.append(deploy(ladder.deltas[step.delta_index].counts, now))
-            elif any(i.ready_at > now for _, insts in units for i in insts):
-                deferred += 1
-            else:
-                orch, insts = units.pop()
-                retire(synthesize_undeployment(orch), insts)
-        # The steps on one index share a sign, so the vector moves iff a
-        # step was enacted.
+        height = sum(target)  # the target is canonical: its height fixes it
+        while len(units) < height:
+            units.append(deploy(ladder.deltas[len(units) % ladder.num_scales].counts, now))
+        while len(units) > height and all(i.ready_at <= now for i in units[-1][1]):
+            orch, insts = units.pop()
+            retire(synthesize_undeployment(orch), insts)
         after = deployed_deltas()
         if after != deployed:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "deploy" if trig is Trigger.UP else "undeploy",
                 f"{fmt_deltas(deployed)}->{fmt_deltas(after)}"))
-        if deferred:
+        if len(units) > height:
             timeline.events.append(ScalingEvent(
                 now, Policy.GLOBAL, "system", trig.value, "defer",
-                f"{deferred} undeploys while warming"))
+                f"{len(units) - height} undeploys while warming"))
 
     def local_monitor(now: int) -> None:
         for st in finite_services:

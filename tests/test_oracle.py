@@ -14,7 +14,7 @@ monitors' rules) and the timeline's CSV format.
 from collections import deque
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archscale import SimConfig, WorkloadSpec, build_capacity_table, run_simulation
@@ -37,7 +37,6 @@ from archscale.scaler import (
     Policy,
     ScalerParams,
     Trigger,
-    diff_reconfiguration,
     local_target_instances,
     scaling_trigger,
     select_global_configuration,
@@ -100,7 +99,13 @@ def oracle_run(arch, ladder, config):
             inst.draining = True
 
     deploy(ladder.base.counts, None)
-    units = [[] for _ in ladder.deltas]
+    # The global units, oldest first: unit k is delta k mod n.
+    units = []
+    n_deltas = len(ladder.deltas)
+
+    def deltas_vector():
+        return tuple(sum(1 for k in range(len(units)) if k % n_deltas == i)
+                     for i in range(n_deltas))
 
     def event(now, policy, scope, trig, action, detail):
         timeline.events.append(ScalingEvent(now, policy, scope, trig.value, action, detail))
@@ -108,30 +113,26 @@ def oracle_run(arch, ladder, config):
     def global_monitor(now):
         inbound = Fraction(offered[entry] * tps, period)
         offered[entry] = 0
-        deployed = tuple(len(u) for u in units)
+        deployed = deltas_vector()
         trig = scaling_trigger(inbound, system_mcl(ladder.configuration_for(deployed), table),
                                params)
         if trig is Trigger.NONE:
             return
         _, target, _ = select_global_configuration(inbound, params, ladder, table)
-        deferred = 0
-        for step in diff_reconfiguration(deployed, target):
-            stack = units[step.delta_index]
-            if step.deploy:
-                stack.append(deploy(ladder.deltas[step.delta_index].counts, now))
-            elif any(i.ready_at > now for _, made in stack for i in made):
-                deferred += 1
-            else:
-                orch, made = stack.pop()
-                retire(synthesize_undeployment(orch), made)
-        after = tuple(len(u) for u in units)
+        height = sum(target)
+        while len(units) < height:
+            units.append(deploy(ladder.deltas[len(units) % n_deltas].counts, now))
+        while len(units) > height and all(i.ready_at <= now for i in units[-1][1]):
+            orch, made = units.pop()
+            retire(synthesize_undeployment(orch), made)
+        after = deltas_vector()
         if after != deployed:
             event(now, Policy.GLOBAL, "system", trig,
                   "deploy" if trig is Trigger.UP else "undeploy",
                   "|".join(map(str, deployed)) + "->" + "|".join(map(str, after)))
-        if deferred:
+        if len(units) > height:
             event(now, Policy.GLOBAL, "system", trig, "defer",
-                  f"{deferred} undeploys while warming")
+                  f"{len(units) - height} undeploys while warming")
 
     def local_monitor(now):
         for i, name in enumerate(names):
@@ -229,7 +230,7 @@ def oracle_run(arch, ladder, config):
                 dropped_requests=iv["drop"], latency_ticks=iv["lat"],
                 capacity_eps=1e9 if is_infinite(cap) else float(cap),
                 total_instances=sum(counts), vm_cost_total=float(vm_cost),
-                deployed_deltas="|".join(str(len(u)) for u in units)
+                deployed_deltas="|".join(map(str, deltas_vector()))
                 if config.policy == Policy.GLOBAL else "",
                 service_counts=counts))
             iv = dict.fromkeys(iv, 0)
@@ -316,6 +317,27 @@ def configs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(arch=architectures(), config=configs(), base=st.sampled_from([10, 30]),
        increments=st.sampled_from([(100,), (20, 100), (40, 100)]))
+# A fall while the newest unit warms: at tick 7 D1 is online and D2, deployed
+# a tick later, is not. Both undeploys wait until D2 is online, so the vector
+# never reads 0|1.
+@example(
+    arch=parse_architecture_data({
+        "services": [
+            {"name": "S0", "mf_rule": "unit", "cost": {"Cores": 1, "Memory": 100},
+             "mcl": {"attachments_per_request": 0, "penalty_factor": 0,
+                     "data_rate_by_cores": {}}},
+            {"name": "S1", "mf_rule": "unit", "cost": {"Cores": 1, "Memory": 100},
+             "mcl": {"explicit_mcl": "15"}}],
+        "vm_catalog": [{"name": "box", "cores": 4, "memory": 4000, "speed_per_core": 5,
+                        "startup_time": 7, "cost": 1}],
+        "profile": {"n_blocks": "0", "n_attachments": "0", "attachment_size": 7,
+                    "p_virus": "0", "block_count_support": [0, 0],
+                    "attachment_count_support": [0, 0]},
+        "pipeline": [{"from": "S0", "to": "S1", "part": "report"}]}),
+    config=SimConfig(duration=9, workload=WorkloadSpec(Steps(((0, 30.0), (2, 0.0)))), seed=3,
+                     ticks_per_second=3, queue_capacity=1, policy=Policy.GLOBAL,
+                     params=ScalerParams(K=Fraction(0), k=Fraction(0), monitoring_period=1)),
+    base=10, increments=(20, 100))
 def test_engine_matches_the_one_request_oracle(arch, config, base, increments):
     table = build_capacity_table(arch)
     ladder = synthesize_scale_ladder(Fraction(base), [Fraction(i) for i in increments], table)

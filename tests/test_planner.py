@@ -14,7 +14,6 @@ from archscale import (
     DeploymentRegistry,
     PlacementError,
     SynthesisError,
-    effective_speed,
     plan_placement,
     synthesize_orchestration,
     synthesize_removal,
@@ -35,7 +34,6 @@ from archscale.planner import (
     SetOverallStartup,
     TimedOrchestration,
     UnbindWeak,
-    VMState,
     orchestration_to_script,
 )
 
@@ -420,20 +418,7 @@ def test_decrement_speed_formula():
     assert decrements[0].amount == 10
     vm = registry.vms[orch.acquired_vm_ids()[0]]
     assert vm.speed == 30
-    assert effective_speed(vm) == 30
     assert validate_orchestration_timing(orch, arch) == []
-
-
-def test_effective_speed_examples(chain_arch):
-    vm_type = chain_arch.vm_type("medium")  # 8 cores, spc 5
-    vm = VMState("vm-x", vm_type, speed=Fraction(40), used_cores=6)
-    assert effective_speed(vm) == 30
-    big = parse_architecture_data({
-        "services": [], "profile": {}, "pipeline": [],
-        "vm_catalog": [vm_block("grand", 16, 7.0)],
-    }).vm_type("grand")
-    assert effective_speed(VMState("a", big, speed=Fraction(80), used_cores=16)) == 80
-    assert effective_speed(VMState("b", big, speed=Fraction(80), used_cores=0)) == 0
 
 
 def test_unsatisfiable_strong_requirement_names_instance(chain_arch):

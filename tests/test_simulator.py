@@ -4,10 +4,11 @@ import copy
 import dataclasses
 import re
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from archscale import (
@@ -27,6 +28,7 @@ from archscale.cli import reference_architecture_path
 from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
 from archscale.planner import DeploymentRegistry
+from archscale.scaler import delta_vector_is_canonical
 from archscale.simulator import (
     P_EMAIL,
     InstanceRuntime,
@@ -1039,10 +1041,10 @@ def test_local_scaling_scales_each_service(reference_arch, reference_ladder):
     assert final["MessageAnalyser"] >= 4
 
 
-@pytest.fixture
-def dangling(monkeypatch):
+@contextmanager
+def dangling_bindings():
     """(consumer, provider) of each binding to an instance no longer in the
-    registry, checked after every applied orchestration."""
+    registry, checked after every applied orchestration in the block."""
     found = []
     apply = DeploymentRegistry.apply
 
@@ -1053,8 +1055,16 @@ def dangling(monkeypatch):
                      for _, provider in (*inst.strong_bindings, *inst.weak_bindings)
                      if provider not in registry.instances)
 
-    monkeypatch.setattr(DeploymentRegistry, "apply", checked)
-    return found
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeploymentRegistry, "apply", checked)
+        yield found
+
+
+@pytest.fixture
+def dangling():
+    """The dangling bindings found during the test (``dangling_bindings``)."""
+    with dangling_bindings() as found:
+        yield found
 
 
 def test_scale_down_returns_to_base(reference_arch, reference_ladder, dangling):
@@ -1070,6 +1080,80 @@ def test_scale_down_returns_to_base(reference_arch, reference_ladder, dangling):
     undeploys = [e for e in tl.events if e.action == "undeploy"]
     assert [e.detail for e in undeploys] == ["1|1|1|0->0|0|0|0"]
     assert dangling == []
+
+
+def test_a_rise_across_a_stack_level_undoes_newest_first(reference_arch, reference_ladder,
+                                                       dangling):
+    # 150 -> 450 -> 330 emails/s: the rise from 1|1|0|0 stacks D3, D4 and
+    # then a second D1 and D2, and the fall undoes those two, newest first,
+    # so no unit bound to their instances outlives them.
+    cfg = SimConfig(duration=240 * 30,
+                    workload=WorkloadSpec(Steps(((0, 150.0), (1200, 450.0), (3600, 330.0)))),
+                    seed=1, policy=Policy.GLOBAL, exact_arrivals=True)
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert [e.detail for e in tl.events if e.action != "defer"] == [
+        "0|0|0|0->1|1|0|0", "1|1|0|0->2|2|1|1", "2|2|1|1->1|1|1|1"]
+    assert dangling == []
+
+
+def assert_deltas_canonical(tl):
+    for row in tl.rows:
+        assert delta_vector_is_canonical(tuple(map(int, row.deployed_deltas.split("|")))), row
+
+
+def test_global_deltas_stay_canonical_under_a_jittered_surge(reference_arch, reference_ladder):
+    # At seed 3 the fall from 300 emails/s comes while the newest unit
+    # warms: the undeploys wait as a whole, never only the older ones.
+    cfg = SimConfig(duration=600 * 30, workload=WorkloadSpec(SURGE_STEPS, jitter=0.2), seed=3,
+                    policy=Policy.GLOBAL, params=ScalerParams(monitoring_period=5 * 30))
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert any(e.action == "defer" for e in tl.events)
+    assert_deltas_canonical(tl)
+
+
+@st.composite
+def required_architectures(draw):
+    """A chain of 2 to 4 services of finite MCL, the entry's 15, each
+    strongly or weakly requiring some of those after it, packed on one VM
+    type: a delta's consumers may bind to providers of older units."""
+    n = draw(st.integers(2, 4))
+    services = []
+    for i in range(n):
+        later = [f"S{j}" for j in range(i + 1, n)]
+        required = draw(st.lists(st.sampled_from(later), unique=True)) if later else []
+        strong = draw(st.integers(0, len(required)))
+        mcl = draw(st.sampled_from(["15", "40", "90"])) if i else "15"
+        services.append({"name": f"S{i}", "sig": required[:strong],
+                         "weak_requires": required[strong:], "mf_rule": "unit",
+                         "mcl": {"explicit_mcl": mcl},
+                         "cost": {"Cores": draw(st.integers(1, 2)), "Memory": 100}})
+    return parse_architecture_data({
+        "services": services,
+        "vm_catalog": [{"name": "box", "cores": 4, "memory": 4000, "speed_per_core": 5,
+                        "startup_time": draw(st.sampled_from([0, 2, 5])), "cost": 1}],
+        "profile": {},
+        "pipeline": [{"from": f"S{i}", "to": f"S{i + 1}", "part": "email"}
+                     for i in range(n - 1)],
+    })
+
+
+@settings(deadline=None, derandomize=True)
+@given(arch=required_architectures(),
+       increments=st.sampled_from([(15, 90), (15, 45, 90), (30, 60, 120)]),
+       rates=st.lists(st.sampled_from([5.0, 40.0, 90.0, 160.0, 250.0]), min_size=2, max_size=5),
+       period=st.integers(1, 3))
+def test_global_units_leave_no_dangling_binding(arch, increments, rates, period):
+    # Every level of the ladder is a multiple of 15 emails/s, so each delta
+    # adds an entry instance. Rates rise and fall across stack levels, one
+    # step every 4 s of a 1-tick-per-second run, a monitor every 1 to 3 s.
+    _, ladder = ladder_for(arch, base=15, increments=increments)
+    cfg = SimConfig(duration=4 * len(rates) + 4, ticks_per_second=1, exact_arrivals=True,
+                    workload=WorkloadSpec(Steps(tuple((4 * i, r) for i, r in enumerate(rates)))),
+                    params=ScalerParams(K=Fraction(5), k=Fraction(5), monitoring_period=period))
+    with dangling_bindings() as found:
+        tl = run_simulation(arch, ladder, cfg)
+    assert found == []
+    assert_deltas_canonical(tl)
 
 
 def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
