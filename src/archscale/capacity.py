@@ -213,14 +213,19 @@ class CapacityTable:
 
 
 def format_rational(x: Rational) -> str:
+    """``x``'s exact text: ``inf``, an integer, else the float's text when
+    it reads back as ``x``, else ``p/q`` (also beyond the float range)."""
     if x == INFINITE:
         return "inf"
     frac = Fraction(x)
     if frac.denominator == 1:
         return str(frac.numerator)
-    value = float(frac)
-    if Fraction(str(value)) == frac:
-        return str(value)
+    try:
+        text = str(float(frac))
+        if Fraction(text) == frac:
+            return text
+    except OverflowError:  # beyond the float range
+        pass
     return f"{frac.numerator}/{frac.denominator}"
 
 
@@ -276,6 +281,17 @@ def system_mcl(config: Configuration, table: CapacityTable) -> Rational:
 def base_configuration(target: Rational, table: CapacityTable) -> Configuration:
     return Configuration(tuple(
         instances_for_target(target, e.mf, e.mcl) for e in table.entries))
+
+
+def canonical_vector(height: int, scales: int) -> tuple[int, ...]:
+    """The delta vector of ``height`` deltas stacked in ladder order, D1 to
+    Dn and then D1 to Dn again, on a ladder of ``scales`` deltas: n copies
+    of every delta plus one more of each of a prefix of them. A ladder
+    without scales has the empty vector."""
+    if not scales:
+        return ()
+    q, r = divmod(height, scales)
+    return (q + 1,) * r + (q,) * (scales - r)
 
 
 @dataclass(frozen=True)
@@ -384,7 +400,7 @@ class LadderLevels:
         for i, level in enumerate(self.counts):
             low = system_units(level, table)
             mcl = INFINITE if low is None else Fraction(low, table.denominator)
-            first.append((low, (Configuration(level), (1,) * i + (0,) * (num - i), mcl)))
+            first.append((low, (Configuration(level), canonical_vector(i, num), mcl)))
         self.first = tuple(first)
         last = self.services[-1]
         if any(t < 0 for _, t in last):

@@ -8,8 +8,11 @@ the full reference.  The parser is strict: unknown keys are rejected, every
 cross-reference must resolve, and strong dependencies must be acyclic.
 
 Numbers are read into exact rationals.  JSON literals like ``2.5`` parse to
-``Fraction(5, 2)``; rationals that have no finite decimal form round-trip
-as strings like ``"1/3"``.
+``Fraction(5, 2)``, and strings like ``"1/3"`` to the rational they name.
+A number is written with ``capacity.format_rational``'s text: an integer,
+else a literal when the float's text reads back as the number, else a
+string ``"p/q"`` (no finite decimal form, more digits than a float keeps,
+or beyond the float range), so a written document reads back exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from fractions import Fraction
 from typing import Any
 
+from .capacity import format_rational
 from .model import (
     PART_KINDS,
     EmailProfile,
@@ -269,20 +273,16 @@ def load_architecture(path) -> SystemArchitecture:
 
 
 def _emit_number(frac: Fraction):
-    """Emit a Fraction as a JSON-friendly value that reparses exactly."""
-    if frac.denominator == 1:
-        return int(frac)
-    den = frac.denominator
-    for p in (2, 5):
-        while den % p == 0:
-            den //= p
-    if den == 1:  # finite decimal expansion: a plain JSON number is exact
-        return float(frac)
-    return f"{frac.numerator}/{frac.denominator}"
+    """``frac`` as the JSON value written as ``format_rational``'s text: a
+    number when that text is one, else the string ``"p/q"``."""
+    text = format_rational(frac)
+    return text if "/" in text else json.loads(text)
 
 
 def architecture_to_data(arch: SystemArchitecture) -> dict:
-    """Inverse of :func:`parse_architecture_data` (exact round-trip)."""
+    """Inverse of :func:`parse_architecture_data`: every number reads back
+    as itself (see ``_emit_number``), so the data parses to an equal
+    architecture."""
     services = []
     for svc in arch.services:
         p = svc.mcl_params

@@ -32,6 +32,7 @@ from .capacity import (
     CapacityTable,
     Configuration,
     ScaleLadder,
+    canonical_vector,
     is_infinite,
     ratio,
 )
@@ -125,17 +126,13 @@ DeltaVector = tuple[int, ...]
 
 
 def delta_vector_is_canonical(vector: DeltaVector) -> bool:
-    """True iff the vector is n * (all scales) + a prefix of scales.
+    """True iff the vector is n * (all scales) + a prefix of scales: its
+    entries are at least 0 and it is the ``canonical_vector`` of its sum.
 
     Equivalently: entries are non-increasing by index and span at most 1.
     """
-    if not vector:
-        return True
-    if any(v < 0 for v in vector):
-        return False
-    if any(a < b for a, b in zip(vector, vector[1:])):
-        return False
-    return vector[0] - vector[-1] <= 1
+    return (all(v >= 0 for v in vector)
+            and tuple(vector) == canonical_vector(sum(vector), len(vector)))
 
 
 def select_global_configuration(
@@ -186,7 +183,8 @@ def select_global_configuration(
         if low >= need:
             break
     counts = tuple([c + r * t for c, t in zip(levels.counts[i], levels.top)])
-    return Configuration(counts), (r + 1,) * i + (r,) * (ladder.num_scales - i), Fraction(low, d)
+    num = ladder.num_scales
+    return Configuration(counts), canonical_vector(r * num + i, num), Fraction(low, d)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,7 @@ from .capacity import (
     Configuration,
     ScaleLadder,
     build_capacity_table,
+    canonical_vector,
     is_infinite,
     request_cost,
     system_mcl,
@@ -478,6 +479,10 @@ class _ServiceState:
         """The instances deployed and not draining, warming ones included."""
         return sum(1 for i in self.insts if not i.draining)
 
+    def online(self, tick: int) -> int:
+        """The committed instances started by ``tick``."""
+        return sum(1 for i in self.insts if not i.draining and i.ready_at <= tick)
+
 
 # The emitter of an edge along which every completion emits itself: the
 # completions are the emissions, and no function need be called.
@@ -817,22 +822,30 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
 
     # Policy state. A monitor measures the n requests offered to a queue
     # over a window of ``period`` ticks as the rate n * tps / period per
-    # second; only arrivals reach the entry's. A global unit is one deployed
-    # delta, its orchestration and instances. The units make one stack,
-    # oldest first, in the order the ladder stacks its levels: D1 ... Dn,
-    # then D1 ... Dn again, so unit k is delta k mod n and the deployed
-    # delta vector follows from the stack's height. A rise pushes units and
-    # a fall pops the newest first, so each undeployment inverts the
-    # deployment it undoes on the state that deployment left.
+    # second; only arrivals reach the entry's. Both triggers compare it with
+    # the capacity of the committed instances as the service records count
+    # them (``_ServiceState.committed``): one service's under the local
+    # policy, the system MCL of all under the global one. A global unit is
+    # one deployed delta, its orchestration and instances. The units make
+    # one stack, oldest first, in the order the ladder stacks its levels:
+    # D1 ... Dn, then D1 ... Dn again, so unit k is delta k mod n and the
+    # deployed delta vector is the ``canonical_vector`` of the stack's
+    # height. A rise pushes units and a fall pops the newest first, so each
+    # undeployment inverts the deployment it undoes on the state that
+    # deployment left. A local scale-down removes the service's newest
+    # committed instances that no live instance strongly requires and holds
+    # the others, so no strong binding outlives its provider.
     units: list[tuple[TimedOrchestration, list[InstanceRuntime]]] = []
     finite_services = [st for st in svc_states if not is_infinite(st.mcl)]
 
     def deployed_deltas() -> tuple[int, ...]:
-        q, r = divmod(len(units), ladder.num_scales)
-        return (q + 1,) * r + (q,) * (ladder.num_scales - r)
+        return canonical_vector(len(units), ladder.num_scales)
 
     def fmt_deltas(vec) -> str:
         return "|".join(str(v) for v in vec)
+
+    def record(now: int, scope: str, trig: Trigger, action: str, detail: str) -> None:
+        timeline.events.append(ScalingEvent(now, config.policy, scope, trig.value, action, detail))
 
     # Neither policy removes capacity that is still warming: a global
     # undeploy waits while the newest unit has an instance not yet online,
@@ -843,7 +856,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
         inbound = Fraction(entry.offered * tps, period)
         entry.offered = 0
         deployed = deployed_deltas()
-        committed = system_mcl(ladder.configuration_for(deployed), table)
+        committed = system_mcl(Configuration(tuple(st.committed for st in svc_states)), table)
         trig = scaling_trigger(inbound, committed, config.params)
         if trig is Trigger.NONE:
             return
@@ -856,13 +869,10 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             retire(synthesize_undeployment(orch), insts)
         after = deployed_deltas()
         if after != deployed:
-            timeline.events.append(ScalingEvent(
-                now, Policy.GLOBAL, "system", trig.value, "deploy" if trig is Trigger.UP else "undeploy",
-                f"{fmt_deltas(deployed)}->{fmt_deltas(after)}"))
+            record(now, "system", trig, "deploy" if trig is Trigger.UP else "undeploy",
+                   f"{fmt_deltas(deployed)}->{fmt_deltas(after)}")
         if len(units) > height:
-            timeline.events.append(ScalingEvent(
-                now, Policy.GLOBAL, "system", trig.value, "defer",
-                f"{len(units) - height} undeploys while warming"))
+            record(now, "system", trig, "defer", f"{len(units) - height} undeploys while warming")
 
     def local_monitor(now: int) -> None:
         for st in finite_services:
@@ -873,25 +883,30 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             if trig is Trigger.NONE:
                 continue
             target = local_target_instances(inbound, config.params, st.mcl, st.base_n, old)
+            if target == old:
+                continue
             if target > old:
                 counts = [0] * len(svc_states)
                 counts[st.idx] = target - old
                 deploy(tuple(counts), now)
-                action = "deploy"
-            elif target < old:
-                if any(i.ready_at > now for i in st.insts):
-                    timeline.events.append(ScalingEvent(
-                        now, Policy.LOCAL, st.name, trig.value, "defer",
-                        f"hold {old} while warming"))
-                    continue
-                # The newest committed instances first.
-                victims = [i for i in reversed(st.insts) if not i.draining][:old - target]
-                retire(synthesize_removal([v.iid for v in victims], arch, registry), victims)
-                action = "undeploy"
-            else:
+                new = target
+            elif st.online(now) < old:
+                record(now, st.name, trig, "defer", f"hold {old} while warming")
                 continue
-            timeline.events.append(ScalingEvent(
-                now, Policy.LOCAL, st.name, trig.value, action, f"{old}->{target}"))
+            else:
+                # The newest committed instances that no live instance
+                # strongly requires; the others stay.
+                required = {provider for inst in registry.instances.values()
+                            for _, provider in inst.strong_bindings}
+                victims = [i for i in reversed(st.insts)
+                           if not i.draining and i.iid not in required][:old - target]
+                if victims:
+                    retire(synthesize_removal([v.iid for v in victims], arch, registry), victims)
+                new = old - len(victims)
+            if new != old:
+                record(now, st.name, trig, "deploy" if new > old else "undeploy", f"{old}->{new}")
+            if new > target:
+                record(now, st.name, trig, "defer", f"hold {new - target} strongly required")
 
     # Email bookkeeping, by email id: leaves yet to complete (this run's
     # own list) and arrival tick (``born``), both known before the first
@@ -987,20 +1002,11 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
             start_s = interval_start_tick // tps
             span_s = (tick + 1 - interval_start_tick) / tps
             interval_start_tick = tick + 1
-            # Per service, its committed instances and those of them online
-            # (started), and the capacity of the online ones, once per
-            # distinct online count.
-            committed, online = [], []
-            for st in svc_states:
-                n = up = 0
-                for i in st.insts:
-                    if not i.draining:
-                        n += 1
-                        if i.ready_at <= tick:
-                            up += 1
-                committed.append(n)
-                online.append(up)
-            counts, online = tuple(committed), tuple(online)
+            # Per service, its committed instances and those of them online,
+            # and the capacity of the online ones, once per distinct online
+            # count.
+            counts = tuple(st.committed for st in svc_states)
+            online = tuple(st.online(tick) for st in svc_states)
             cap_eps = capacities.get(online)
             if cap_eps is None:
                 cap = system_mcl(Configuration(online), table)

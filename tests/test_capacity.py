@@ -22,9 +22,17 @@ from archscale import (
     synthesize_scale_ladder,
     system_mcl,
 )
-from archscale.capacity import CapacityTable, ServiceCapacity, ceil_frac, is_infinite
+from archscale.capacity import (
+    CapacityTable,
+    ServiceCapacity,
+    canonical_vector,
+    ceil_frac,
+    format_rational,
+    is_infinite,
+)
 from archscale.document import parse_architecture_data
-from archscale.model import EmailProfile, MCLParams, MFKind, MFRule, ServiceType
+from archscale.model import INFINITE, EmailProfile, MCLParams, MFKind, MFRule, ServiceType
+from archscale.scaler import delta_vector_is_canonical
 
 from conftest import REFERENCE_COUNTS, SCALE_TARGETS
 
@@ -493,3 +501,29 @@ def test_service_without_requests_bounds_nothing(all_virus_arch):
     assert all(ladder.scale(ladder.num_scales).counts[[e.name for e in table].index(n)] == 0
                for n in idle)
     assert ladder.last_scale_covers_finite_services(table)
+
+
+@pytest.mark.parametrize("value,text", [
+    (INFINITE, "inf"),
+    (Fraction(7), "7"),
+    (Fraction(-5, 2), "-2.5"),
+    (Fraction(1, 3), "1/3"),
+    (Fraction(1, 2 ** 60), "1/1152921504606846976"),
+    (Fraction("0.123456789123456789"), "123456789123456789/1000000000000000000"),
+    (Fraction(10 ** 400), str(10 ** 400)),
+    (Fraction(10 ** 400 + 1, 2), f"{10 ** 400 + 1}/2"),
+    (Fraction(10 ** 400, 3), f"{10 ** 400}/3"),
+    (Fraction(1, 10 ** 400), f"1/{10 ** 400}"),
+])
+def test_format_rational_writes_text_that_reads_back(value, text):
+    assert format_rational(value) == text
+    if value != INFINITE:
+        assert Fraction(text) == value
+
+
+@given(height=st.integers(0, 10 ** 6), scales=st.integers(0, 8))
+def test_canonical_vector_stacks_height_deltas(height, scales):
+    vector = canonical_vector(height, scales)
+    assert delta_vector_is_canonical(vector)
+    assert len(vector) == scales
+    assert sum(vector) == (height if scales else 0)

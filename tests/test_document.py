@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from archscale import (
@@ -207,6 +207,41 @@ def test_round_trip_non_decimal_rational():
     assert arch.service("A").mcl_params.penalty_factor == Fraction(1, 3)
     again = parse_architecture(serialize_architecture(arch))
     assert again == arch
+
+
+def with_every_number(value):
+    """The minimal document's architecture with ``value`` in each rational
+    field the serializer writes."""
+    doc = minimal_doc()
+    a, b = doc["services"]
+    a["mcl"]["penalty_factor"] = a["mcl"]["data_rate_by_cores"]["2"] = value
+    b["mcl"]["explicit_mcl"] = b["mcl"]["attachments_per_request"] = value
+    doc["vm_catalog"][0].update(speed_per_core=value, cost=value)
+    doc["profile"].update(n_blocks=value, n_attachments=value, attachment_size=value,
+                          p_virus=value)
+    return parse_architecture_data(doc)
+
+
+# Any fraction, and the kinds whose float's text is often not themselves:
+# long decimal expansions and large powers of two in the denominator.
+rationals = st.one_of(
+    st.builds(lambda n, k: Fraction(n, 10 ** k), st.integers(-10 ** 40, 10 ** 40),
+              st.integers(0, 40)),
+    st.builds(lambda n, k: Fraction(n, 2 ** k), st.integers(-10 ** 6, 10 ** 6),
+              st.integers(0, 200)),
+    st.fractions())
+
+
+@example(Fraction(1, 2 ** 60))
+@example(Fraction("0.123456789123456789"))
+# Beyond the float range, above and below.
+@example(Fraction(10 ** 400 + 1, 2))
+@example(Fraction(-10 ** 400, 3))
+@example(Fraction(1, 10 ** 400))
+@given(value=rationals)
+def test_round_trip_is_exact_for_every_rational(value):
+    arch = with_every_number(value)
+    assert parse_architecture(serialize_architecture(arch)) == arch
 
 
 def test_validation_reference_is_clean(reference_arch):

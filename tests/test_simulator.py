@@ -1137,23 +1137,43 @@ def required_architectures(draw):
     })
 
 
-@settings(deadline=None, derandomize=True)
-@given(arch=required_architectures(),
-       increments=st.sampled_from([(15, 90), (15, 45, 90), (30, 60, 120)]),
-       rates=st.lists(st.sampled_from([5.0, 40.0, 90.0, 160.0, 250.0]), min_size=2, max_size=5),
-       period=st.integers(1, 3))
-def test_global_units_leave_no_dangling_binding(arch, increments, rates, period):
-    # Every level of the ladder is a multiple of 15 emails/s, so each delta
-    # adds an entry instance. Rates rise and fall across stack levels, one
-    # step every 4 s of a 1-tick-per-second run, a monitor every 1 to 3 s.
+# Step runs on a required architecture: rates rise and fall across stack
+# levels, one step every 4 s of a 1-tick-per-second run, a monitor every 1
+# to 3 s.
+step_runs = given(arch=required_architectures(),
+                  increments=st.sampled_from([(15, 90), (15, 45, 90), (30, 60, 120)]),
+                  rates=st.lists(st.sampled_from([5.0, 40.0, 90.0, 160.0, 250.0]),
+                                 min_size=2, max_size=5),
+                  period=st.integers(1, 3))
+
+
+def run_leaving_no_dangling_binding(arch, increments, rates, period, policy):
+    """The step run under ``policy``, asserting that no binding names a
+    destroyed instance after any apply. Every level of the ladder is a
+    multiple of 15 emails/s, so each delta adds an entry instance."""
     _, ladder = ladder_for(arch, base=15, increments=increments)
     cfg = SimConfig(duration=4 * len(rates) + 4, ticks_per_second=1, exact_arrivals=True,
                     workload=WorkloadSpec(Steps(tuple((4 * i, r) for i, r in enumerate(rates)))),
+                    policy=policy,
                     params=ScalerParams(K=Fraction(5), k=Fraction(5), monitoring_period=period))
     with dangling_bindings() as found:
         tl = run_simulation(arch, ladder, cfg)
     assert found == []
-    assert_deltas_canonical(tl)
+    return tl
+
+
+@settings(deadline=None, derandomize=True)
+@step_runs
+def test_global_units_leave_no_dangling_binding(arch, increments, rates, period):
+    assert_deltas_canonical(
+        run_leaving_no_dangling_binding(arch, increments, rates, period, Policy.GLOBAL))
+
+
+@settings(deadline=None, derandomize=True)
+@step_runs
+def test_local_scale_downs_leave_no_dangling_binding(arch, increments, rates, period):
+    # A scale-down keeps the instances a live instance strongly requires.
+    run_leaving_no_dangling_binding(arch, increments, rates, period, Policy.LOCAL)
 
 
 def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
@@ -1164,6 +1184,24 @@ def test_local_removals_leave_no_binding_to_a_removed_instance(reference_arch,
                     policy=Policy.LOCAL, params=ScalerParams(monitoring_period=5 * 30))
     tl = run_simulation(reference_arch, reference_ladder, cfg)
     assert any(e.action == "undeploy" and e.scope == "MessageAnalyser" for e in tl.events)
+    assert dangling == []
+
+
+def test_local_scale_down_holds_a_strongly_required_instance(reference_arch, reference_ladder,
+                                                            dangling):
+    # At seed 20, AttachmentManager's scale-down 2 -> 1 at tick 12749 finds
+    # both its instances strongly required, AttachmentManager-1 by
+    # VirusScanner-11, so it holds one. At tick 12899 VirusScanner's own
+    # scale-down removes VirusScanner-11 first, and AttachmentManager-1 goes.
+    cfg = SimConfig(duration=600 * 30, workload=WorkloadSpec(SURGE_STEPS, jitter=0.2), seed=20,
+                    policy=Policy.LOCAL, params=ScalerParams(monitoring_period=5 * 30))
+    tl = run_simulation(reference_arch, reference_ladder, cfg)
+    assert [(e.tick, e.action, e.detail) for e in tl.events
+            if e.scope == "AttachmentManager"] == [
+        (4949, "deploy", "1->2"),
+        (12749, "defer", "hold 1 strongly required"),
+        (12899, "undeploy", "2->1"),
+    ]
     assert dangling == []
 
 
