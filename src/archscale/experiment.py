@@ -410,31 +410,31 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every selected policy and write all artifacts under ``spec.output``.
-    The policies share one traffic draw and one compiled pipeline (see
-    ``simulator.compare_scope``)."""
-    from .simulator import compare_scope, run_simulation  # here: the set-up commands never simulate
+    The policies run on one architecture object with equal traffic fields,
+    so they share one traffic draw and one compiled pipeline (see
+    ``simulator.run_simulation``)."""
+    from .simulator import run_simulation  # here: the set-up commands never simulate
+
+    arch = load_architecture(spec.architecture)
+    table, ladder = build_reference_ladder(arch, spec)
+    peak_rate, peak_time_s = _workload_peak(spec)
 
     out = Path(spec.output)
     out.mkdir(parents=True, exist_ok=True)
-    arch = load_architecture(spec.architecture)
-    table, ladder = build_reference_ladder(arch, spec)
-
     (out / "capacity_table.txt").write_text(table.to_text(), encoding="utf-8")
     (out / "ladder.txt").write_text(ladder_to_text(ladder, table), encoding="utf-8")
 
-    peak_rate, peak_time_s = _workload_peak(spec)
     timelines: dict[str, MetricsTimeline] = {}
     summaries: dict[str, PolicySummary] = {}
-    with compare_scope():
-        for policy in spec.policies:
-            timeline = run_simulation(arch, ladder, spec.sim_config(policy))
-            timelines[policy] = timeline
-            metrics_path = out / f"metrics_{policy}.csv"
-            metrics_path.write_text(timeline.to_csv(), encoding="utf-8")
-            (out / f"events_{policy}.csv").write_text(timeline.events_to_csv(), encoding="utf-8")
-            rows = read_metrics_csv(metrics_path)
-            summaries[policy] = summarize_metrics_rows(
-                rows, policy, spec.ticks_per_second, peak_rate, peak_time_s)
+    for policy in spec.policies:
+        timeline = run_simulation(arch, ladder, spec.sim_config(policy))
+        timelines[policy] = timeline
+        metrics_path = out / f"metrics_{policy}.csv"
+        metrics_path.write_text(timeline.to_csv(), encoding="utf-8")
+        (out / f"events_{policy}.csv").write_text(timeline.events_to_csv(), encoding="utf-8")
+        rows = read_metrics_csv(metrics_path)
+        summaries[policy] = summarize_metrics_rows(
+            rows, policy, spec.ticks_per_second, peak_rate, peak_time_s)
 
     report = ComparisonReport(peak_rate_eps=peak_rate, peak_time_s=peak_time_s, summaries=summaries)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

@@ -132,7 +132,8 @@ class SystemArchitecture:
     pipeline: tuple[PipelineEdge, ...] = ()
 
     # The cached properties below are derived once per architecture; being
-    # no fields, they take no part in == and hash.
+    # no fields, they take no part in == and hash. Nor does the prepared run
+    # that ``simulator.run_simulation`` keeps in the same ``__dict__``.
 
     @cached_property
     def _service_indices(self) -> dict[str, int]:

@@ -223,15 +223,20 @@ def local_target_instances(
         raise ValueError("local scaling needs a finite positive mcl")
     try:
         mn, md = ratio(mcl)
-    except OverflowError:
-        if mcl < 0:  # minus infinity
-            raise ValueError("local scaling needs a finite positive mcl") from None
-        raise
+    except OverflowError:  # minus infinity: is_infinite caught plus infinity
+        raise ValueError("local scaling needs a finite positive mcl") from None
     if mn <= 0:
         raise ValueError("local scaling needs a finite positive mcl")
     if deployed < 0 or base_n < 0:
         raise ValueError("instance counts must be >= 0")
-    a, b = ratio(inbound)
+    try:
+        a, b = ratio(inbound)
+    except OverflowError:
+        if inbound < 0:  # minus infinity
+            raise ValueError("inbound rate must be >= 0") from None
+        raise
+    if a < 0:
+        raise ValueError("inbound rate must be >= 0")
     Kn, Kd = params.margin
     target = -(-(a * Kd + Kn * b) * md // (b * Kd * mn))
     return max(base_n, target)

@@ -5,10 +5,10 @@ per-tick arrival counts, the run's distinct email shapes and each email's
 index into them. This module neither splits the seed nor imports NumPy.
 The draw, each email's leaf count and arrival tick and the compiled routes
 depend only on the architecture and the traffic fields of the config, so
-they make one prepared run. Within one ``compare_scope`` (one
-``run_experiment``), the policies' runs of one architecture object and
-equal traffic fields share it: one draw and one compiled pipeline per
-compare. No run mutates it.
+they make one prepared run, kept on the architecture object: runs of one
+architecture object with equal traffic fields share it, so the policies of
+one compare (``run_experiment`` loads its own architecture) draw and compile
+once. A run with other traffic replaces it. No run mutates it.
 
 The run goes window by window. A window ends at the next tick at which the
 monitor fires or the interval rolls up, so it is at most a second long,
@@ -80,12 +80,10 @@ from __future__ import annotations
 
 import operator
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .capacity import (
     Configuration,
@@ -673,7 +671,6 @@ class _PreparedRun:
     leaves: list[int]  # per shape: the leaves of one email
     born: list[int]  # per email: its arrival tick
     entry: int
-    order: tuple[int, ...]  # the services' indices in pipeline order
     inlets: tuple[tuple[tuple, tuple], ...]
     leaf_services: tuple[tuple[int, Callable], ...]
 
@@ -699,51 +696,32 @@ def _prepare(arch: SystemArchitecture, config: SimConfig) -> _PreparedRun:
         leaves=[_leaves(routes, entry, P_EMAIL << 1, shape, {}) for shape in shapes],
         born=list(chain.from_iterable(map(repeat, range(config.duration), arrivals))),
         entry=entry,
-        order=arch.pipeline_order,
         inlets=tuple((tuple(early), tuple(late)) for early, late in inlets),
         leaf_services=tuple(leaf_services),
     )
 
 
-# The prepared runs of the open compare scope, each with the architecture
-# and the traffic fields it was made for; None outside any scope.
-_scope: ContextVar[Optional[list[tuple[SystemArchitecture, tuple, _PreparedRun]]]] = \
-    ContextVar("archscale_compare_scope", default=None)
-
-
-@contextmanager
-def compare_scope() -> Iterator[None]:
-    """Within the block, a run reuses the prepared run made by an earlier
-    run of the same architecture object (``is``, never ``==``) with equal
-    traffic fields (seed, workload, duration, tick rate, exact arrivals),
-    so the policies of one compare draw their traffic once. The block
-    forgets them all as it exits, raising or not; outside any block, every
-    run prepares its own."""
-    token = _scope.set([])
-    try:
-        yield
-    finally:
-        _scope.reset(token)
-
-
 def _prepared(arch: SystemArchitecture, config: SimConfig) -> _PreparedRun:
-    """The open scope's prepared run for ``arch`` and ``config``'s traffic,
-    made (and kept in the scope) if it has none."""
-    made = _scope.get()
-    if made is None:
-        return _prepare(arch, config)
+    """The prepared run kept on ``arch`` if it was made for ``config``'s
+    traffic fields (seed, workload, duration, tick rate, exact arrivals),
+    else a new one, kept in its place; the one it replaces is let go
+    before the new draw, so the architecture never holds two draws."""
     key = (config.seed, config.workload, config.duration, config.ticks_per_second,
            config.exact_arrivals)
-    for made_for, made_key, prepared in made:
-        if made_for is arch and made_key == key:
-            return prepared
-    prepared = _prepare(arch, config)
-    made.append((arch, key, prepared))
-    return prepared
+    attrs = arch.__dict__
+    if attrs.get("_prepared", (None,))[0] != key:
+        attrs.pop("_prepared", None)
+        attrs["_prepared"] = (key, _prepare(arch, config))
+    return attrs["_prepared"][1]
 
 
 def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimConfig) -> MetricsTimeline:
-    """Execute the pipeline under the configured workload and policy."""
+    """Execute the pipeline under the configured workload and policy.
+
+    The traffic drawn and the pipeline compiled for the run stay on ``arch``
+    until a run of other traffic replaces them, so a later run of this
+    object with equal traffic fields reads them instead of drawing anew.
+    A caller who keeps ``arch`` keeps that draw as well."""
     report = validate_architecture(arch)
     if not report.ok:
         raise SimulationError(
@@ -930,7 +908,7 @@ def run_simulation(arch: SystemArchitecture, ladder: ScaleLadder, config: SimCon
     is_global = config.policy == Policy.GLOBAL
     capacity = config.queue_capacity
     leaf_services = prepared.leaf_services
-    in_order = [svc_states[i] for i in prepared.order]
+    in_order = [svc_states[i] for i in arch.pipeline_order]
 
     # Window by window, each up to the next monitor or rollup tick, as only
     # those change the instances; within a window, service by service in

@@ -92,6 +92,8 @@ def _load_trace(path: str) -> tuple[tuple[int, float], ...]:
                     raise WorkloadError(f"{path}:{lineno}: malformed row {row!r}") from exc
                 if not math.isfinite(rate):
                     raise WorkloadError(f"{path}:{lineno}: rate must be finite, got {rate}")
+                if rate < 0:
+                    raise WorkloadError(f"{path}:{lineno}: rate must be at least 0, got {rate}")
                 if points and tick <= points[-1][0]:
                     raise WorkloadError(
                         f"{path}:{lineno}: trace ticks must strictly increase: "
@@ -123,8 +125,8 @@ def rate_curve(spec: WorkloadSpec, duration_ticks: int, ticks_per_second: int) -
         for start, rate in points:
             if not math.isfinite(rate):
                 raise WorkloadError(f"steps rate at tick {start} must be finite, got {rate}")
-        if any(r < 0 for _, r in points):
-            raise WorkloadError("rates must be >= 0")
+            if rate < 0:
+                raise WorkloadError(f"steps rate at tick {start} must be at least 0, got {rate}")
         rates = np.zeros(duration_ticks, dtype=np.float64)
         for i, (start, rate) in enumerate(points):
             end = points[i + 1][0] if i + 1 < len(points) else duration_ticks
@@ -198,8 +200,9 @@ def sample_email_batch(profile: EmailProfile, rng: np.random.Generator,
 def draw_traffic(config: SimConfig, profile: EmailProfile) -> tuple[list[int], list[Shape], list[int]]:
     """A run's per-tick arrival counts, its email shapes and each email's
     index into them. The seed's first child draws the arrivals and its
-    second the emails, so every policy sees the same traffic; within one
-    compare the policies share a single draw (``simulator.compare_scope``)."""
+    second the emails, so every policy sees the same traffic; runs of one
+    architecture object with equal traffic fields share a single draw
+    (``simulator.run_simulation``)."""
     import numpy as np
 
     arrival_seed, email_seed = np.random.SeedSequence(config.seed).spawn(2)

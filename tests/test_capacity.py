@@ -91,6 +91,11 @@ def test_mf_custom_expression_outside_the_grammar_errors(expr, message):
     assert str(err.value) == message
 
 
+def test_table_entry_of_an_unknown_service_raises(reference_table):
+    with pytest.raises(KeyError, match="NoSuchService"):
+        reference_table.entry("NoSuchService")
+
+
 def test_mf_matches_sampled_request_rates(reference_arch, reference_table):
     # Oracle: expected requests per service per email, measured over a large
     # email sample routed by hand along the reference pipeline.

@@ -148,6 +148,45 @@ def test_compare_refuses_a_single_policy(capsys, policy):
     assert f"argument --policy: invalid choice: '{policy}'" in capsys.readouterr().err
 
 
+def test_compare_of_a_one_policy_spec_runs_both(tmp_path):
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({
+        "architecture": str(reference_architecture_path()), "policies": ["local"],
+        "scenario": {"duration_s": 5, "exact_arrivals": True,
+                     "workload": {"kind": "steps", "points": [[0, 30]]}},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--spec", str(spec), "--out", str(out_dir)]) == 0
+    assert (out_dir / "metrics_global.csv").exists()
+    assert (out_dir / "metrics_local.csv").exists()
+
+
+def test_arch_option_overrides_the_spec(tmp_path, capsys):
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({
+        "architecture": str(tmp_path / "missing.json"), "policies": ["local"],
+        "scenario": {"duration_s": 5, "exact_arrivals": True,
+                     "workload": {"kind": "steps", "points": [[0, 30]]}},
+    }), encoding="utf-8")
+    assert main(["simulate", "--spec", str(spec), "--arch", str(reference_architecture_path()),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "local: generated=150" in capsys.readouterr().out
+
+
+def test_a_refused_rate_leaves_no_file(tmp_path, capsys):
+    # The workload is checked before the capacity table and ladder are
+    # written, so the refused compare leaves nothing behind.
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({
+        "architecture": str(reference_architecture_path()),
+        "scenario": {"duration_s": 60, "workload": {"kind": "steps", "points": [[0, 50], [30, -5]]}},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--spec", str(spec), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: steps rate at tick 30 must be at least 0, got -5.0\n"
+    assert not out_dir.exists()
+
+
 def test_cli_error_is_nonzero(tmp_path, capsys):
     assert main(["simulate", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err
@@ -212,6 +251,16 @@ def test_cold_commands_never_import_numpy():
     assert done.returncode == 0, done.stderr
     direct = generate_arrivals(WorkloadSpec(Steps(((0, 40.0), (150, 90.0)))), 3, 300, 30)
     assert json.loads(done.stdout) == direct.tolist()
+
+
+def test_package_refuses_an_unknown_name_and_lists_its_exports():
+    import archscale
+    with pytest.raises(AttributeError) as err:
+        archscale.no_such_name
+    assert str(err.value) == "module 'archscale' has no attribute 'no_such_name'"
+    names = dir(archscale)
+    assert names == sorted(names)
+    assert {*archscale.__all__, "__version__"} <= set(names)
 
 
 LAZY_START = """

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from archscale import (
     CycleError,
     ParseError,
+    multiplicative_factor,
     parse_architecture,
     serialize_architecture,
     validate_architecture,
@@ -207,6 +208,15 @@ def test_round_trip_non_decimal_rational():
     assert arch.service("A").mcl_params.penalty_factor == Fraction(1, 3)
     again = parse_architecture(serialize_architecture(arch))
     assert again == arch
+
+
+def test_custom_rule_with_unary_minus_round_trips_and_evaluates():
+    doc = minimal_doc()
+    doc["services"][0]["mf_rule"] = {"custom": "-p_virus + 1"}
+    arch = parse_architecture_data(doc)
+    assert architecture_to_data(arch)["services"][0]["mf_rule"] == {"custom": "-p_virus + 1"}
+    assert parse_architecture(serialize_architecture(arch)) == arch
+    assert multiplicative_factor(arch.service("A"), arch.profile) == Fraction(3, 4)
 
 
 def with_every_number(value):

@@ -416,9 +416,22 @@ def test_decrement_speed_formula():
     decrements = [a for a in orch.actions if isinstance(a, DecrementSpeed)]
     assert len(decrements) == 1
     assert decrements[0].amount == 10
+    assert orchestration_to_script(orch).splitlines()[-1] == "decrement-speed vm-0 10"
     vm = registry.vms[orch.acquired_vm_ids()[0]]
     assert vm.speed == 30
     assert validate_orchestration_timing(orch, arch) == []
+
+
+def test_created_ids_and_registry_counts(chain_arch):
+    registry, orch = bootstrap(chain_arch, {"Front": 1, "Mid": 2, "Back": 1, "Side": 1})
+    assert registry.counts() == {"Front": 1, "Mid": 2, "Back": 1, "Side": 1}
+    # In creation order: each after the providers of its strong requirements.
+    assert orch.created_instance_ids() == ("Back-0", "Side-0", "Mid-0", "Mid-1", "Front-0")
+    orch = synthesize_orchestration(plan_placement({"Back": 2}, chain_arch, chain_arch.vm_catalog),
+                                    chain_arch, registry)
+    registry.apply(orch)
+    assert orch.created_instance_ids() == ("Back-1", "Back-2")
+    assert registry.counts() == {"Front": 1, "Mid": 2, "Back": 3, "Side": 1}
 
 
 def test_unsatisfiable_strong_requirement_names_instance(chain_arch):
@@ -465,6 +478,8 @@ def test_undeploy_is_exact_inverse(chain_arch):
     kinds = [type(a) for a in undeploy.actions]
     assert kinds == sorted(kinds, key=[UnbindWeak, DestroyInstance, ReleaseVM].index)
     assert not any(isinstance(a, SetOverallStartup) for a in undeploy.actions)
+    assert orch.startup_ticks > 0
+    assert undeploy.startup_ticks == 0
     registry.apply(undeploy)
     assert registry.state_hash() == h0
 

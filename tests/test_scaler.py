@@ -450,6 +450,14 @@ def test_local_target_rejects_infinite():
         local_target_instances(Fraction(10), PARAMS, INFINITE, 1, 1)
 
 
+@pytest.mark.parametrize("inbound", [Fraction(-5), -1, -0.5, float("-inf")])
+def test_local_target_rejects_a_negative_rate(inbound):
+    # Else -5 emails/s asked for 2 instances of a service of MCL 10.
+    with pytest.raises(ValueError) as err:
+        local_target_instances(inbound, ScalerParams(), Fraction(10), 1, 1)
+    assert str(err.value) == "inbound rate must be >= 0"
+
+
 @settings(max_examples=200, derandomize=True)
 @given(inbound=st.integers(0, 3000), base_n=st.integers(1, 4))
 def test_local_never_below_base(inbound, base_n):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import re
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,6 +28,7 @@ from archscale import (
 from archscale.cli import reference_architecture_path
 from archscale.document import parse_architecture_data
 from archscale.model import PipelineEdge
+from archscale import simulator
 from archscale.planner import DeploymentRegistry
 from archscale.scaler import delta_vector_is_canonical
 from archscale.simulator import (
@@ -39,7 +41,6 @@ from archscale.simulator import (
     _leaves,
     FORWARD,
     _service_routes,
-    compare_scope,
     process_window,
 )
 from archscale.workload import Diurnal
@@ -766,11 +767,13 @@ def test_conservation_under_overload(reference_arch, reference_ladder):
     assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
 
 
-def test_determinism_bit_identical(reference_arch, reference_ladder):
+def test_determinism_bit_identical(reference_ladder, draws):
+    # Each run on its own architecture object, so each draws its traffic.
     cfg = SimConfig(duration=60 * 30, workload=WorkloadSpec(Diurnal(40, 200, 60)),
                     seed=21, policy=Policy.LOCAL)
-    a = run_simulation(reference_arch, reference_ladder, cfg)
-    b = run_simulation(reference_arch, reference_ladder, cfg)
+    a = run_simulation(load_architecture(reference_architecture_path()), reference_ladder, cfg)
+    b = run_simulation(load_architecture(reference_architecture_path()), reference_ladder, cfg)
+    assert draws == {"generate_arrivals": 2, "sample_email_batch": 2}
     assert a.to_csv() == b.to_csv()
     assert a.events_to_csv() == b.events_to_csv()
 
@@ -1220,21 +1223,43 @@ def test_services_without_requests_do_not_block_either_policy(all_virus_arch):
         assert tl.generated == tl.completed + tl.lost + tl.in_flight_end
 
 
-def test_a_scope_shares_only_the_same_architecture_and_traffic(reference_arch,
-                                                               reference_ladder, draws):
+def test_a_scope_shares_only_the_same_architecture_and_traffic(reference_ladder, draws):
+    # A freshly loaded architecture, which holds no prepared run yet.
+    arch = load_architecture(reference_architecture_path())
     config = SimConfig(duration=20 * 30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=5,
                        exact_arrivals=True)
-    with compare_scope():
-        first = run_simulation(reference_arch, reference_ladder, config)
-        # Another policy and queue: the same traffic, drawn once.
-        run_simulation(reference_arch, reference_ladder,
-                       dataclasses.replace(config, policy=Policy.LOCAL, queue_capacity=40))
-        assert draws == {"generate_arrivals": 1, "sample_email_batch": 1}
-        # An equal architecture that is another object, then another seed.
-        again = run_simulation(load_architecture(reference_architecture_path()),
-                               reference_ladder, config)
-        run_simulation(reference_arch, reference_ladder, dataclasses.replace(config, seed=6))
-        assert draws == {"generate_arrivals": 3, "sample_email_batch": 3}
+    first = run_simulation(arch, reference_ladder, config)
+    # Another policy and queue: the same traffic, drawn once.
+    run_simulation(arch, reference_ladder,
+                   dataclasses.replace(config, policy=Policy.LOCAL, queue_capacity=40))
+    assert draws == {"generate_arrivals": 1, "sample_email_batch": 1}
+    # An equal architecture that is another object, then another seed.
+    again = run_simulation(load_architecture(reference_architecture_path()),
+                           reference_ladder, config)
+    run_simulation(arch, reference_ladder, dataclasses.replace(config, seed=6))
+    assert draws == {"generate_arrivals": 3, "sample_email_batch": 3}
     assert again.to_csv() == first.to_csv()
-    run_simulation(reference_arch, reference_ladder, config)
+    # The other seed replaced the kept run: the first traffic draws anew.
+    run_simulation(arch, reference_ladder, config)
     assert draws == {"generate_arrivals": 4, "sample_email_batch": 4}
+
+
+def test_other_traffic_lets_the_kept_run_go_before_drawing(reference_ladder, monkeypatch):
+    # Else a sweep of seeds on one architecture held two draws at its peak.
+    made, alive = [], []
+    prepare = simulator._prepare
+
+    def watched(arch, config):
+        alive.append([ref() is not None for ref in made])
+        prepared = prepare(arch, config)
+        made.append(weakref.ref(prepared))
+        return prepared
+
+    monkeypatch.setattr(simulator, "_prepare", watched)
+    arch = load_architecture(reference_architecture_path())
+    config = SimConfig(duration=10 * 30, workload=WorkloadSpec(Steps(((0, 50.0),))), seed=5,
+                       exact_arrivals=True)
+    for seed in (5, 5, 6, 7):
+        run_simulation(arch, reference_ladder, dataclasses.replace(config, seed=seed))
+    assert alive == [[], [False], [False, False]]
+    assert made[-1]() is not None

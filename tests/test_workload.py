@@ -154,8 +154,20 @@ def test_unknown_workload_kind_rejected():
 
 
 def test_negative_rate_rejected():
-    with pytest.raises(WorkloadError):
+    with pytest.raises(WorkloadError) as err:
         rate_curve(WorkloadSpec(Steps(((0, -5.0),))), 10, 30)
+    assert str(err.value) == "steps rate at tick 0 must be at least 0, got -5.0"
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(Steps(((0, 5.0), (30, -0.5)))), 60, 30)
+    assert str(err.value) == "steps rate at tick 30 must be at least 0, got -0.5"
+
+
+def test_trace_negative_rate_rejected(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("tick,rate\n0,5\n30,-5\n", encoding="utf-8")
+    with pytest.raises(WorkloadError) as err:
+        rate_curve(WorkloadSpec(Trace(str(trace))), 60, 30)
+    assert str(err.value) == f"{trace}:3: rate must be at least 0, got -5.0"
 
 
 def test_jitter_bound_validated():
