@@ -1,6 +1,7 @@
 """Architecture document parsing, validation and round-tripping."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import networkx as nx
@@ -379,3 +380,38 @@ def test_every_violation_names_one_field_and_invariant():
 def test_serializer_inverse_of_parser_on_data(reference_arch):
     data = architecture_to_data(reference_arch)
     assert parse_architecture_data(data) == reference_arch
+
+
+def every_optional_form():
+    """An architecture read from a document that uses each optional form:
+    an explicit MCL, a custom rule, edges with ``when``, a number with no
+    finite decimal form, and keys left out of every block."""
+    return parse_architecture_data({
+        "services": [
+            {"name": "A", "cost": {"Cores": 2},
+             "mcl": {"explicit_mcl": "1/3", "data_rate_by_cores": {"4": 12.5, "2": 7}}},
+            {"name": "B", "provide": 3, "sig": ["A"], "weak_requires": ["C"],
+             "mf_rule": {"custom": "n_attachments * (1 - p_virus)"}},
+            {"name": "C", "cost": {"Memory": 64}, "mf_rule": "per_clean_attachment"},
+        ],
+        "vm_catalog": [{"name": "bare"},
+                       {"name": "big", "cores": 16, "speed_per_core": "2/3", "cost": 4.5}],
+        "pipeline": [{"from": "A", "to": "B", "part": "attachment", "when": "infected"},
+                     {"from": "A", "to": "C", "part": "attachment", "when": "clean"},
+                     {"from": "B", "to": "C", "part": "report"}],
+    })
+
+
+# The SHA-256 of the text ``serialize_architecture`` writes: its key order,
+# indentation and number forms are part of the format.
+SERIALIZED_DIGESTS = {
+    "reference": "a8d78196ce13e639d33cfea48567b3e6a7cf167936ad414a65fb927ed5b8b357",
+    "every_optional_form": "48b02ede542e69a2bd551f432f85b712a91638f1515f52505d400cb0292e9cd7",
+}
+
+
+def test_serialized_bytes_unchanged(reference_arch):
+    texts = {"reference": serialize_architecture(reference_arch),
+             "every_optional_form": serialize_architecture(every_optional_form())}
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()} == SERIALIZED_DIGESTS
