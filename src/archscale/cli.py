@@ -14,10 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .capacity import build_capacity_table, ladder_to_text, synthesize_scale_ladder
-from .document import ParseError, load_architecture
+from .document import load_architecture
 from .experiment import (
     DEFAULT_INCREMENTS,
-    ExperimentError,
     ExperimentSpec,
     load_experiment_spec,
     run_experiment,
@@ -223,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ExperimentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, ExperimentError, SimulationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,13 @@ blocks use the field names ``provide``, ``cost.Cores``, ``cost.Memory``,
 the full reference.  The parser is strict: unknown keys are rejected, every
 cross-reference must resolve, and strong dependencies must be acyclic.
 
+Each block of the format (a service with its ``cost`` and ``mcl``, a VM
+type, the profile, a pipeline edge) is one tuple of ``_Row``s: a row names a
+document key, the model field it fills, how its value is read and written,
+and what the key reads as when it is left out. The parser, its unknown-key
+check and ``architecture_to_data`` all read the rows, so the rows are the
+format's one definition.
+
 Numbers are read into exact rationals.  JSON literals like ``2.5`` parse to
 ``Fraction(5, 2)``, and strings like ``"1/3"`` to the rational they name.
 A number is written with ``capacity.format_rational``'s text: an integer,
@@ -17,10 +24,11 @@ or beyond the float range), so a written document reads back exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .capacity import format_rational
 from .model import (
@@ -92,7 +100,7 @@ def _entry(block: Any, listname: str, index: int, *keys: str) -> str:
     return f"{listname}[{' -> '.join(str(block.get(k, '?')) for k in keys)}]"
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+def _check_keys(block: dict, allowed: set[str] | frozenset[str], where: str) -> None:
     if not isinstance(block, dict):
         raise ParseError(f"{where}: expected an object")
     unknown = set(block) - allowed
@@ -100,16 +108,41 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-_SERVICE_KEYS = {"name", "provide", "cost", "sig", "weak_requires", "mcl", "mf_rule"}
-_MCL_KEYS = {"attachments_per_request", "penalty_factor", "data_rate_by_cores", "explicit_mcl"}
-_VM_KEYS = {"name", "cores", "memory", "speed_per_core", "startup_time", "cost"}
-_PROFILE_KEYS = {"n_blocks", "n_attachments", "attachment_size", "p_virus",
-                 "block_count_support", "attachment_count_support"}
-_EDGE_KEYS = {"from", "to", "part", "when"}
+def _emit_number(frac: Fraction):
+    """``frac`` as the JSON value written as ``format_rational``'s text: a
+    number when that text is one, else the string ``"p/q"``."""
+    text = format_rational(frac)
+    return text if "/" in text else json.loads(text)
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+def _as_optional_fraction(value: Any, where: str) -> Fraction | None:
+    return None if value is None else _as_fraction(value, where)
+
+
+def _as_names(value: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of service names")
+    return tuple(_as_str(s, f"{where}[]") for s in value)
+
+
+def _as_rates(value: Any, where: str) -> dict[int, Fraction]:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object")
+    return {_as_int(k, f"{where} key"): _as_fraction(v, f"{where}[{k}]") for k, v in value.items()}
+
+
+def _emit_rates(rates: dict[int, Fraction]) -> dict[str, Any]:
+    return {str(k): _emit_number(v) for k, v in sorted(rates.items())}
+
+
 _MF_NAMES = {r.value: r for r in MFKind if r is not MFKind.CUSTOM}
 
 
-def _parse_mf_rule(value: Any, where: str) -> MFRule:
+def _as_mf_rule(value: Any, where: str) -> MFRule:
     if isinstance(value, str):
         if value not in _MF_NAMES:
             raise ParseError(f"{where}: unknown mf_rule {value!r} "
@@ -121,104 +154,145 @@ def _parse_mf_rule(value: Any, where: str) -> MFRule:
     return MFRule(MFKind.CUSTOM, _as_str(value["custom"], f"{where}.custom"))
 
 
-def _parse_service(block: Any, index: int) -> ServiceType:
-    where = _entry(block, "services", index, "name")
-    _check_keys(block, _SERVICE_KEYS, where)
-    name = _as_str(block.get("name"), f"{where}.name")
-    cost = block.get("cost", {})
-    _check_keys(cost, {"Cores", "Memory"}, f"{where}.cost")
-    mcl_block = block.get("mcl", {})
-    _check_keys(mcl_block, _MCL_KEYS, f"{where}.mcl")
-    rates_raw = mcl_block.get("data_rate_by_cores", {})
-    if not isinstance(rates_raw, dict):
-        raise ParseError(f"{where}.mcl.data_rate_by_cores: expected an object")
-    rates = {
-        _as_int(k, f"{where}.mcl.data_rate_by_cores key"): _as_fraction(v, f"{where}.mcl.data_rate_by_cores[{k}]")
-        for k, v in rates_raw.items()
-    }
-    explicit = mcl_block.get("explicit_mcl")
-    params = MCLParams(
-        attachments_per_request=_as_fraction(
-            mcl_block.get("attachments_per_request", 0), f"{where}.mcl.attachments_per_request"),
-        penalty_factor=_as_fraction(mcl_block.get("penalty_factor", 0), f"{where}.mcl.penalty_factor"),
-        data_rate_by_cores=rates,
-        explicit_mcl=None if explicit is None else _as_fraction(explicit, f"{where}.mcl.explicit_mcl"),
-    )
-    sig = block.get("sig", [])
-    weak = block.get("weak_requires", [])
-    for lst, label in ((sig, "sig"), (weak, "weak_requires")):
-        if not isinstance(lst, list):
-            raise ParseError(f"{where}.{label}: expected a list of service names")
-    return ServiceType(
-        name=name,
-        cores_required=_as_int(cost.get("Cores", 1), f"{where}.cost.Cores"),
-        memory_required=_as_int(cost.get("Memory", 0), f"{where}.cost.Memory"),
-        strong_requires=tuple(_as_str(s, f"{where}.sig[]") for s in sig),
-        weak_requires=tuple(_as_str(s, f"{where}.weak_requires[]") for s in weak),
-        provide_capacity=_as_int(block.get("provide", -1), f"{where}.provide"),
-        mcl_params=params,
-        mf_rule=_parse_mf_rule(block.get("mf_rule", "unit"), f"{where}.mf_rule"),
-    )
+def _emit_mf_rule(rule: MFRule) -> Any:
+    return {"custom": rule.expression} if rule.kind is MFKind.CUSTOM else rule.kind.value
 
 
-def _parse_vm(block: Any, index: int) -> VMType:
-    where = _entry(block, "vm_catalog", index, "name")
-    _check_keys(block, _VM_KEYS, where)
-    return VMType(
-        name=_as_str(block.get("name"), f"{where}.name"),
-        cores=_as_int(block.get("cores", 1), f"{where}.cores"),
-        memory=_as_int(block.get("memory", 0), f"{where}.memory"),
-        speed_per_core=_as_fraction(block.get("speed_per_core", 1), f"{where}.speed_per_core"),
-        startup_time=_as_int(block.get("startup_time", 0), f"{where}.startup_time"),
-        cost=_as_fraction(block.get("cost", 1), f"{where}.cost"),
-    )
+def _as_mcl(value: Any, where: str) -> MCLParams:
+    return MCLParams(**_read(value, _MCL, where))
 
 
-def _parse_support(value: Any, where: str) -> tuple[int, int]:
+def _emit_mcl(params: MCLParams) -> dict[str, Any]:
+    return _write(params, _MCL)
+
+
+def _as_support(value: Any, where: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected [lo, hi]")
     return (_as_int(value[0], f"{where}[0]"), _as_int(value[1], f"{where}[1]"))
 
 
-def _parse_profile(block: dict) -> EmailProfile:
-    _check_keys(block, _PROFILE_KEYS, "profile")
-    defaults = EmailProfile()
-    return EmailProfile(
-        n_blocks=_as_fraction(block.get("n_blocks", defaults.n_blocks), "profile.n_blocks"),
-        n_attachments=_as_fraction(block.get("n_attachments", defaults.n_attachments), "profile.n_attachments"),
-        attachment_size=_as_fraction(block.get("attachment_size", defaults.attachment_size), "profile.attachment_size"),
-        p_virus=_as_fraction(block.get("p_virus", defaults.p_virus), "profile.p_virus"),
-        block_count_support=(_parse_support(block["block_count_support"], "profile.block_count_support")
-                             if "block_count_support" in block else defaults.block_count_support),
-        attachment_count_support=(_parse_support(block["attachment_count_support"], "profile.attachment_count_support")
-                                  if "attachment_count_support" in block else defaults.attachment_count_support),
-    )
-
-
-def _parse_edge(block: Any, index: int) -> PipelineEdge:
-    where = _entry(block, "pipeline", index, "from", "to")
-    _check_keys(block, _EDGE_KEYS, where)
-    part = _as_str(block.get("part"), f"{where}.part")
+def _as_part(value: Any, where: str) -> str:
+    part = _as_str(value, where)
     if part not in PART_KINDS:
-        raise ParseError(f"{where}.part: unknown part kind {part!r}")
-    when = block.get("when")
-    if when is not None and when not in ("clean", "infected"):
-        raise ParseError(f"{where}.when: expected 'clean' or 'infected'")
-    return PipelineEdge(
-        src=_as_str(block.get("from"), f"{where}.from"),
-        dst=_as_str(block.get("to"), f"{where}.to"),
-        part=part,
-        when=when,
-    )
+        raise ParseError(f"{where}: unknown part kind {part!r}")
+    return part
+
+
+def _as_when(value: Any, where: str) -> str | None:
+    if value is not None and value not in ("clean", "infected"):
+        raise ParseError(f"{where}: expected 'clean' or 'infected'")
+    return value
+
+
+#: A row's default that leaves a left-out key to the model's own default.
+_MODEL = object()
+
+
+class _Row(NamedTuple):
+    """One key of a block. ``key`` is its path in the block: ``a.b`` is key
+    ``b`` of the object under key ``a``. ``read(value, where)`` turns the
+    key's value into the model's ``field``, and ``write`` turns the field
+    back into the value; a field that holds None is not written. A left-out
+    key reads as ``default`` (None where the key must be given), or takes
+    the model's default where that is ``_MODEL``."""
+
+    key: str
+    field: str
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+    default: Any
+
+
+_MCL = (
+    _Row("attachments_per_request", "attachments_per_request", _as_fraction, _emit_number, _MODEL),
+    _Row("penalty_factor", "penalty_factor", _as_fraction, _emit_number, _MODEL),
+    _Row("data_rate_by_cores", "data_rate_by_cores", _as_rates, _emit_rates, _MODEL),
+    _Row("explicit_mcl", "explicit_mcl", _as_optional_fraction, _emit_number, _MODEL),
+)
+_SERVICE = (
+    _Row("name", "name", _as_str, _as_is, None),
+    _Row("provide", "provide_capacity", _as_int, _as_is, _MODEL),
+    _Row("cost.Cores", "cores_required", _as_int, _as_is, 1),
+    _Row("cost.Memory", "memory_required", _as_int, _as_is, 0),
+    _Row("sig", "strong_requires", _as_names, list, _MODEL),
+    _Row("weak_requires", "weak_requires", _as_names, list, _MODEL),
+    _Row("mcl", "mcl_params", _as_mcl, _emit_mcl, _MODEL),
+    _Row("mf_rule", "mf_rule", _as_mf_rule, _emit_mf_rule, _MODEL),
+)
+_VM = (
+    _Row("name", "name", _as_str, _as_is, None),
+    _Row("cores", "cores", _as_int, _as_is, 1),
+    _Row("memory", "memory", _as_int, _as_is, 0),
+    _Row("speed_per_core", "speed_per_core", _as_fraction, _emit_number, 1),
+    _Row("startup_time", "startup_time", _as_int, _as_is, 0),
+    _Row("cost", "cost", _as_fraction, _emit_number, 1),
+)
+_PROFILE = (
+    _Row("n_blocks", "n_blocks", _as_fraction, _emit_number, _MODEL),
+    _Row("n_attachments", "n_attachments", _as_fraction, _emit_number, _MODEL),
+    _Row("attachment_size", "attachment_size", _as_fraction, _emit_number, _MODEL),
+    _Row("p_virus", "p_virus", _as_fraction, _emit_number, _MODEL),
+    _Row("block_count_support", "block_count_support", _as_support, list, _MODEL),
+    _Row("attachment_count_support", "attachment_count_support", _as_support, list, _MODEL),
+)
+_EDGE = (
+    _Row("from", "src", _as_str, _as_is, None),
+    _Row("to", "dst", _as_str, _as_is, None),
+    _Row("part", "part", _as_part, _as_is, None),
+    _Row("when", "when", _as_when, _as_is, _MODEL),
+)
+
+
+@functools.cache
+def _keys(rows: tuple[_Row, ...], outer: str) -> frozenset[str]:
+    """The keys that ``rows`` name in the object at path ``outer`` ("" for
+    the block itself)."""
+    prefix = outer + "." if outer else ""
+    return frozenset(row.key[len(prefix):].partition(".")[0] for row in rows if row.key.startswith(prefix))
+
+
+def _read(block: Any, rows: tuple[_Row, ...], where: str) -> dict[str, Any]:
+    """The model fields that ``rows`` read from ``block``, by field name.
+    Refuses a block that is not an object or holds a key no row names."""
+    _check_keys(block, _keys(rows, ""), where)
+    objects = {"": block}
+    fields: dict[str, Any] = {}
+    for row in rows:
+        outer, _, key = row.key.rpartition(".")
+        if outer not in objects:
+            objects[outer] = block.get(outer, {})
+            _check_keys(objects[outer], _keys(rows, outer), f"{where}.{outer}")
+        if key in objects[outer] or row.default is not _MODEL:
+            fields[row.field] = row.read(objects[outer].get(key, row.default), f"{where}.{row.key}")
+    return fields
+
+
+def _write(obj: Any, rows: tuple[_Row, ...]) -> dict[str, Any]:
+    """The block that ``rows`` write for the model object ``obj``."""
+    block: dict[str, Any] = {}
+    for row in rows:
+        value = getattr(obj, row.field)
+        if value is not None:
+            outer, _, key = row.key.rpartition(".")
+            (block.setdefault(outer, {}) if outer else block)[key] = row.write(value)
+    return block
+
+
+def _read_list(data: dict, listname: str, model: type, rows: tuple[_Row, ...], *name_keys: str) -> tuple:
+    """The entries of the list ``listname``, each read through ``rows`` into
+    a ``model``; errors name an entry by its ``name_keys`` (see ``_entry``)."""
+    entries = data.get(listname, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{listname}: expected a list")
+    return tuple(model(**_read(b, rows, _entry(b, listname, i, *name_keys)))
+                 for i, b in enumerate(entries))
 
 
 def parse_architecture_data(data: Any) -> SystemArchitecture:
     """Build a fully resolved architecture from already-decoded JSON data."""
     _check_keys(data, {"services", "vm_catalog", "profile", "pipeline"}, "document")
-    raw_services = data.get("services", [])
-    if not isinstance(raw_services, list):
-        raise ParseError("services: expected a list")
-    services = tuple(_parse_service(b, i) for i, b in enumerate(raw_services))
+    services = _read_list(data, "services", ServiceType, _SERVICE, "name")
 
     names = [s.name for s in services]
     dupes = {n for n in names if names.count(n) > 1}
@@ -236,20 +310,14 @@ def parse_architecture_data(data: Any) -> SystemArchitecture:
     if cycle is not None:
         raise CycleError(cycle)
 
-    raw_vms = data.get("vm_catalog", [])
-    if not isinstance(raw_vms, list):
-        raise ParseError("vm_catalog: expected a list")
-    vms = tuple(_parse_vm(b, i) for i, b in enumerate(raw_vms))
+    vms = _read_list(data, "vm_catalog", VMType, _VM, "name")
     vm_names = [v.name for v in vms]
     if len(set(vm_names)) != len(vm_names):
         raise ParseError("duplicate VM type names in vm_catalog")
 
-    profile = _parse_profile(data.get("profile", {}))
+    profile = EmailProfile(**_read(data.get("profile", {}), _PROFILE, "profile"))
 
-    raw_edges = data.get("pipeline", [])
-    if not isinstance(raw_edges, list):
-        raise ParseError("pipeline: expected a list")
-    edges = tuple(_parse_edge(b, i) for i, b in enumerate(raw_edges))
+    edges = _read_list(data, "pipeline", PipelineEdge, _EDGE, "from", "to")
     for edge in edges:
         for end, label in ((edge.src, "from"), (edge.dst, "to")):
             if end not in declared:
@@ -272,63 +340,14 @@ def load_architecture(path) -> SystemArchitecture:
         return parse_architecture(fh.read())
 
 
-def _emit_number(frac: Fraction):
-    """``frac`` as the JSON value written as ``format_rational``'s text: a
-    number when that text is one, else the string ``"p/q"``."""
-    text = format_rational(frac)
-    return text if "/" in text else json.loads(text)
-
-
 def architecture_to_data(arch: SystemArchitecture) -> dict:
     """Inverse of :func:`parse_architecture_data`: every number reads back
     as itself (see ``_emit_number``), so the data parses to an equal
     architecture."""
-    services = []
-    for svc in arch.services:
-        p = svc.mcl_params
-        mcl: dict[str, Any] = {
-            "attachments_per_request": _emit_number(p.attachments_per_request),
-            "penalty_factor": _emit_number(p.penalty_factor),
-            "data_rate_by_cores": {str(k): _emit_number(v) for k, v in sorted(p.data_rate_by_cores.items())},
-        }
-        if p.explicit_mcl is not None:
-            mcl["explicit_mcl"] = _emit_number(p.explicit_mcl)
-        rule: Any = svc.mf_rule.kind.value
-        if svc.mf_rule.kind is MFKind.CUSTOM:
-            rule = {"custom": svc.mf_rule.expression}
-        services.append({
-            "name": svc.name,
-            "provide": svc.provide_capacity,
-            "cost": {"Cores": svc.cores_required, "Memory": svc.memory_required},
-            "sig": list(svc.strong_requires),
-            "weak_requires": list(svc.weak_requires),
-            "mcl": mcl,
-            "mf_rule": rule,
-        })
-    vms = [{
-        "name": vm.name,
-        "cores": vm.cores,
-        "memory": vm.memory,
-        "speed_per_core": _emit_number(vm.speed_per_core),
-        "startup_time": vm.startup_time,
-        "cost": _emit_number(vm.cost),
-    } for vm in arch.vm_catalog]
-    prof = arch.profile
-    profile = {
-        "n_blocks": _emit_number(prof.n_blocks),
-        "n_attachments": _emit_number(prof.n_attachments),
-        "attachment_size": _emit_number(prof.attachment_size),
-        "p_virus": _emit_number(prof.p_virus),
-        "block_count_support": list(prof.block_count_support),
-        "attachment_count_support": list(prof.attachment_count_support),
-    }
-    pipeline = []
-    for e in arch.pipeline:
-        block = {"from": e.src, "to": e.dst, "part": e.part}
-        if e.when is not None:
-            block["when"] = e.when
-        pipeline.append(block)
-    return {"services": services, "vm_catalog": vms, "profile": profile, "pipeline": pipeline}
+    return {"services": [_write(svc, _SERVICE) for svc in arch.services],
+            "vm_catalog": [_write(vm, _VM) for vm in arch.vm_catalog],
+            "profile": _write(arch.profile, _PROFILE),
+            "pipeline": [_write(edge, _EDGE) for edge in arch.pipeline]}
 
 
 def serialize_architecture(arch: SystemArchitecture) -> str:

@@ -412,23 +412,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every selected policy and write all artifacts under ``spec.output``.
     The policies run on one architecture object with equal traffic fields,
     so they share one traffic draw and one compiled pipeline (see
-    ``simulator.run_simulation``)."""
+    ``simulator.run_simulation``). Every policy runs before the output
+    directory is made, so a run that refuses its inputs leaves no file."""
     from .simulator import run_simulation  # here: the set-up commands never simulate
 
     arch = load_architecture(spec.architecture)
     table, ladder = build_reference_ladder(arch, spec)
     peak_rate, peak_time_s = _workload_peak(spec)
+    timelines: dict[str, MetricsTimeline] = {
+        policy: run_simulation(arch, ladder, spec.sim_config(policy)) for policy in spec.policies}
 
     out = Path(spec.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "capacity_table.txt").write_text(table.to_text(), encoding="utf-8")
     (out / "ladder.txt").write_text(ladder_to_text(ladder, table), encoding="utf-8")
 
-    timelines: dict[str, MetricsTimeline] = {}
     summaries: dict[str, PolicySummary] = {}
-    for policy in spec.policies:
-        timeline = run_simulation(arch, ladder, spec.sim_config(policy))
-        timelines[policy] = timeline
+    for policy, timeline in timelines.items():
         metrics_path = out / f"metrics_{policy}.csv"
         metrics_path.write_text(timeline.to_csv(), encoding="utf-8")
         (out / f"events_{policy}.csv").write_text(timeline.events_to_csv(), encoding="utf-8")

@@ -293,6 +293,8 @@ def validate_architecture(arch: SystemArchitecture) -> ValidationReport:
         vm_names.add(vm.name)
         if vm.cores < 1:
             report.add(owner, "cores", "must be >= 1")
+        if vm.memory < 0:
+            report.add(owner, "memory", "must be >= 0")
         if vm.speed_per_core <= 0:
             report.add(owner, "speed_per_core", "must be > 0")
         if vm.startup_time < 0:

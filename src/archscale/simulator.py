@@ -116,7 +116,7 @@ from .scaler import (
 from .workload import Shape, WorkloadSpec, draw_traffic
 
 
-class SimulationError(RuntimeError):
+class SimulationError(ValueError):
     """The simulation cannot start or the inputs are inconsistent."""
 
 

@@ -187,6 +187,23 @@ def test_a_refused_rate_leaves_no_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_a_refused_global_run_leaves_no_file(tmp_path, capsys):
+    # Both policies run before anything is written, so the global run's
+    # refusal of a ladder without scales leaves no file of the local run.
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({
+        "architecture": str(reference_architecture_path()), "policies": ["local", "global"],
+        "scenario": {"duration_s": 5, "exact_arrivals": True, "scale_increments": [],
+                     "workload": {"kind": "steps", "points": [[0, 30]]}},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["compare", "--spec", str(spec), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the global policy needs a ladder whose largest scale adds an instance to every "
+        "service with a finite MCL and an MF above 0\n")
+    assert not out_dir.exists()
+
+
 def test_cli_error_is_nonzero(tmp_path, capsys):
     assert main(["simulate", "--spec", str(tmp_path / "missing.json")]) == 1
     assert "error" in capsys.readouterr().err

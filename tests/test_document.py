@@ -269,6 +269,13 @@ def test_validation_flags_zero_cores():
     assert v.owner == "service A"
 
 
+def test_validation_flags_a_vm_type_with_negative_memory(reference_arch):
+    first, *rest = reference_arch.vm_catalog
+    arch = dataclasses.replace(
+        reference_arch, vm_catalog=(dataclasses.replace(first, memory=-1), *rest))
+    assert [str(v) for v in validate_architecture(arch)] == [f"vm {first.name}.memory: must be >= 0"]
+
+
 def test_validation_flags_out_of_range_virus_probability():
     doc = minimal_doc()
     doc["profile"]["p_virus"] = 1.3
