@@ -532,6 +532,90 @@ def test_applied_syntheses_digest_unchanged(reference_arch, reference_ladder):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == APPLIED_SYNTHESES_DIGEST
 
 
+def applied_removal_actions(arch, ladder, rng):
+    """Actions of a seeded sequence of deploys and removals, each applied
+    before the next: the base, then 80 steps that each deploy a reference
+    delta or 1 to 3 instances of one service, or remove 1 to 3 instances
+    that nothing strongly requires, MessageAnalyser's most often. A refused
+    synthesis is recorded by its message. Also counts the removals' moves
+    of MessageAnalyser's weak consumers, consumers left unbound, and VMs
+    released or slowed."""
+    registry = DeploymentRegistry(arch)
+    lines = []
+    seen = dict.fromkeys(("moved", "unbound", "released", "decremented"), 0)
+
+    def deploy(counts):
+        try:
+            orch = synthesize_orchestration(
+                plan_placement(counts, arch, arch.vm_catalog), arch, registry)
+        except SynthesisError as exc:
+            lines.append(f"refused: {exc}")
+            return
+        registry.apply(orch)
+        lines.append(repr(orch.actions))
+
+    deploy({s.name: n for s, n in zip(arch.services, ladder.base.counts)})
+    names = [s.name for s in arch.services]
+    for _ in range(80):
+        roll = rng.random()
+        if roll < 0.3:
+            delta = rng.choice(ladder.deltas)
+            deploy({s.name: c for s, c in zip(arch.services, delta.counts) if c > 0})
+        elif roll < 0.45:
+            deploy({rng.choice(names): rng.randint(1, 3)})
+        else:
+            service = "MessageAnalyser" if rng.random() < 0.5 else rng.choice(names)
+            required = {provider for inst in registry.instances.values()
+                        for _, provider in inst.strong_bindings}
+            free = [iid for iid, inst in registry.instances.items()
+                    if inst.service == service and iid not in required]
+            if not free:
+                continue
+            victims = rng.sample(free, rng.randint(1, min(3, len(free))))
+            orch = synthesize_removal(victims, arch, registry)
+            registry.apply(orch)
+            lines.append(repr(orch.actions))
+            doomed = set(victims)
+            for act in orch.actions:
+                if isinstance(act, BindWeak) and act.port == "MessageAnalyser":
+                    seen["moved"] += 1
+                elif isinstance(act, UnbindWeak) and act.consumer_id not in doomed and not any(
+                        isinstance(b, BindWeak) and b.consumer_id == act.consumer_id
+                        and b.port == act.port for b in orch.actions):
+                    seen["unbound"] += 1
+                elif isinstance(act, ReleaseVM):
+                    seen["released"] += 1
+                elif isinstance(act, DecrementSpeed):
+                    seen["decremented"] += 1
+    return lines, seen
+
+
+def capped_message_analyser(arch):
+    """``arch`` with each MessageAnalyser instance serving at most five
+    consumers, so that a removal's moved consumers can find no room."""
+    return dataclasses.replace(arch, services=tuple(
+        dataclasses.replace(s, provide_capacity=5) if s.name == "MessageAnalyser" else s
+        for s in arch.services))
+
+
+# SHA-256 of the actions above, seed 31, on the reference architecture and
+# then on its capped copy, recorded before the registry kept its instances
+# by service: removals must move consumers, release VMs and slow them as
+# before.
+APPLIED_REMOVALS_DIGEST = "c2e19a68d4d1a3c45889e6eb524767aeb24e04da97c6256db130c6f09fe31177"
+
+
+def test_applied_removals_digest_unchanged(reference_arch, reference_ladder):
+    rng = random.Random(31)
+    lines, seen = applied_removal_actions(reference_arch, reference_ladder, rng)
+    capped, capped_seen = applied_removal_actions(
+        capped_message_analyser(reference_arch), reference_ladder, rng)
+    assert min(seen["moved"], seen["released"], seen["decremented"]) > 0
+    assert min(capped_seen["moved"], capped_seen["unbound"]) > 0
+    assert any(line.startswith("refused: ") for line in capped)
+    assert hashlib.sha256("\n".join(lines + capped).encode()).hexdigest() == APPLIED_REMOVALS_DIGEST
+
+
 def test_replay_never_references_undefined_ids(chain_arch):
     registry, orch = bootstrap(chain_arch, {"Front": 1, "Mid": 1, "Back": 1, "Side": 2})
     fresh = DeploymentRegistry(chain_arch)
