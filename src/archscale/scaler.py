@@ -157,13 +157,21 @@ def select_global_configuration(
       units at the last level and t_j its units in the largest scale.
       Then i is the first scale that covers the demand at r stacks.
 
-    So a decision's cost does not grow with the demand. A bounding service
+    So a decision's cost does not grow with the demand. A negative rate
+    raises ``ValueError``, as in ``scaling_trigger``. A bounding service
     the largest scale does not grow caps every stack
     (``ScaleLadder.last_scale_covers_finite_services``): a demand above
     that cap raises ``ScalingError``. A ladder along which capacity could
     fall raises ``CapacityError`` (see ``LadderLevels``).
     """
-    a, b = ratio(inbound)
+    try:
+        a, b = ratio(inbound)
+    except OverflowError:
+        if inbound < 0:  # minus infinity
+            raise ValueError("inbound rate must be >= 0") from None
+        raise
+    if a < 0:
+        raise ValueError("inbound rate must be >= 0")
     Kn, Kd = params.margin
     d = table.denominator
     levels = ladder.levels(table)

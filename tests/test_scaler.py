@@ -209,6 +209,14 @@ def within(seconds, fn, *args, **kwargs):
 # On the 8-service architecture, base target 40 and increments (40, 80)
 # give Receiver (120 requests/s per instance) no instance in either delta,
 # so no stack of the largest scale carries more than 120 emails/s.
+@pytest.mark.parametrize("inbound", [Fraction(-5), -1, -0.5, float("-inf")])
+def test_select_rejects_a_negative_rate(inbound, reference_ladder, reference_table):
+    # Else -5 emails/s returned the base configuration.
+    with pytest.raises(ValueError) as err:
+        select_global_configuration(inbound, ScalerParams(), reference_ladder, reference_table)
+    assert str(err.value) == "inbound rate must be >= 0"
+
+
 def test_select_raises_when_largest_scale_adds_no_capacity():
     table = build_capacity_table(parse_architecture_data(ROUTE_SHAPES_ARCH))
     ladder = synthesize_scale_ladder(Fraction(40), [Fraction(40), Fraction(80)], table)
@@ -605,10 +613,13 @@ def select_grid(ladder, table):
     return lines
 
 
+# "select" was re-recorded when a negative rate became refused: its four
+# "{p} Fraction(-5, 1) ..." lines read the base configuration before and
+# ValueError now. No other line of its grid moved.
 DECISION_DIGESTS = {
     "trigger": "2fbc6ced44e75e934967009fbebe31d8eb029a0d940ee5476fdfe5aba37b88dd",
     "local_target": "bbb3b46b79d3f1e53e85a924c89778113eb1acd93adb413b14040b474f006bd6",
-    "select": "031408a1f74874336751b4304c673e6796c7fdb65729536ef423f1649eee0388",
+    "select": "805a074646f98ef46ce2de62aa151979d4c9c0ad65dc347a1bb82e63426c063c",
 }
 
 
