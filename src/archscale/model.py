@@ -109,6 +109,13 @@ class VMType:
     startup_time: int  # ticks
     cost: Fraction  # abstract monetary units per acquisition
 
+    @cached_property
+    def full_speed(self) -> Fraction:
+        """Resource units per tick with every core in use, computed once:
+        an acquired VM's speed before its unused cores are discounted. Not
+        a field, so it takes no part in == and hash."""
+        return Fraction(self.speed_per_core * self.cores)
+
 
 @dataclass(frozen=True)
 class PipelineEdge:

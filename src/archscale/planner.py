@@ -15,7 +15,12 @@ program: acquire VMs, set the overall startup to the slowest acquired VM,
 create instances in strong-dependency order, establish weak bindings, and
 finally decrement each VM's speed so unused cores contribute nothing.
 The creation order (``SystemArchitecture.strong_order``) and the by-name
-lookups are derived once per architecture.
+lookups are derived once per architecture. A port's provider is read off
+the registry's per-service index of live instances (``by_service``),
+followed by the instances the orchestration creates: one pass picks the
+least-consumed one with room, creation order breaking ties.
+``synthesize_removal`` moves a removed provider's weak consumers the same
+way, so neither scans every instance per port.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .capacity import ratio
 from .model import SystemArchitecture, VMType, strong_cycle
@@ -346,6 +351,12 @@ class InstanceState:
 class DeploymentRegistry:
     """Live instances and acquired VMs; mutated only by applying orchestrations.
 
+    ``by_service`` indexes the live instances: each service's instance ids
+    in registry order, kept by ``CreateInstance`` and ``DestroyInstance``.
+    Synthesis reads a port's providers from it and picks the
+    least-consumed one with room in one pass over them, so it never scans
+    ``instances`` per port. ``apply`` dispatches each action on its type.
+
     Id counters are allocator state and are deliberately excluded from
     equality and hashing: deploying and then undeploying an increment
     restores identical content even though fresh ids moved on.
@@ -355,6 +366,7 @@ class DeploymentRegistry:
         self.arch = arch
         self.vms: dict[str, VMState] = {}
         self.instances: dict[str, InstanceState] = {}
+        self.by_service: dict[str, list[str]] = {s.name: [] for s in arch.services}
         self.consumer_counts: dict[str, int] = {}
         self._next_vm = 0
         self._next_instance: dict[str, int] = {}
@@ -369,106 +381,119 @@ class DeploymentRegistry:
         return [f"{service}-{start + i}" for i in range(count)]
 
     def counts(self) -> dict[str, int]:
-        out = {s.name: 0 for s in self.arch.services}
-        for inst in self.instances.values():
-            out[inst.service] += 1
-        return out
+        return {name: len(ids) for name, ids in self.by_service.items()}
 
     # -- applying actions --
 
     def apply(self, orch: TimedOrchestration) -> None:
+        handlers = self._HANDLERS
         for act in orch.actions:
-            self._apply_action(act)
+            handler = handlers.get(type(act))
+            if handler is None:
+                raise OrchestrationError(f"unknown action {act!r}")
+            handler(self, act)
 
-    def _apply_action(self, act: Action) -> None:
-        if isinstance(act, AcquireVM):
-            if act.vm_id in self.vms:
-                raise OrchestrationError(f"VM id {act.vm_id} already acquired")
-            vm_type = self.arch.vm_type(act.vm_type)
-            self.vms[act.vm_id] = VMState(act.vm_id, vm_type, speed=Fraction(vm_type.speed_per_core * vm_type.cores))
-            tail = act.vm_id.rsplit("-", 1)[-1]
-            if tail.isdigit():
-                self._next_vm = max(self._next_vm, int(tail) + 1)
-        elif isinstance(act, SetOverallStartup):
-            if act.ticks < 0:
-                raise OrchestrationError("startup duration must be >= 0")
-        elif isinstance(act, CreateInstance):
-            if act.instance_id in self.instances:
-                raise OrchestrationError(f"instance id {act.instance_id} already exists")
-            vm = self.vms.get(act.vm_id)
-            if vm is None:
-                raise OrchestrationError(f"create {act.instance_id}: undefined VM {act.vm_id}")
-            svc = self.arch.service(act.service)
-            if vm.used_cores + svc.cores_required > vm.vm_type.cores:
-                raise OrchestrationError(f"create {act.instance_id}: VM {act.vm_id} out of cores")
-            if vm.used_memory + svc.memory_required > vm.vm_type.memory:
-                raise OrchestrationError(f"create {act.instance_id}: VM {act.vm_id} out of memory")
-            required = set(svc.strong_requires)
-            bound = [port for port, _ in act.strong_bindings]
-            if sorted(bound) != sorted(required):
-                raise OrchestrationError(
-                    f"create {act.instance_id}: strong bindings {bound} do not match "
-                    f"requirements {sorted(required)}")
-            for port, provider_id in act.strong_bindings:
-                self._consume(provider_id, port, act.instance_id)
-            vm.used_cores += svc.cores_required
-            vm.used_memory += svc.memory_required
-            vm.instances.append(act.instance_id)
-            self.instances[act.instance_id] = InstanceState(
-                act.instance_id, act.service, act.vm_id, tuple(act.strong_bindings))
-            base = act.instance_id.rsplit("-", 1)
-            if len(base) == 2 and base[0] == act.service and base[1].isdigit():
-                nxt = self._next_instance.get(act.service, 0)
-                self._next_instance[act.service] = max(nxt, int(base[1]) + 1)
-        elif isinstance(act, BindWeak):
-            consumer = self.instances.get(act.consumer_id)
-            if consumer is None:
-                raise OrchestrationError(f"bind-weak: undefined consumer {act.consumer_id}")
-            self._consume(act.provider_id, act.port, act.consumer_id)
-            consumer.weak_bindings.append((act.port, act.provider_id))
-        elif isinstance(act, DecrementSpeed):
-            vm = self.vms.get(act.vm_id)
-            if vm is None:
-                raise OrchestrationError(f"decrement-speed: undefined VM {act.vm_id}")
-            if act.amount < 0 or vm.speed - act.amount < 0:
-                raise OrchestrationError(f"decrement-speed: invalid amount {act.amount} on {act.vm_id}")
-            vm.speed -= act.amount
-        elif isinstance(act, UnbindWeak):
-            consumer = self.instances.get(act.consumer_id)
-            if consumer is None:
-                raise OrchestrationError(f"unbind-weak: undefined consumer {act.consumer_id}")
-            try:
-                consumer.weak_bindings.remove((act.port, act.provider_id))
-            except ValueError as exc:
-                raise OrchestrationError(
-                    f"unbind-weak: no binding {act.consumer_id} -> {act.provider_id}") from exc
-            if act.provider_id in self.consumer_counts:
-                self.consumer_counts[act.provider_id] -= 1
-        elif isinstance(act, DestroyInstance):
-            inst = self.instances.pop(act.instance_id, None)
-            if inst is None:
-                raise OrchestrationError(f"destroy: undefined instance {act.instance_id}")
-            if inst.weak_bindings:
-                raise OrchestrationError(f"destroy {act.instance_id}: weak bindings still present")
-            for _, provider_id in inst.strong_bindings:
-                if provider_id in self.consumer_counts:
-                    self.consumer_counts[provider_id] -= 1
-            self.consumer_counts.pop(act.instance_id, None)
-            vm = self.vms.get(inst.vm_id)
-            if vm is not None:
-                svc = self.arch.service(inst.service)
-                vm.used_cores -= svc.cores_required
-                vm.used_memory -= svc.memory_required
-                vm.instances.remove(act.instance_id)
-        elif isinstance(act, ReleaseVM):
-            vm = self.vms.get(act.vm_id)
-            if vm is None:
-                raise OrchestrationError(f"release: undefined VM {act.vm_id}")
-            if vm.instances:
-                raise OrchestrationError(f"release {act.vm_id}: instances still deployed")
-            del self.vms[act.vm_id]
-        else:
-            raise OrchestrationError(f"unknown action {act!r}")
+    def _acquire(self, act: AcquireVM) -> None:
+        if act.vm_id in self.vms:
+            raise OrchestrationError(f"VM id {act.vm_id} already acquired")
+        vm_type = self.arch.vm_type(act.vm_type)
+        self.vms[act.vm_id] = VMState(act.vm_id, vm_type, speed=vm_type.full_speed)
+        tail = act.vm_id.rsplit("-", 1)[-1]
+        if tail.isdigit():
+            self._next_vm = max(self._next_vm, int(tail) + 1)
+
+    def _set_startup(self, act: SetOverallStartup) -> None:
+        if act.ticks < 0:
+            raise OrchestrationError("startup duration must be >= 0")
+
+    def _create(self, act: CreateInstance) -> None:
+        if act.instance_id in self.instances:
+            raise OrchestrationError(f"instance id {act.instance_id} already exists")
+        vm = self.vms.get(act.vm_id)
+        if vm is None:
+            raise OrchestrationError(f"create {act.instance_id}: undefined VM {act.vm_id}")
+        svc = self.arch.service(act.service)
+        if vm.used_cores + svc.cores_required > vm.vm_type.cores:
+            raise OrchestrationError(f"create {act.instance_id}: VM {act.vm_id} out of cores")
+        if vm.used_memory + svc.memory_required > vm.vm_type.memory:
+            raise OrchestrationError(f"create {act.instance_id}: VM {act.vm_id} out of memory")
+        required = set(svc.strong_requires)
+        bound = [port for port, _ in act.strong_bindings]
+        if sorted(bound) != sorted(required):
+            raise OrchestrationError(
+                f"create {act.instance_id}: strong bindings {bound} do not match "
+                f"requirements {sorted(required)}")
+        for port, provider_id in act.strong_bindings:
+            self._consume(provider_id, port, act.instance_id)
+        vm.used_cores += svc.cores_required
+        vm.used_memory += svc.memory_required
+        vm.instances.append(act.instance_id)
+        self.instances[act.instance_id] = InstanceState(
+            act.instance_id, act.service, act.vm_id, tuple(act.strong_bindings))
+        self.by_service[act.service].append(act.instance_id)
+        base = act.instance_id.rsplit("-", 1)
+        if len(base) == 2 and base[0] == act.service and base[1].isdigit():
+            nxt = self._next_instance.get(act.service, 0)
+            self._next_instance[act.service] = max(nxt, int(base[1]) + 1)
+
+    def _bind_weak(self, act: BindWeak) -> None:
+        consumer = self.instances.get(act.consumer_id)
+        if consumer is None:
+            raise OrchestrationError(f"bind-weak: undefined consumer {act.consumer_id}")
+        self._consume(act.provider_id, act.port, act.consumer_id)
+        consumer.weak_bindings.append((act.port, act.provider_id))
+
+    def _decrement_speed(self, act: DecrementSpeed) -> None:
+        vm = self.vms.get(act.vm_id)
+        if vm is None:
+            raise OrchestrationError(f"decrement-speed: undefined VM {act.vm_id}")
+        speed = vm.speed - act.amount
+        if act.amount < 0 or speed < 0:
+            raise OrchestrationError(f"decrement-speed: invalid amount {act.amount} on {act.vm_id}")
+        vm.speed = speed
+
+    def _unbind_weak(self, act: UnbindWeak) -> None:
+        consumer = self.instances.get(act.consumer_id)
+        if consumer is None:
+            raise OrchestrationError(f"unbind-weak: undefined consumer {act.consumer_id}")
+        try:
+            consumer.weak_bindings.remove((act.port, act.provider_id))
+        except ValueError as exc:
+            raise OrchestrationError(
+                f"unbind-weak: no binding {act.consumer_id} -> {act.provider_id}") from exc
+        if act.provider_id in self.consumer_counts:
+            self.consumer_counts[act.provider_id] -= 1
+
+    def _destroy(self, act: DestroyInstance) -> None:
+        inst = self.instances.get(act.instance_id)
+        if inst is None:
+            raise OrchestrationError(f"destroy: undefined instance {act.instance_id}")
+        if inst.weak_bindings:
+            raise OrchestrationError(f"destroy {act.instance_id}: weak bindings still present")
+        del self.instances[act.instance_id]
+        self.by_service[inst.service].remove(act.instance_id)
+        for _, provider_id in inst.strong_bindings:
+            if provider_id in self.consumer_counts:
+                self.consumer_counts[provider_id] -= 1
+        self.consumer_counts.pop(act.instance_id, None)
+        vm = self.vms.get(inst.vm_id)
+        if vm is not None:
+            svc = self.arch.service(inst.service)
+            vm.used_cores -= svc.cores_required
+            vm.used_memory -= svc.memory_required
+            vm.instances.remove(act.instance_id)
+
+    def _release(self, act: ReleaseVM) -> None:
+        vm = self.vms.get(act.vm_id)
+        if vm is None:
+            raise OrchestrationError(f"release: undefined VM {act.vm_id}")
+        if vm.instances:
+            raise OrchestrationError(f"release {act.vm_id}: instances still deployed")
+        del self.vms[act.vm_id]
+
+    _HANDLERS = {AcquireVM: _acquire, SetOverallStartup: _set_startup, CreateInstance: _create,
+                 BindWeak: _bind_weak, DecrementSpeed: _decrement_speed,
+                 UnbindWeak: _unbind_weak, DestroyInstance: _destroy, ReleaseVM: _release}
 
     def _consume(self, provider_id: str, port: str, consumer_id: str) -> None:
         provider = self.instances.get(provider_id)
@@ -507,15 +532,18 @@ class DeploymentRegistry:
 # Orchestration synthesis
 
 
-def _pick_provider(candidates: list[tuple[str, int]], capacity: int) -> str | None:
-    """Among ``(provider, consumer count)`` pairs, the least-consumed
-    provider with room, creation order as tie-break; None if none has room."""
-    eligible = [
-        (count, order, pid)
-        for order, (pid, count) in enumerate(candidates)
-        if capacity == -1 or count < capacity
-    ]
-    return min(eligible)[2] if eligible else None
+def _least_consumed(providers: Iterable[str], counts: Mapping[str, int], capacity: int) -> str | None:
+    """In one pass, the least-consumed of ``providers`` with room under
+    ``capacity`` (-1: unbounded), the first in their order on a tie; None if
+    none has room. A provider has room when its count is below the
+    capacity, so the capacity is the bound the first pick must beat."""
+    provider = None
+    least = math.inf if capacity == -1 else capacity
+    for pid in providers:
+        count = counts.get(pid, 0)
+        if count < least:
+            provider, least = pid, count
+    return provider
 
 
 def synthesize_orchestration(
@@ -540,23 +568,16 @@ def synthesize_orchestration(
         for svc_name in services:
             new_by_service.setdefault(svc_name, []).append(vm_id_by_index[local_idx])
 
-    fresh_ids: dict[str, list[str]] = {
-        svc: registry.peek_instance_ids(svc, len(vms)) for svc, vms in new_by_service.items()
-    }
-
     # Provider bookkeeping for this synthesis: existing consumers plus
     # bindings added by earlier actions of the same orchestration.
     consumers: dict[str, int] = dict(registry.consumer_counts)
     created: dict[str, list[str]] = {}  # service -> new instance ids created so far
-    existing: dict[str, list[str]] = {}  # port -> live provider ids, registry order
+    live = registry.by_service  # service -> live instance ids, registry order
 
     def bind(port: str, consumer: str) -> str:
         """``consumer``'s provider for ``port``, counted as one more consumer."""
-        if port not in existing:
-            existing[port] = [inst.instance_id for inst in registry.instances.values()
-                              if inst.service == port]
-        candidates = [(pid, consumers.get(pid, 0)) for pid in existing[port] + created.get(port, [])]
-        provider = _pick_provider(candidates, arch.service(port).provide_capacity)
+        provider = _least_consumed(live[port] + created.get(port, []), consumers,
+                                   arch.service(port).provide_capacity)
         if provider is None:
             raise SynthesisError(
                 f"instance {consumer}: no provider available for required port {port!r}")
@@ -575,27 +596,29 @@ def synthesize_orchestration(
         names = {s.name for s in arch.services}
         unknown = sorted({dep for s in arch.services for dep in s.strong_requires} - names)
         raise SynthesisError(f"unknown strongly required services {unknown}")
+    # One pass in creation order: the instances with their strong bindings,
+    # the cores each acquired VM hosts, and the weak ports bound after them.
     create_actions: list[CreateInstance] = []
+    weak_ports: list[tuple[str, tuple[str, ...]]] = []  # (instance id, weak ports)
+    used_by_vm: dict[str, int] = dict.fromkeys(vm_ids, 0)
     for svc_name in order:
-        if svc_name not in new_by_service:
+        vms = new_by_service.get(svc_name)
+        if vms is None:
             continue
-        ports = arch.service(svc_name).strong_requires
-        for inst_id, vm_id in zip(fresh_ids[svc_name], new_by_service[svc_name]):
-            bindings = tuple((port, bind(port, inst_id)) for port in ports)
+        svc = arch.service(svc_name)
+        ids = registry.peek_instance_ids(svc_name, len(vms))
+        for inst_id, vm_id in zip(ids, vms):
+            bindings = tuple([(port, bind(port, inst_id)) for port in svc.strong_requires])
             create_actions.append(CreateInstance(inst_id, svc_name, vm_id, bindings))
-            created.setdefault(svc_name, []).append(inst_id)
+            used_by_vm[vm_id] += svc.cores_required
+            if svc.weak_requires:
+                weak_ports.append((inst_id, svc.weak_requires))
+        created[svc_name] = ids  # no service strongly requires itself
     actions.extend(create_actions)
-
-    weak_actions: list[BindWeak] = []
-    for act in create_actions:
-        for port in arch.service(act.service).weak_requires:
-            weak_actions.append(BindWeak(act.instance_id, bind(port, act.instance_id), port))
-    actions.extend(weak_actions)
+    for inst_id, ports in weak_ports:
+        actions.extend([BindWeak(inst_id, bind(port, inst_id), port) for port in ports])
 
     # Dynamic speed: discount cores no instance uses.
-    used_by_vm: dict[str, int] = {vm_id: 0 for vm_id in vm_ids}
-    for act in create_actions:
-        used_by_vm[act.vm_id] += arch.service(act.service).cores_required
     for (vm_type, local_idx), vm_id in zip(placement.acquired_vms, vm_ids):
         unused = vm_type.cores - used_by_vm[vm_id]
         if unused > 0:
@@ -646,7 +669,6 @@ def synthesize_removal(
         counts = dict(registry.consumer_counts)  # as the actions so far leave them
         for act in actions:
             counts[act.provider_id] = counts.get(act.provider_id, 0) - 1
-        providers: dict[str, list[str]] = {}  # port -> surviving providers, registry order
         for consumer in registry.instances.values():
             if consumer.instance_id in doomed:
                 continue
@@ -654,11 +676,8 @@ def synthesize_removal(
                 if provider not in consumed:
                     continue
                 actions.append(UnbindWeak(consumer.instance_id, provider, port))
-                if port not in providers:
-                    providers[port] = [pid for pid, other in registry.instances.items()
-                                       if other.service == port and pid not in doomed]
-                new = _pick_provider([(pid, counts.get(pid, 0)) for pid in providers[port]],
-                                     arch.service(port).provide_capacity)
+                survivors = (pid for pid in registry.by_service[port] if pid not in doomed)
+                new = _least_consumed(survivors, counts, arch.service(port).provide_capacity)
                 if new is not None:
                     counts[new] = counts.get(new, 0) + 1
                     actions.append(BindWeak(consumer.instance_id, new, port))

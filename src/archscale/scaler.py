@@ -18,6 +18,11 @@ MCL and the margins enter as (numerator, denominator) pairs
 (``capacity.ratio``, a float by its binary value), comparisons
 cross-multiply, and a ceiling is one integer floor division. ``ScalerParams``
 caches K and the trigger's bands as such pairs on first use.
+``scaling_trigger`` and ``local_target_instances``, which nearly every
+monitoring window calls, read each rate's pair with one
+``as_integer_ratio()`` call in their own body. Their ``except`` branches
+take infinities, NaN and a number without that method, which they read
+through ``Fraction`` as ``capacity.ratio`` does.
 """
 
 from __future__ import annotations
@@ -97,29 +102,42 @@ class Trigger(Enum):
     NONE = "none"
 
 
+# Module globals, so that a decision returns without an attribute lookup on
+# the enum class.
+_UP, _DOWN, _NONE = Trigger.UP, Trigger.DOWN, Trigger.NONE
+
+
 def scaling_trigger(inbound: Rational, total_mcl: Rational, params: ScalerParams) -> Trigger:
     """UP or DOWN when inbound - total_mcl lies above or below the bands
     (see ``ScalerParams.bands``), compared exactly on integer pairs: with
-    inbound a/b and capacity c/d, the gap is (a*d - c*b) / (b*d)."""
+    inbound a/b and capacity c/d, the gap is (a*d - c*b) / (b*d). An
+    infinite capacity never triggers."""
     try:
-        a, b = ratio(inbound)
+        a, b = inbound.as_integer_ratio()
     except OverflowError:
         if inbound < 0:  # minus infinity
             raise ValueError("inbound rate must be >= 0") from None
         raise
+    except AttributeError:
+        a, b = Fraction(inbound).as_integer_ratio()
     if a < 0:
         raise ValueError("inbound rate must be >= 0")
-    if is_infinite(total_mcl):
-        return Trigger.NONE
-    c, d = ratio(total_mcl)
+    try:
+        c, d = total_mcl.as_integer_ratio()
+    except OverflowError:
+        if is_infinite(total_mcl):
+            return _NONE
+        raise
+    except AttributeError:
+        c, d = Fraction(total_mcl).as_integer_ratio()
     up, down, den = params.bands
     gap = (a * d - c * b) * den
     scale = b * d
     if gap > up * scale:
-        return Trigger.UP
+        return _UP
     if gap < down * scale:
-        return Trigger.DOWN
-    return Trigger.NONE
+        return _DOWN
+    return _NONE
 
 
 DeltaVector = tuple[int, ...]
@@ -227,22 +245,24 @@ def local_target_instances(
 
     With inbound a/b, K Kn/Kd and mcl mn/md, one integer ceiling of
     (a*Kd + Kn*b) * md / (b*Kd*mn)."""
-    if is_infinite(mcl):
-        raise ValueError("local scaling needs a finite positive mcl")
     try:
-        mn, md = ratio(mcl)
-    except OverflowError:  # minus infinity: is_infinite caught plus infinity
+        mn, md = mcl.as_integer_ratio()
+    except OverflowError:  # plus or minus infinity
         raise ValueError("local scaling needs a finite positive mcl") from None
+    except AttributeError:
+        mn, md = Fraction(mcl).as_integer_ratio()
     if mn <= 0:
         raise ValueError("local scaling needs a finite positive mcl")
     if deployed < 0 or base_n < 0:
         raise ValueError("instance counts must be >= 0")
     try:
-        a, b = ratio(inbound)
+        a, b = inbound.as_integer_ratio()
     except OverflowError:
         if inbound < 0:  # minus infinity
             raise ValueError("inbound rate must be >= 0") from None
         raise
+    except AttributeError:
+        a, b = Fraction(inbound).as_integer_ratio()
     if a < 0:
         raise ValueError("inbound rate must be >= 0")
     Kn, Kd = params.margin

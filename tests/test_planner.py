@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -616,6 +617,58 @@ def test_applied_removals_digest_unchanged(reference_arch, reference_ladder):
     assert hashlib.sha256("\n".join(lines + capped).encode()).hexdigest() == APPLIED_REMOVALS_DIGEST
 
 
+REGISTRY_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("deploy"), st.dictionaries(
+        st.sampled_from(("Db", "Cache", "Web", "Worker")), st.integers(1, 2),
+        min_size=1, max_size=4)),
+    st.tuples(st.just("undeploy")),
+    st.tuples(st.just("remove"), st.lists(st.integers(0, 40), min_size=1, max_size=3)),
+), max_size=30)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(db=st.sampled_from((-1, 2, 3)), cache=st.sampled_from((-1, 2, 3)), steps=REGISTRY_STEPS)
+def test_registry_index_matches_its_instances(db, cache, steps):
+    # After one of each service and then any sequence of deploys, undeploys
+    # of the newest deploy still intact, and removals of any live instances:
+    # each service's index entry is its ordered scan of the instances, and
+    # each live provider's consumer count is the live bindings to it.
+    arch = make_arch(
+        [service_block("Db", provide=db), service_block("Cache", provide=cache),
+         service_block("Web", sig=["Db"], weak=["Cache"]),
+         service_block("Worker", weak=["Cache", "Db"])],
+        [vm_block("small", 4, 1.0), vm_block("big", 8, 1.8)],
+    )
+    registry = DeploymentRegistry(arch)
+    deployed = []  # orchestrations, oldest first
+    for step in [("deploy", {"Db": 1, "Cache": 1, "Web": 1, "Worker": 1}), *steps]:
+        if step[0] == "deploy":
+            try:
+                orch = synthesize_orchestration(
+                    plan_placement(step[1], arch, arch.vm_catalog), arch, registry)
+            except SynthesisError:
+                continue
+            registry.apply(orch)
+            deployed.append(orch)
+        elif step[0] == "undeploy" and deployed:
+            orch = deployed.pop()
+            if all(i in registry.instances for i in orch.created_instance_ids()) and all(
+                    (a.port, a.provider_id) in registry.instances[a.consumer_id].weak_bindings
+                    for a in orch.actions if isinstance(a, BindWeak)):
+                registry.apply(synthesize_undeployment(orch))
+        elif step[0] == "remove" and registry.instances:
+            live = list(registry.instances)
+            victims = list(dict.fromkeys(live[i % len(live)] for i in step[1]))
+            registry.apply(synthesize_removal(victims, arch, registry))
+        for service, ids in registry.by_service.items():
+            assert ids == [i for i, inst in registry.instances.items() if inst.service == service]
+        bound = Counter(provider for inst in registry.instances.values()
+                        for _, provider in (*inst.strong_bindings, *inst.weak_bindings)
+                        if provider in registry.instances)
+        assert set(registry.consumer_counts) <= set(registry.instances)
+        assert {p: n for p, n in registry.consumer_counts.items() if n} == bound
+
+
 def test_replay_never_references_undefined_ids(chain_arch):
     registry, orch = bootstrap(chain_arch, {"Front": 1, "Mid": 1, "Back": 1, "Side": 2})
     fresh = DeploymentRegistry(chain_arch)
@@ -718,8 +771,12 @@ def web_arch():
 def test_registry_refuses_inconsistent_actions(web_arch, action, message):
     # vm-0 holds Db-0 and Web-0 (full); vm-1 holds Cache-0, bound weakly to Web-0.
     registry, _ = bootstrap(web_arch, {"Web": 1, "Db": 1, "Cache": 1})
+    before = (registry.state_hash(), dict(registry.consumer_counts),
+              {service: list(ids) for service, ids in registry.by_service.items()})
     with pytest.raises(OrchestrationError, match=f"^{message}$"):
         registry.apply(TimedOrchestration((action,)))
+    # A refused action leaves the registry as it was.
+    assert (registry.state_hash(), registry.consumer_counts, registry.by_service) == before
 
 
 @pytest.mark.parametrize("actions,problem", [
